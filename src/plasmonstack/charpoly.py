@@ -101,11 +101,6 @@ def build_charpoly(stack: LayerStack, n, sign, cap=DEFAULT_ENUMERATION_CAP) -> C
     return CharPoly(sign=sign, n=n, xi=stack.xi, coeffs=coeffs)
 
 
-def evaluate(poly: CharPoly, lam):
-    """Module-level alias of :meth:`CharPoly.evaluate`."""
-    return poly.evaluate(lam)
-
-
 def recursion_determinant(stack: LayerStack, lam, n, parity, i=1):
     """Determinant of the trailing (i..N, i..N) block of the order-n GPM via
     the two-term recursion

@@ -7,7 +7,7 @@ requested without a loss parameter.
 
 The only environment variable honored is PLASMONSTACK_THREADS, which caps
 the BLAS/OpenMP thread pools; it must be read before numpy loads, so all
-numerical imports happen inside main().
+numerical imports happen inside functions that main() calls.
 """
 
 from __future__ import annotations
@@ -26,84 +26,35 @@ def _apply_thread_env():
 
 
 def build_parser():
+    from .presets import PRESETS
+    from .runners import COMMANDS
+
     parser = argparse.ArgumentParser(
         prog="plasmonstack",
         description="Plasmon modes, resonant materials, and perturbed fields "
         "for multi-layer confocal-ellipse structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, presets):
+    for name, command in COMMANDS.items():
+        presets = [preset for preset, p in PRESETS.items() if p.command == name]
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--preset", help="named reference configuration: " + ", ".join(presets))
         p.add_argument("--config", help="JSON config file (overrides preset values)")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
         p.add_argument("--check", action="store_true",
                        help="recompute the preset and diff against its committed fixture")
-
-    p = sub.add_parser("modes", help="compute cross-validated plasmon modes")
-    common(p, ["table1", "table2"])
-    p.add_argument("--layers", type=int, help="layer count for --xi-outer/--ratio stacks")
-    p.add_argument("--xi", type=float, nargs="+", help="explicit decreasing elliptic radii")
-    p.add_argument("--semimajor", type=float, nargs="+", help="semi-major axes (converted via R)")
-    p.add_argument("--R", type=float, default=1.0, help="focal half-distance (default 1)")
-    p.add_argument("--n", type=int, help="Fourier order")
-    p.add_argument("--sigma0", type=float, help="background conductivity (default 1)")
-    p.add_argument("--table", action="store_true",
-                   help="print the 4-decimal table-reproduction view to stdout")
-    _tol_flags(p)
-
-    p = sub.add_parser("charpoly", help="dump polynomial coefficients and span values")
-    common(p, ["fig5", "fig8"])
-    p.add_argument("--xi", type=float, nargs="+")
-    p.add_argument("--semimajor", type=float, nargs="+")
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--n", type=int)
-    p.add_argument("--span-points", type=int)
-
-    p = sub.add_parser("field", help="sample perturbed potential or gradient grids")
-    common(p, ["fig10", "fig11-analog", "fig12"])
-    p.add_argument("--mode-rank", type=int, nargs="+", help="restrict to these ranks")
-    p.add_argument("--parity", choices=["even", "odd", "both"], help="restrict parity")
-    p.add_argument("--gradient", action="store_true", help="emit |grad(u-H)| instead of u-H")
-    p.add_argument("--delta", type=float, help="loss parameter added to the resonant contrast")
-    p.add_argument("--n", type=int)
-    _tol_flags(p)
-
-    p = sub.add_parser("sweep-disk", help="even/odd splitting gap vs stack scale")
-    common(p, ["fig9"])
-    p.add_argument("--layers", type=int)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--L", type=float, nargs="+", help="scale values (xi_1 = L * layers)")
-    _tol_flags(p)
-
-    p = sub.add_parser("bie-validate", help="independent discretization cross-checks")
-    common(p, ["bie-circle", "bie-confocal"])
-    p.add_argument("--nodes", type=int, nargs="+", help="node counts for the refinement study")
+        for flag, _key, kwargs in command.options:
+            p.add_argument(flag, **kwargs)
 
     p = sub.add_parser("make-fixtures", help="(maintainer) regenerate committed preset fixtures")
     p.add_argument("names", nargs="*", help="preset names (default: all)")
     return parser
 
 
-def _tol_flags(p):
-    p.add_argument("--tol-cross", type=float, help="route cross-validation tolerance")
-    p.add_argument("--tol-imag", type=float, help="eigenvalue realness tolerance")
-    p.add_argument("--tol-bound", type=float, help="spectral interval slack")
-
-
-_DIRECT_FLAGS = {
-    "modes": {"n": "n", "sigma0": "sigma0"},
-    "charpoly": {"n": "n", "span_points": "span_points"},
-    "field": {"n": "n", "delta": "delta", "mode_rank": "ranks"},
-    "sweep-disk": {"layers": "layers", "ratio": "ratio", "n": "n", "L": "L"},
-    "bie-validate": {"nodes": "nodes"},
-}
-
-
 def _merge_config(command, args, preset_cfg):
     """preset < --config file < explicit flags."""
     from .errors import ConfigError
+    from .runners import get_command
 
     cfg = dict(preset_cfg or {})
     if args.config:
@@ -120,15 +71,16 @@ def _merge_config(command, args, preset_cfg):
         geometry_flags = {"R": args.R, "semimajor": args.semimajor}
     if geometry_flags:
         cfg["geometry"] = geometry_flags
+        # only modes takes both radii and --layers, as a consistency check
         layers = getattr(args, "layers", None)
-        if command == "modes" and layers is not None:
+        if layers is not None:
             given = len(geometry_flags.get("xi") or geometry_flags.get("semimajor"))
             if layers != given:
                 raise ConfigError(f"--layers {layers} contradicts the {given} radii given")
 
-    for flag, key in _DIRECT_FLAGS.get(command, {}).items():
-        value = getattr(args, flag, None)
-        if value is not None:
+    for flag, key, _kwargs in get_command(command).options:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))  # argparse's dest
+        if key and value is not None:
             cfg[key] = value
     if getattr(args, "gradient", False):
         cfg["quantity"] = "gradient"
@@ -153,94 +105,12 @@ def _print_mode_table(payload):
         print("sigma_1  : " + " ".join(f"{r['sigma1']:8.4f}" for r in rows))
 
 
-def _write_outputs(command, cfg, result, out_dir, grids=None):
-    from .output import write_csv, write_json
-
-    os.makedirs(out_dir, exist_ok=True)
-    tolerances = cfg.get("tolerances")
-    if command == "modes":
-        rows = []
-        for parity in ("even", "odd"):
-            for r in result[parity]:
-                omega = r.get("omega")
-                rows.append((parity, r["rank"], r["lambda"], r["sigma1"],
-                             "" if omega is None else omega))
-        write_csv(
-            os.path.join(out_dir, "modes.csv"),
-            ("parity", "rank", "lambda", "sigma1", "omega"),
-            rows,
-            cfg,
-            tolerances,
-        )
-        write_json(os.path.join(out_dir, "modes.json"), result, cfg, tolerances)
-    elif command == "charpoly":
-        rows = []
-        for name, key in (("+", "coeff_plus"), ("-", "coeff_minus")):
-            for k, c in enumerate(result[key]):
-                rows.append((name, k, c))
-        write_csv(os.path.join(out_dir, "coefficients.csv"), ("sign", "k", "c_k"), rows, cfg)
-        span_rows = list(
-            zip(
-                result["span"]["plus"]["lambda"],
-                result["span"]["plus"]["value"],
-                result["span"]["minus"]["value"],
-            )
-        )
-        write_csv(
-            os.path.join(out_dir, "span.csv"),
-            ("lambda", "f_plus", "f_minus"),
-            span_rows,
-            cfg,
-            extra={"span-max-abs-plus": result["span"]["plus"]["max_abs"],
-                   "span-max-abs-minus": result["span"]["minus"]["max_abs"]},
-        )
-        write_json(os.path.join(out_dir, "charpoly.json"), result, cfg)
-    elif command == "sweep-disk":
-        write_csv(
-            os.path.join(out_dir, "sweep.csv"),
-            ("L", "gap"),
-            list(zip(result["L"], result["gap"])),
-            cfg,
-            extra={"gap-norm": result["gap_norm"],
-                   "log-gap-slope-vs-min-xi": result["log_gap_slope_vs_min_xi"]},
-        )
-        write_json(os.path.join(out_dir, "sweep.json"), result, cfg)
-    elif command == "field":
-        for meta, grid in grids or ():
-            stem = f"field_{meta['parity']}_r{meta['rank']}"
-            rows = []
-            if grid.quantity == "potential":
-                columns = ("x1", "x2", "re", "im")
-                for i, x1 in enumerate(grid.x1):
-                    for j, x2 in enumerate(grid.x2):
-                        v = grid.values[i, j]
-                        rows.append((x1, x2, v.real, v.imag))
-            else:
-                columns = ("x1", "x2", "gradmag")
-                for i, x1 in enumerate(grid.x1):
-                    for j, x2 in enumerate(grid.x2):
-                        rows.append((x1, x2, grid.values[i, j]))
-            write_csv(os.path.join(out_dir, stem + ".csv"), columns, rows, cfg, tolerances)
-            sidecar = dict(meta)
-            sidecar["interfaces"] = [
-                {"x1": list(px), "x2": list(py)} for px, py in grid.interfaces
-            ]
-            write_json(os.path.join(out_dir, stem + ".json"), sidecar, cfg, tolerances)
-        write_json(os.path.join(out_dir, "field_summary.json"), result, cfg, tolerances)
-    elif command == "bie-validate":
-        write_json(os.path.join(out_dir, "bie_report.json"), result, cfg)
-
-
 def _run_command(command, cfg):
     from . import runconfig, runners
 
     cfg = runconfig.normalize(command, cfg)
-    grids = None
-    if command == "field":
-        result, grids = runners.run_field(cfg)
-    else:
-        result = runners.run(command, cfg)
-    return cfg, result, grids
+    payload, grids = runners.run(command, cfg)
+    return cfg, payload, grids
 
 
 def _fixture_path(name):
@@ -278,6 +148,7 @@ def main(argv=None):
 
     from .errors import ConfigError, CrossValidationError, PlasmonstackError, ResonanceError
     from .presets import get_preset
+    from .runners import get_command
 
     if args.command == "make-fixtures":
         return _cmd_make_fixtures(args)
@@ -317,8 +188,9 @@ def main(argv=None):
         print(f"preset {preset.name!r} matches its fixture")
         return 0
 
-    _write_outputs(args.command, cfg, result, args.out, grids)
-    if args.command == "modes" and args.table:
+    os.makedirs(args.out, exist_ok=True)
+    get_command(args.command).write(args.out, cfg, result, grids)
+    if getattr(args, "table", False):
         _print_mode_table(result)
     print(f"wrote {args.command} outputs to {args.out}")
     return 0

@@ -28,21 +28,13 @@ def config_hash(config):
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
-def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return PAYLOAD_FMT.format(float(value))
-    if isinstance(value, (complex, np.complexfloating)):
-        return PAYLOAD_FMT.format(value.real) + ("+" if value.imag >= 0 else "-") + PAYLOAD_FMT.format(abs(value.imag)) + "j"
-    return str(value)
-
-
 def metadata_lines(config, tolerances=None, extra=None):
     lines = [
         f"# plasmonstack {__version__}",
         f"# config-sha256: {config_hash(config)}",
     ]
     if tolerances:
-        tol = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(tolerances.items()))
+        tol = " ".join(f"{k}={PAYLOAD_FMT.format(v)}" for k, v in sorted(tolerances.items()))
         lines.append(f"# tolerances: {tol}")
     if extra:
         for k, v in extra.items():
@@ -50,14 +42,29 @@ def metadata_lines(config, tolerances=None, extra=None):
     return lines
 
 
-def write_csv(path, columns, rows, config, tolerances=None, extra=None):
-    """Write a CSV payload with a commented metadata header."""
+def _column(values):
+    """(format field, cells) of one CSV column, with the format picked once
+    from the column's dtype: floats take PAYLOAD_FMT, None cells (a float
+    column with gaps) are blank, anything else is written with str()."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        return PAYLOAD_FMT, values.tolist()
+    if values.dtype.kind == "O":
+        return "{}", ["" if v is None else PAYLOAD_FMT.format(v) for v in values.tolist()]
+    return "{}", values.tolist()
+
+
+def write_csv(path, columns, config, tolerances=None, extra=None):
+    """Write a CSV payload with a commented metadata header.  ``columns``
+    maps each column name to its values (a sequence or array); rows are
+    streamed from the columns in order."""
+    fields, cells = zip(*map(_column, columns.values()))
+    row = ",".join(fields) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         for line in metadata_lines(config, tolerances, extra):
             fh.write(line + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(map(row.format, *cells))
 
 
 def jsonable(obj):
@@ -75,7 +82,7 @@ def jsonable(obj):
     return obj
 
 
-def write_json(path, payload, config, tolerances=None, extra=None):
+def write_json(path, payload, config, tolerances=None):
     """Write a JSON payload wrapped with the same metadata as the CSVs."""
     doc = {
         "version": __version__,
@@ -84,8 +91,6 @@ def write_json(path, payload, config, tolerances=None, extra=None):
     }
     if tolerances:
         doc["tolerances"] = jsonable(tolerances)
-    if extra:
-        doc.update(jsonable(extra))
     doc["payload"] = jsonable(payload)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

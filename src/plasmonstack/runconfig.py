@@ -203,18 +203,8 @@ def normalize_bie_config(cfg):
     return out
 
 
-NORMALIZERS = {
-    "modes": normalize_modes_config,
-    "charpoly": normalize_charpoly_config,
-    "field": normalize_field_config,
-    "sweep-disk": normalize_sweep_config,
-    "bie-validate": normalize_bie_config,
-}
-
-
 def normalize(command, cfg):
-    try:
-        normalizer = NORMALIZERS[command]
-    except KeyError:
-        raise ConfigError(f"unknown command {command!r}") from None
-    return normalizer(cfg)
+    # the command table lives in runners, which imports this module
+    from .runners import get_command
+
+    return get_command(command).normalize(cfg)

@@ -4,17 +4,23 @@ Each runner takes a normalized config (see :mod:`plasmonstack.runconfig`)
 and returns a JSON-friendly payload; the field runner additionally returns
 the sampled grids for CSV emission.  Payloads double as fixture content,
 so they contain only reproducible numbers.
+
+:data:`COMMANDS` declares every command in one entry: its CLI options, its
+normalizer, its runner and the files it writes.
 """
 
 from __future__ import annotations
+
+import os
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bie as bie_mod
 from . import charpoly as cp
 from . import field as field_mod
-from . import spectrum
-from .errors import ConfigError
+from . import output, runconfig, spectrum
+from .errors import ConfigError, ContrastError
 from .geometry import LayerStack, cartesian_to_elliptic
 from .materials import DrudeParams, resonant_frequency
 from .npcore import EVEN, ODD
@@ -51,7 +57,7 @@ def run_modes(cfg):
             if drude is not None:
                 try:
                     row["omega"] = resonant_frequency(mode.lambda_root, drude, cfg["sigma0"])
-                except Exception:
+                except ContrastError:
                     row["omega"] = None
             rows.append(row)
         payload[parity] = rows
@@ -178,13 +184,6 @@ def run_field(cfg):
     return payload, grids
 
 
-def _curve_factory(spec):
-    def build(M):
-        return bie_mod.curves_from_spec(spec, M)
-
-    return build
-
-
 def _monotone_decreasing(values, floor=1e-13):
     """Strict decrease judged above the roundoff floor (machine-precision
     plateaus, e.g. on a circle, count as converged rather than as drift)."""
@@ -196,14 +195,14 @@ def _monotone_decreasing(values, floor=1e-13):
 
 def run_bie(cfg):
     """Identity residual refinement plus spectral cross-checks per geometry."""
-    build = _curve_factory(cfg["curves"])
+    spec = cfg["curves"]
     nodes = cfg["nodes"]
     report = {"curves": cfg["curves"], "nodes": nodes}
     calderon = []
     selfadj = []
     bound_excess = []
     for M in nodes:
-        curves = build(M)
+        curves = bie_mod.curves_from_spec(spec, M)
         calderon.append(bie_mod.calderon_residual(curves))
         selfadj.append(bie_mod.self_adjointness_check(curves))
         ev = bie_mod.block_np_eigenvalues(curves, deflated=True)
@@ -214,7 +213,6 @@ def run_bie(cfg):
     report["monotone_calderon"] = _monotone_decreasing(calderon)
     report["monotone_self_adjointness"] = _monotone_decreasing(selfadj)
 
-    spec = cfg["curves"]
     if spec["type"] == "polar" and not spec.get("coeffs") and np.ndim(spec["scale"]) == 0:
         # single circle: closed-form spectra
         M = max(nodes)
@@ -233,15 +231,13 @@ def run_bie(cfg):
         }
 
     if "match_orders" in cfg and spec["type"] == "confocal":
-        from . import spectrum as spectrum_mod
-
         M = cfg["match_nodes"]
-        curves = build(M)
+        curves = bie_mod.curves_from_spec(spec, M)
         ev = bie_mod.block_np_eigenvalues(curves, deflated=False)
         stack = LayerStack(R=spec["R"], xi=tuple(spec["xi"]))
         worst = 0.0
         for n in range(1, cfg["match_orders"] + 1):
-            ms = spectrum_mod.modes(stack, n)
+            ms = spectrum.modes(stack, n)
             for parity in (EVEN, ODD):
                 for lam in ms.lambdas(parity):
                     worst = max(worst, float(np.abs(ev - (-lam)).min()))
@@ -251,15 +247,161 @@ def run_bie(cfg):
     return report
 
 
+def _write_modes(out, cfg, payload, grids):
+    rows = [dict(r, parity=parity) for parity in (EVEN, ODD) for r in payload[parity]]
+    columns = {k: [r.get(k) for r in rows] for k in ("parity", "rank", "lambda", "sigma1", "omega")}
+    output.write_csv(os.path.join(out, "modes.csv"), columns, cfg, cfg["tolerances"])
+    output.write_json(os.path.join(out, "modes.json"), payload, cfg, cfg["tolerances"])
+
+
+def _write_charpoly(out, cfg, payload, grids):
+    plus, minus, span = payload["coeff_plus"], payload["coeff_minus"], payload["span"]
+    coefficients = {
+        "sign": ["+"] * len(plus) + ["-"] * len(minus),
+        "k": [*range(len(plus)), *range(len(minus))],
+        "c_k": plus + minus,
+    }
+    output.write_csv(os.path.join(out, "coefficients.csv"), coefficients, cfg)
+    output.write_csv(
+        os.path.join(out, "span.csv"),
+        {"lambda": span["plus"]["lambda"], "f_plus": span["plus"]["value"],
+         "f_minus": span["minus"]["value"]},
+        cfg,
+        extra={"span-max-abs-plus": span["plus"]["max_abs"],
+               "span-max-abs-minus": span["minus"]["max_abs"]},
+    )
+    output.write_json(os.path.join(out, "charpoly.json"), payload, cfg)
+
+
+def _write_sweep(out, cfg, payload, grids):
+    output.write_csv(
+        os.path.join(out, "sweep.csv"),
+        {"L": payload["L"], "gap": payload["gap"]},
+        cfg,
+        extra={"gap-norm": payload["gap_norm"],
+               "log-gap-slope-vs-min-xi": payload["log_gap_slope_vs_min_xi"]},
+    )
+    output.write_json(os.path.join(out, "sweep.json"), payload, cfg)
+
+
+def _write_field(out, cfg, payload, grids):
+    tolerances = cfg["tolerances"]
+    for meta, grid in grids:
+        stem = os.path.join(out, f"field_{meta['parity']}_r{meta['rank']}")
+        # x1-major rows: values[i, j] sits at (x1[i], x2[j])
+        columns = {"x1": np.repeat(grid.x1, len(grid.x2)), "x2": np.tile(grid.x2, len(grid.x1))}
+        if grid.quantity == "potential":
+            columns |= {"re": grid.values.real.ravel(), "im": grid.values.imag.ravel()}
+        else:
+            columns["gradmag"] = grid.values.ravel()
+        output.write_csv(stem + ".csv", columns, cfg, tolerances)
+        interfaces = [{"x1": list(px), "x2": list(py)} for px, py in grid.interfaces]
+        output.write_json(stem + ".json", dict(meta, interfaces=interfaces), cfg, tolerances)
+    output.write_json(os.path.join(out, "field_summary.json"), payload, cfg, tolerances)
+
+
+def _write_bie(out, cfg, payload, grids):
+    output.write_json(os.path.join(out, "bie_report.json"), payload, cfg)
+
+
+class Command(NamedTuple):
+    """Everything the CLI knows about one command."""
+
+    help: str
+    #: (flag, config key or None, argparse keywords); a given flag with a
+    #: key is copied into the config, the CLI reads the others itself
+    options: tuple
+    #: raw config -> canonical config
+    normalize: Callable
+    #: canonical config -> (payload, [(meta, FieldGrid)])
+    run: Callable
+    #: (out_dir, config, payload, grids) -> None
+    write: Callable
+
+
+_ORDER = ("--n", "n", {"type": int, "help": "Fourier order"})
+_GEOMETRY = (
+    ("--xi", None, {"type": float, "nargs": "+", "help": "explicit decreasing elliptic radii"}),
+    ("--semimajor", None, {"type": float, "nargs": "+", "help": "semi-major axes (converted via R)"}),
+    ("--R", None, {"type": float, "default": 1.0, "help": "focal half-distance (default 1)"}),
+)
+_TOLERANCES = (
+    ("--tol-cross", None, {"type": float, "help": "route cross-validation tolerance"}),
+    ("--tol-imag", None, {"type": float, "help": "eigenvalue realness tolerance"}),
+    ("--tol-bound", None, {"type": float, "help": "spectral interval slack"}),
+)
+
+COMMANDS = {
+    "modes": Command(
+        "compute cross-validated plasmon modes",
+        (
+            ("--layers", None, {"type": int, "help": "layer count; must match the radii given"}),
+            *_GEOMETRY,
+            _ORDER,
+            ("--sigma0", "sigma0", {"type": float, "help": "background conductivity (default 1)"}),
+            ("--table", None, {"action": "store_true",
+                               "help": "print the 4-decimal table-reproduction view to stdout"}),
+            *_TOLERANCES,
+        ),
+        runconfig.normalize_modes_config,
+        lambda cfg: (run_modes(cfg), []),
+        _write_modes,
+    ),
+    "charpoly": Command(
+        "dump polynomial coefficients and span values",
+        (*_GEOMETRY, _ORDER,
+         ("--span-points", "span_points", {"type": int, "help": "span grid size (default 1000)"})),
+        runconfig.normalize_charpoly_config,
+        lambda cfg: (run_charpoly(cfg), []),
+        _write_charpoly,
+    ),
+    "field": Command(
+        "sample perturbed potential or gradient grids",
+        (
+            ("--mode-rank", "ranks", {"type": int, "nargs": "+", "help": "restrict to these ranks"}),
+            ("--parity", None, {"choices": ["even", "odd", "both"], "help": "restrict parity"}),
+            ("--gradient", None, {"action": "store_true", "help": "emit |grad(u-H)| instead of u-H"}),
+            ("--delta", "delta", {"type": float, "help": "loss parameter added to the resonant contrast"}),
+            _ORDER,
+            *_TOLERANCES,
+        ),
+        runconfig.normalize_field_config,
+        # run_field is looked up per call, so rebinding it reaches the CLI too
+        lambda cfg: run_field(cfg),
+        _write_field,
+    ),
+    "sweep-disk": Command(
+        "even/odd splitting gap vs stack scale",
+        (
+            ("--layers", "layers", {"type": int, "help": "layer count"}),
+            ("--ratio", "ratio", {"type": float, "help": "geometric radius ratio"}),
+            _ORDER,
+            ("--L", "L", {"type": float, "nargs": "+", "help": "scale values (xi_1 = L * layers)"}),
+            *_TOLERANCES,
+        ),
+        runconfig.normalize_sweep_config,
+        lambda cfg: (run_sweep(cfg), []),
+        _write_sweep,
+    ),
+    "bie-validate": Command(
+        "independent discretization cross-checks",
+        (("--nodes", "nodes", {"type": int, "nargs": "+",
+                               "help": "node counts for the refinement study"}),),
+        runconfig.normalize_bie_config,
+        lambda cfg: (run_bie(cfg), []),
+        _write_bie,
+    ),
+}
+
+
+def get_command(name):
+    try:
+        return COMMANDS[name]
+    except KeyError:
+        raise ConfigError(f"unknown command {name!r}") from None
+
+
 def run(command, cfg):
-    if command == "modes":
-        return run_modes(cfg)
-    if command == "charpoly":
-        return run_charpoly(cfg)
-    if command == "sweep-disk":
-        return run_sweep(cfg)
-    if command == "field":
-        return run_field(cfg)[0]
-    if command == "bie-validate":
-        return run_bie(cfg)
-    raise ConfigError(f"unknown command {command!r}")
+    """(payload, grids) of a command on a normalized config; only the field
+    command samples grids."""
+    return get_command(command).run(cfg)

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from plasmonstack import runners
 from plasmonstack.cli import main
+from plasmonstack.errors import ContrastError
+from plasmonstack.presets import PRESETS
 
 
 def read_csv(path):
@@ -71,12 +74,7 @@ class TestModesCommand:
 
 
 class TestPresetChecks:
-    @pytest.mark.parametrize("name,command", [
-        ("table1", "modes"),
-        ("table2", "modes"),
-        ("fig9", "sweep-disk"),
-        ("bie-circle", "bie-validate"),
-    ])
+    @pytest.mark.parametrize("name,command", [(name, p.command) for name, p in PRESETS.items()])
     def test_fixture_check_passes(self, name, command):
         assert main([command, "--preset", name, "--check"]) == 0
 
@@ -177,24 +175,184 @@ class TestPayloadFormatting:
         assert rows[0][2] == "{:.17g}".format(0.5 * math.exp(-2.0))
 
 
+DRUDE_CONFIG = {
+    "geometry": {"R": 1.0, "xi": [1.0, 0.5]},
+    "n": 1,
+    "material": {"sigma0": 1.0, "sigma_star": 2.0},
+    "drude": {"sigma_prime": 9e-12, "omega_p": 2e15, "tau": 1e14},
+}
+
+
 class TestDrudeColumn:
     def test_omega_populated_from_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "geometry": {"R": 1.0, "xi": [1.0, 0.5]},
-                    "n": 1,
-                    "material": {"sigma0": 1.0, "sigma_star": 2.0},
-                    "drude": {"sigma_prime": 9e-12, "omega_p": 2e15, "tau": 1e14},
-                }
-            )
-        )
+        cfg.write_text(json.dumps(DRUDE_CONFIG))
         out = tmp_path / "o"
         assert main(["modes", "--config", str(cfg), "--out", str(out)]) == 0
         _, header, rows = read_csv(out / "modes.csv")
         omegas = [r[4] for r in rows]
         assert all(o and float(o) > 0 for o in omegas)
+
+    def test_contrast_error_leaves_omega_blank(self, tmp_path, monkeypatch):
+        """A mode no real lossless Drude frequency realizes gets an empty
+        omega cell and a null omega in the JSON; the others keep theirs."""
+        real_frequency = runners.resonant_frequency
+
+        def frequency(lam, drude, sigma0):
+            if lam < 0:
+                raise ContrastError("no real frequency")
+            return real_frequency(lam, drude, sigma0)
+
+        monkeypatch.setattr(runners, "resonant_frequency", frequency)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(DRUDE_CONFIG))
+        out = tmp_path / "o"
+        assert main(["modes", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "modes.json").read_text())["payload"]
+        modes = payload["even"] + payload["odd"]
+        _, _, rows = read_csv(out / "modes.csv")
+        assert len(rows) == len(modes) == 4
+        assert {r["lambda"] < 0 for r in modes} == {True, False}
+        for row, mode in zip(rows, modes):
+            if mode["lambda"] < 0:
+                assert mode["omega"] is None and row[4] == ""
+            else:
+                assert mode["omega"] > 0 and row[4] == "{:.17g}".format(mode["omega"])
+
+    def test_other_errors_propagate(self, tmp_path, monkeypatch):
+        def frequency(lam, drude, sigma0):
+            raise ZeroDivisionError("not a contrast problem")
+
+        monkeypatch.setattr(runners, "resonant_frequency", frequency)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(DRUDE_CONFIG))
+        with pytest.raises(ZeroDivisionError):
+            main(["modes", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+FIELD_CONFIG = {
+    "geometry": {"R": 1.0, "xi": [1.0]},
+    "n": 1,
+    "bbox": [-2.0, 3.0, -1.0, 1.0],
+    "resolution": [3, 2],
+    "ranks": [1],
+    "parities": ["even"],
+}
+
+#: (argv, file, full text) of each CSV the commands write for small configs;
+#: "{field}" stands for a config file holding FIELD_CONFIG
+CSV_TEXTS = [
+    (
+        ["modes", "--xi", "2", "1", "--n", "1"],
+        "modes.csv",
+        "# plasmonstack 0.1.0\n"
+        "# config-sha256: 31e592117e92a889432eba09b1eaf13f91e48d5a1505ed88d5725eb85de4f71e\n"
+        "# tolerances: bound=1e-10 cross=1e-08 imag=1.0000000000000001e-09\n"
+        "parity,rank,lambda,sigma1,omega\n"
+        "even,1,0.15699672147462615,-1.9154240283042208,\n"
+        "even,2,-0.21550654364856536,-0.39761125719511098,\n"
+        "odd,1,0.21550654364856536,-2.515019335856711,\n"
+        "odd,2,-0.15699672147462615,-0.52207761060893043,\n",
+    ),
+    (
+        ["charpoly", "--xi", "2", "1", "--n", "1", "--span-points", "3"],
+        "coefficients.csv",
+        "# plasmonstack 0.1.0\n"
+        "# config-sha256: eb8f3e832a18fa592f1275daf51332c51b3384c1e04e112db16ad8ab37901f17\n"
+        "sign,k,c_k\n"
+        "+,0,1\n"
+        "+,1,0.058509822173939262\n"
+        "+,2,-0.033833820809153176\n"
+        "-,0,1\n"
+        "-,1,-0.058509822173939262\n"
+        "-,2,-0.033833820809153176\n",
+    ),
+    (
+        ["charpoly", "--xi", "2", "1", "--n", "1", "--span-points", "3"],
+        "span.csv",
+        "# plasmonstack 0.1.0\n"
+        "# config-sha256: eb8f3e832a18fa592f1275daf51332c51b3384c1e04e112db16ad8ab37901f17\n"
+        "# span-max-abs-plus: 0.034689670631859675\n"
+        "# span-max-abs-minus: 0.034689670631859675\n"
+        "lambda,f_plus,f_minus\n"
+        "-0.21550654364856536,-6.9388939039072284e-18,1.3877787807814457e-17\n"
+        "-0.029254911086969593,-0.034689670631859675,-0.034689670631859675\n"
+        "0.15699672147462615,1.3877787807814457e-17,-6.9388939039072284e-18\n",
+    ),
+    (
+        ["sweep-disk", "--layers", "1", "--ratio", "0.8", "--n", "2", "--L", "1.0", "2.0"],
+        "sweep.csv",
+        "# plasmonstack 0.1.0\n"
+        "# config-sha256: 46753519a7aa39921fcc92372525dc6acc50a633b01b68e7c09e52dde35dd990\n"
+        "# gap-norm: euclidean\n"
+        "# log-gap-slope-vs-min-xi: -3.9999999999999982\n"
+        "L,gap\n"
+        "1,0.018315638888734179\n"
+        "2,0.00033546262790251185\n",
+    ),
+    (
+        ["field", "--config", "{field}"],
+        "field_even_r1.csv",
+        "# plasmonstack 0.1.0\n"
+        "# config-sha256: 78428fde5c37ab66c93051445583360189b88f2d5384c69fce16d636c04e490e\n"
+        "# tolerances: bound=1e-10 cross=1e-08 imag=1.0000000000000001e-09\n"
+        "x1,x2,re,im\n"
+        "-2,-1,0,-36466.732218283971\n"
+        "-2,1,0,-36466.732218283963\n"
+        "0.5,-1,0,21616.617919084652\n"
+        "0.5,1,0,21616.617919084681\n"
+        "3,-1,0,27606.540320473865\n"
+        "3,1,0,27606.540320473861\n",
+    ),
+    (
+        ["field", "--config", "{field}", "--gradient"],
+        "field_even_r1.csv",
+        "# plasmonstack 0.1.0\n"
+        "# config-sha256: 2479042fdedd28f69a6147c7466882729c730318262067b8824795ead07440e8\n"
+        "# tolerances: bound=1e-10 cross=1e-08 imag=1.0000000000000001e-09\n"
+        "x1,x2,gradmag\n"
+        "-2,-1,0.45634600136272097\n"
+        "-2,1,0.45634600136272097\n"
+        "0.5,-1,1\n"
+        "0.5,1,1\n"
+        "3,-1,0.22288915679325655\n"
+        "3,1,0.22288915679325655\n",
+    ),
+]
+
+
+class TestCsvText:
+    """Pins every byte of each CSV kind: metadata header, mixed str/int/float
+    columns, a blank omega column, and both field layouts in x1-major order.
+    The texts are those the earlier row-by-row writer produced; their last
+    digits are float64 results of this numpy/LAPACK build."""
+
+    @pytest.mark.parametrize(
+        "argv,name,text", CSV_TEXTS,
+        ids=["modes", "coefficients", "span", "sweep", "field-potential", "field-gradient"],
+    )
+    def test_full_text(self, tmp_path, argv, name, text):
+        field_cfg = tmp_path / "field.json"
+        field_cfg.write_text(json.dumps(FIELD_CONFIG))
+        argv = [a.replace("{field}", str(field_cfg)) for a in argv]
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert (out / name).read_text() == text
+
+    def test_writer_columns(self, tmp_path):
+        from plasmonstack.output import write_csv
+
+        path = tmp_path / "t.csv"
+        write_csv(
+            path,
+            {"s": ["a", "b"], "i": np.array([1, -2]), "f": np.array([0.1, -0.0]), "o": [None, 1 / 3]},
+            {},
+        )
+        assert path.read_text().splitlines()[2:] == [
+            "s,i,f,o",
+            "a,1,0.10000000000000001,",
+            "b,-2,-0,0.33333333333333331",
+        ]
 
 
 class TestOutputHelpers:
