@@ -12,6 +12,15 @@ Library layout:
 * :mod:`plasmonstack.cli`        command-line reproduction pipelines
 """
 
+import os
+
+# PLASMONSTACK_THREADS caps the BLAS/OpenMP thread pools.  The pools read
+# their variables once, when numpy loads, so the cap is applied here, before
+# any submodule (and with it numpy) is imported.
+if os.environ.get("PLASMONSTACK_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["PLASMONSTACK_THREADS"])
+
 __version__ = "0.1.0"
 
 from .geometry import EllipticPoint, LayerStack

@@ -172,10 +172,8 @@ def _kstar_cross(target, source):
     return num / (2 * np.pi * r2) * source.weights[None, :]
 
 
-def assemble_single_layer(curve: DiscretizedCurve, log_weights=None):
+def assemble_single_layer(curve: DiscretizedCurve):
     """Nystrom matrix of the single-layer operator on one curve (log-split rule)."""
-    if log_weights is None:
-        log_weights = kress_log_weights(curve.M)
     diff, r2 = _pairwise(curve, curve)
     tt = curve.t[:, None] - curve.t[None, :]
     s2 = 4 * np.sin(tt / 2) ** 2
@@ -183,7 +181,7 @@ def assemble_single_layer(curve: DiscretizedCurve, log_weights=None):
     np.fill_diagonal(s2, 1.0)
     smooth = np.log(r2 / s2) / (4 * np.pi)
     np.fill_diagonal(smooth, np.log(curve.speed) / (2 * np.pi))
-    return (log_weights / (4 * np.pi) + curve.h * smooth) * curve.speed[None, :]
+    return (kress_log_weights(curve.M) / (4 * np.pi) + curve.h * smooth) * curve.speed[None, :]
 
 
 def _single_layer_cross(target, source):
@@ -232,33 +230,31 @@ def _offsets(curves):
     return tuple(np.cumsum([0] + [c.M for c in curves]).tolist())
 
 
-def assemble_block_np(curves) -> BlockOperator:
-    """Block interface operator: row k carries sign (-1)^k (1-indexed), with
-    the single-curve adjoint-double-layer matrix on the diagonal and smooth
-    curve-to-curve kernels off it.  Curves must be strictly nested,
+def _assemble_block(curves, diagonal, cross, row_sign) -> BlockOperator:
+    """Block k, l is diagonal(curve k) if k == l else cross(curve k, curve l),
+    and block row k is scaled by row_sign(k).  Curves must be strictly nested,
     outermost first."""
     _validate_nesting(curves)
     offs = _offsets(curves)
     A = np.zeros((offs[-1], offs[-1]))
     for k, ck in enumerate(curves):
-        sgn = -1.0 if k % 2 == 0 else 1.0
         for l, cl in enumerate(curves):
-            block = assemble_kstar_block(ck) if k == l else _kstar_cross(ck, cl)
-            A[offs[k]:offs[k + 1], offs[l]:offs[l + 1]] = sgn * block
+            block = diagonal(ck) if k == l else cross(ck, cl)
+            A[offs[k]:offs[k + 1], offs[l]:offs[l + 1]] = row_sign(k) * block
     return BlockOperator(entries=A, weights=_block_weights(curves), offsets=offs, curves=tuple(curves))
+
+
+def assemble_block_np(curves) -> BlockOperator:
+    """Block interface operator: row k carries sign (-1)^k (1-indexed), with
+    the single-curve adjoint-double-layer matrix on the diagonal and smooth
+    curve-to-curve kernels off it."""
+    return _assemble_block(curves, assemble_kstar_block, _kstar_cross, lambda k: -1.0 if k % 2 == 0 else 1.0)
 
 
 def assemble_block_s(curves) -> BlockOperator:
     """Block single-layer operator: every block row repeats the same column
     operators (single-layer of curve l evaluated on curve k)."""
-    _validate_nesting(curves)
-    offs = _offsets(curves)
-    A = np.zeros((offs[-1], offs[-1]))
-    for k, ck in enumerate(curves):
-        for l, cl in enumerate(curves):
-            block = assemble_single_layer(ck) if k == l else _single_layer_cross(ck, cl)
-            A[offs[k]:offs[k + 1], offs[l]:offs[l + 1]] = block
-    return BlockOperator(entries=A, weights=_block_weights(curves), offsets=offs, curves=tuple(curves))
+    return _assemble_block(curves, assemble_single_layer, _single_layer_cross, lambda k: 1.0)
 
 
 def _block_weights(curves):
@@ -285,14 +281,13 @@ def deflate_constants(block: BlockOperator):
     return P @ A @ P
 
 
-def calderon_residual(curves) -> float:
+def calderon_residual(Kst: BlockOperator, S: BlockOperator) -> float:
     """Relative defect of the symmetrization identity S K* = K S.
 
-    K is the discrete quadrature-adjoint of K*.  Frobenius norms; decreases
-    under node refinement on analytic curves until roundoff.
+    ``Kst`` and ``S`` are :func:`assemble_block_np` and :func:`assemble_block_s`
+    of the same curves; K is the discrete quadrature-adjoint of K*.  Frobenius
+    norms; decreases under node refinement on analytic curves until roundoff.
     """
-    Kst = assemble_block_np(curves)
-    S = assemble_block_s(curves)
     Kadj = discrete_adjoint(Kst.entries, Kst.weights)
     defect = S.entries @ Kst.entries - Kadj @ S.entries
     return float(
@@ -300,20 +295,17 @@ def calderon_residual(curves) -> float:
     )
 
 
-def self_adjointness_check(curves) -> float:
+def self_adjointness_check(Kst: BlockOperator, S: BlockOperator) -> float:
     """Relative asymmetry of the bilinear form <phi, (-S) K* psi>_w.
 
     The form matrix is B = W (-S) K*; self-adjointness of the block operator
     in the twisted inner product makes B symmetric up to quadrature error.
     """
-    Kst = assemble_block_np(curves)
-    S = assemble_block_s(curves)
     B = Kst.weights[:, None] * (-(S.entries @ Kst.entries))
     return float(np.linalg.norm(B - B.T) / np.linalg.norm(B))
 
 
-def block_np_eigenvalues(curves, deflated=True):
+def block_np_eigenvalues(block: BlockOperator, deflated=True):
     """Eigenvalues of the (optionally constant-deflated) block interface operator."""
-    block = assemble_block_np(curves)
     A = deflate_constants(block) if deflated else block.entries
     return np.linalg.eigvals(A)

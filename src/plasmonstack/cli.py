@@ -6,8 +6,9 @@ failure (including fixture drift under --check), 3 resonance-singular solve
 requested without a loss parameter.
 
 The only environment variable honored is PLASMONSTACK_THREADS, which caps
-the BLAS/OpenMP thread pools; it must be read before numpy loads, so all
-numerical imports happen inside functions that main() calls.
+the BLAS/OpenMP thread pools; the package applies it when it is first
+imported (see :mod:`plasmonstack`), so it has no effect on a process that
+loaded numpy before plasmonstack.
 """
 
 from __future__ import annotations
@@ -17,25 +18,20 @@ import json
 import os
 import sys
 
-
-def _apply_thread_env():
-    threads = os.environ.get("PLASMONSTACK_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+from . import runconfig, runners
+from .errors import ConfigError, CrossValidationError, PlasmonstackError, ResonanceError
+from .fixtures_io import compare_fixture, fixture_tolerances, load_fixture, save_fixture
+from .presets import PRESETS, get_preset
 
 
 def build_parser():
-    from .presets import PRESETS
-    from .runners import COMMANDS
-
     parser = argparse.ArgumentParser(
         prog="plasmonstack",
         description="Plasmon modes, resonant materials, and perturbed fields "
         "for multi-layer confocal-ellipse structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
+    for name, command in runners.COMMANDS.items():
         presets = [preset for preset, p in PRESETS.items() if p.command == name]
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--preset", help="named reference configuration: " + ", ".join(presets))
@@ -53,9 +49,6 @@ def build_parser():
 
 def _merge_config(command, args, preset_cfg):
     """preset < --config file < explicit flags."""
-    from .errors import ConfigError
-    from .runners import get_command
-
     cfg = dict(preset_cfg or {})
     if args.config:
         try:
@@ -78,7 +71,7 @@ def _merge_config(command, args, preset_cfg):
             if layers != given:
                 raise ConfigError(f"--layers {layers} contradicts the {given} radii given")
 
-    for flag, key, _kwargs in get_command(command).options:
+    for flag, key, _kwargs in runners.get_command(command).options:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))  # argparse's dest
         if key and value is not None:
             cfg[key] = value
@@ -106,8 +99,6 @@ def _print_mode_table(payload):
 
 
 def _run_command(command, cfg):
-    from . import runconfig, runners
-
     cfg = runconfig.normalize(command, cfg)
     payload, grids = runners.run(command, cfg)
     return cfg, payload, grids
@@ -118,16 +109,11 @@ def _fixture_path(name):
 
 
 def _check_fixture(preset_name, result):
-    from .fixtures_io import compare_fixture, load_fixture
-
     fixture = load_fixture(_fixture_path(preset_name))
     return compare_fixture(fixture, result)
 
 
 def _cmd_make_fixtures(args):
-    from .fixtures_io import fixture_tolerances, save_fixture
-    from .presets import PRESETS
-
     names = args.names or sorted(PRESETS)
     for name in names:
         preset = PRESETS[name]
@@ -138,17 +124,12 @@ def _cmd_make_fixtures(args):
 
 
 def main(argv=None):
-    _apply_thread_env()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # bad usage is a configuration error (exit 1); --help stays 0
         return exc.code if exc.code in (0, None) else 1
-
-    from .errors import ConfigError, CrossValidationError, PlasmonstackError, ResonanceError
-    from .presets import get_preset
-    from .runners import get_command
 
     if args.command == "make-fixtures":
         return _cmd_make_fixtures(args)
@@ -189,7 +170,7 @@ def main(argv=None):
         return 0
 
     os.makedirs(args.out, exist_ok=True)
-    get_command(args.command).write(args.out, cfg, result, grids)
+    runners.get_command(args.command).write(args.out, cfg, result, grids)
     if getattr(args, "table", False):
         _print_mode_table(result)
     print(f"wrote {args.command} outputs to {args.out}")

@@ -8,7 +8,8 @@ u - H in region l (0 = exterior, N = core) is a combination of cosh(n xi)
 (or sinh) and exp(-n xi) angular harmonics with region-dependent weights
 built from prefix/suffix sums of the density solution.  Gradients are
 assembled from analytic elliptic-coordinate partials and the chain rule;
-grid evaluation shares one density solve across all points.
+grid evaluation shares one density solve across all points of a field and
+one coordinate map across all fields on the same grid.
 """
 
 from __future__ import annotations
@@ -219,20 +220,18 @@ def perturbed_gradient(stack, lam, H, point: EllipticPoint, *, region=None, dens
         p_xi, p_eta = _component_partials(prefix, suffix, n, parity, point.xi, point.eta, l)
         d_xi += p_xi
         d_eta += p_eta
-    return _elliptic_to_cartesian_gradient(d_xi, d_eta, point.xi, point.eta, stack.R)
+    return np.array(_elliptic_to_cartesian_gradient(d_xi, d_eta, point.xi, point.eta, stack.R))
 
 
 def _elliptic_to_cartesian_gradient(d_xi, d_eta, xi, eta, R):
+    """(gx, gy) = (P_xi x_xi + P_eta x_eta) / gamma^2 with x_xi = (a, b); the
+    map is conformal, so x_eta = (-b, a)."""
     g2 = R**2 * (np.sinh(xi) ** 2 + np.sin(eta) ** 2)
     if np.ndim(g2) == 0 and g2 == 0.0:
         raise GeometryError("gradient is indeterminate at a focal point (gamma = 0)")
-    e_xi_1 = R * np.sinh(xi) * np.cos(eta)
-    e_xi_2 = R * np.cosh(xi) * np.sin(eta)
-    e_eta_1 = -R * np.cosh(xi) * np.sin(eta)
-    e_eta_2 = R * np.sinh(xi) * np.cos(eta)
-    gx = (d_xi * e_xi_1 + d_eta * e_eta_1) / g2
-    gy = (d_xi * e_xi_2 + d_eta * e_eta_2) / g2
-    return np.stack([gx, gy], axis=-1) if np.ndim(gx) else np.array([gx, gy])
+    a = R * np.sinh(xi) * np.cos(eta)
+    b = R * np.cosh(xi) * np.sin(eta)
+    return (d_xi * a - d_eta * b) / g2, (d_xi * b + d_eta * a) / g2
 
 
 def background_potential(H: BackgroundField, point: EllipticPoint):
@@ -253,7 +252,7 @@ def background_gradient(H: BackgroundField, point: EllipticPoint, R):
                      + a_s * np.cosh(n * point.xi) * np.sin(n * point.eta))
         d_eta += n * (-a_c * np.cosh(n * point.xi) * np.sin(n * point.eta)
                       + a_s * np.sinh(n * point.xi) * np.cos(n * point.eta))
-    return _elliptic_to_cartesian_gradient(d_xi, d_eta, point.xi, point.eta, R)
+    return np.array(_elliptic_to_cartesian_gradient(d_xi, d_eta, point.xi, point.eta, R))
 
 
 def total_potential(stack, lam, H, point, *, region=None, densities=None):
@@ -310,36 +309,45 @@ class FieldGrid:
 
 def field_grid(
     stack: LayerStack,
-    lam,
-    H: BackgroundField,
+    fields,
     bbox,
     resolution,
     *,
     normalize=False,
     quantity="potential",
-    densities=None,
-) -> FieldGrid:
-    """Sample u - H (or |grad(u - H)|) on a Cartesian grid.
+) -> list[FieldGrid]:
+    """Sample u - H (or |grad(u - H)|) on one Cartesian grid for each
+    (lam, H) pair in ``fields``; returns one :class:`FieldGrid` per pair.
 
     bbox = (x1_min, x1_max, x2_min, x2_max); resolution = (n_x1, n_x2) with
     at least 2 points per axis.  Normalization divides by the max absolute
     value of the real part (potential) or of the magnitude (gradient) over
     the grid, unless that maximum is zero.  Grid points exactly on an
-    interface evaluate on the inner side.
+    interface evaluate on the inner side.  The grid's elliptic coordinates,
+    regions and interface curves are computed once for all pairs.
     """
     if quantity not in ("potential", "gradient"):
         raise ValueError(f"quantity must be 'potential' or 'gradient', got {quantity!r}")
     nx, ny = int(resolution[0]), int(resolution[1])
     if nx < 2 or ny < 2:
         raise ValueError(f"resolution must be >= 2 per axis, got {resolution}")
-    if densities is None:
-        densities = solve_densities(stack, lam, H)
     x1 = np.linspace(bbox[0], bbox[1], nx)
     x2 = np.linspace(bbox[2], bbox[3], ny)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    XI, ETA = cartesian_to_elliptic(X1, X2, stack.R)
+    XI, ETA = cartesian_to_elliptic(*np.meshgrid(x1, x2, indexing="ij"), stack.R)
     L = region_index(stack, XI)
+    interfaces = tuple(stack.interface_polyline(k) for k in range(1, stack.N + 1))
+    grids = []
+    for lam, H in fields:
+        values, normalization = _grid_values(stack, lam, H, XI, ETA, L, normalize, quantity)
+        grids.append(FieldGrid(x1=x1, x2=x2, values=values, quantity=quantity,
+                               normalization=normalization, lam=complex(lam), interfaces=interfaces))
+    return grids
 
+
+def _grid_values(stack, lam, H, XI, ETA, L, normalize, quantity):
+    """(values, normalization) of one field on the grid; the temporaries of
+    one field are released before the next field is evaluated."""
+    densities = solve_densities(stack, lam, H)
     if quantity == "potential":
         values = np.zeros(XI.shape, dtype=complex)
         for n, parity, _a in H.components():
@@ -354,27 +362,14 @@ def field_grid(
             p_xi, p_eta = _component_partials(prefix, suffix, n, parity, XI, ETA, L)
             d_xi += p_xi
             d_eta += p_eta
-        g2 = stack.R**2 * (np.sinh(XI) ** 2 + np.sin(ETA) ** 2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            gx = (d_xi * (stack.R * np.sinh(XI) * np.cos(ETA)) + d_eta * (-stack.R * np.cosh(XI) * np.sin(ETA))) / g2
-            gy = (d_xi * (stack.R * np.cosh(XI) * np.sin(ETA)) + d_eta * (stack.R * np.sinh(XI) * np.cos(ETA))) / g2
+            gx, gy = _elliptic_to_cartesian_gradient(d_xi, d_eta, XI, ETA, stack.R)
         values = np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2)
         # grid nodes that land exactly on a focal point have no defined gradient
         values[~np.isfinite(values)] = 0.0
         norm_source = values
-    normalization = 1.0
     if normalize:
         peak = float(norm_source.max())
         if peak > 0.0:
-            values = values / peak
-            normalization = peak
-    interfaces = tuple(stack.interface_polyline(k) for k in range(1, stack.N + 1))
-    return FieldGrid(
-        x1=x1,
-        x2=x2,
-        values=values,
-        quantity=quantity,
-        normalization=normalization,
-        lam=complex(lam),
-        interfaces=interfaces,
-    )
+            return values / peak, peak
+    return values, 1.0

@@ -134,47 +134,42 @@ def run_field(cfg):
     ms = spectrum.modes(
         stack, n, cross_tol=tol["cross"], imag_tol=tol["imag"], bound_slack=tol["bound"]
     )
+    keys = [(parity, rank) for parity in cfg["parities"] for rank in cfg["ranks"]]
+    # delta = 0 evaluates exactly at resonance; the density solve raises the
+    # singularity error itself in that case
+    fields = [
+        (complex(ms.lambdas(parity)[rank - 1], cfg["delta"]), field_mod.BackgroundField.single(n, parity, 1.0))
+        for parity, rank in keys
+    ]
+    field_grids = field_mod.field_grid(
+        stack, fields, cfg["bbox"], cfg["resolution"], normalize=cfg["normalize"], quantity=cfg["quantity"]
+    )
     grids = []
     entries = []
-    for parity in cfg["parities"]:
-        lams = ms.lambdas(parity)
-        for rank in cfg["ranks"]:
-            # delta = 0 evaluates exactly at resonance; the density solve
-            # raises the singularity error itself in that case
-            lam = complex(lams[rank - 1], cfg["delta"])
-            H = field_mod.BackgroundField.single(n, parity, 1.0)
-            grid = field_mod.field_grid(
-                stack,
-                lam,
-                H,
-                cfg["bbox"],
-                cfg["resolution"],
-                normalize=cfg["normalize"],
-                quantity=cfg["quantity"],
-            )
-            mag = np.abs(grid.values.real) if cfg["quantity"] == "potential" else grid.values
-            am = np.unravel_index(int(np.argmax(mag)), mag.shape)
-            argmax_xy = [float(grid.x1[am[0]]), float(grid.x2[am[1]])]
-            xi_m, eta_m = cartesian_to_elliptic(argmax_xy[0], argmax_xy[1], stack.R)
-            meta = {
+    for (parity, rank), grid in zip(keys, field_grids):
+        mag = np.abs(grid.values.real) if cfg["quantity"] == "potential" else grid.values
+        am = np.unravel_index(int(np.argmax(mag)), mag.shape)
+        argmax_xy = [float(grid.x1[am[0]]), float(grid.x2[am[1]])]
+        xi_m, eta_m = cartesian_to_elliptic(argmax_xy[0], argmax_xy[1], stack.R)
+        meta = {
+            "parity": parity,
+            "rank": rank,
+            "lambda": grid.lam,
+            "delta": cfg["delta"],
+            "normalization": grid.normalization,
+            "argmax_xy": argmax_xy,
+            "argmax_eta": float(eta_m),
+        }
+        entries.append(
+            {
                 "parity": parity,
                 "rank": rank,
-                "lambda": lam,
-                "delta": cfg["delta"],
+                "lambda_re": grid.lam.real,
                 "normalization": grid.normalization,
-                "argmax_xy": argmax_xy,
-                "argmax_eta": float(eta_m),
+                "probe": _probe(mag),
             }
-            entries.append(
-                {
-                    "parity": parity,
-                    "rank": rank,
-                    "lambda_re": lam.real,
-                    "normalization": grid.normalization,
-                    "probe": _probe(mag),
-                }
-            )
-            grids.append((meta, grid))
+        )
+        grids.append((meta, grid))
     payload = {
         "n": n,
         "quantity": cfg["quantity"],
@@ -193,23 +188,26 @@ def _monotone_decreasing(values, floor=1e-13):
     return bool(ok)
 
 
+def _refinement_step(spec, M):
+    """(Calderon residual, self-adjointness residual, spectral bound excess) at
+    M nodes per curve.  K* and S are assembled once here and released on
+    return, before the next node count is assembled."""
+    curves = bie_mod.curves_from_spec(spec, M)
+    Kst = bie_mod.assemble_block_np(curves)
+    bound_excess = float(np.abs(bie_mod.block_np_eigenvalues(Kst, deflated=True).real).max() - 0.5)
+    S = bie_mod.assemble_block_s(curves)
+    return bie_mod.calderon_residual(Kst, S), bie_mod.self_adjointness_check(Kst, S), bound_excess
+
+
 def run_bie(cfg):
     """Identity residual refinement plus spectral cross-checks per geometry."""
     spec = cfg["curves"]
     nodes = cfg["nodes"]
     report = {"curves": cfg["curves"], "nodes": nodes}
-    calderon = []
-    selfadj = []
-    bound_excess = []
-    for M in nodes:
-        curves = bie_mod.curves_from_spec(spec, M)
-        calderon.append(bie_mod.calderon_residual(curves))
-        selfadj.append(bie_mod.self_adjointness_check(curves))
-        ev = bie_mod.block_np_eigenvalues(curves, deflated=True)
-        bound_excess.append(float(np.abs(ev.real).max() - 0.5))
-    report["calderon_residual"] = calderon
-    report["self_adjointness_residual"] = selfadj
-    report["spectral_bound_excess"] = bound_excess
+    steps = [_refinement_step(spec, M) for M in nodes]
+    calderon = report["calderon_residual"] = [c for c, _s, _b in steps]
+    selfadj = report["self_adjointness_residual"] = [s for _c, s, _b in steps]
+    report["spectral_bound_excess"] = [b for _c, _s, b in steps]
     report["monotone_calderon"] = _monotone_decreasing(calderon)
     report["monotone_self_adjointness"] = _monotone_decreasing(selfadj)
 
@@ -232,8 +230,8 @@ def run_bie(cfg):
 
     if "match_orders" in cfg and spec["type"] == "confocal":
         M = cfg["match_nodes"]
-        curves = bie_mod.curves_from_spec(spec, M)
-        ev = bie_mod.block_np_eigenvalues(curves, deflated=False)
+        block = bie_mod.assemble_block_np(bie_mod.curves_from_spec(spec, M))
+        ev = bie_mod.block_np_eigenvalues(block, deflated=False)
         stack = LayerStack(R=spec["R"], xi=tuple(spec["xi"]))
         worst = 0.0
         for n in range(1, cfg["match_orders"] + 1):

@@ -15,6 +15,8 @@ import pytest
 
 from plasmonstack.bie import (
     DiscretizedCurve,
+    assemble_block_np,
+    assemble_block_s,
     assemble_kstar_block,
     block_np_eigenvalues,
     calderon_residual,
@@ -343,7 +345,7 @@ def test_criterion_12_bie_cross_validation():
         )
     # (b) 3-layer confocal containment at M = 384, n <= 6
     spec = {"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}
-    ev_block = block_np_eigenvalues(curves_from_spec(spec, 384), deflated=False)
+    ev_block = block_np_eigenvalues(assemble_block_np(curves_from_spec(spec, 384)), deflated=False)
     stack = LayerStack(R=1.0, xi=(0.6, 0.55, 0.5))
     contain_err = 0.0
     for n in range(1, 7):
@@ -359,8 +361,8 @@ def test_criterion_12_bie_cross_validation():
     sym = []
     for M in (128, 256, 512):
         curves = curves_from_spec(spec, M)
-        cal.append(calderon_residual(curves))
-        sym.append(self_adjointness_check(curves))
+        cal.append(calderon_residual(assemble_block_np(curves), assemble_block_s(curves)))
+        sym.append(self_adjointness_check(assemble_block_np(curves), assemble_block_s(curves)))
     refine_ok = cal[0] > cal[1] > cal[2] and sym[0] > sym[1] > sym[2]
 
     ok = single_err <= 1e-8 and contain_err <= 1e-6 and circle_err <= 1e-12 and refine_ok

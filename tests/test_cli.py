@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from plasmonstack import runners
+from plasmonstack import bie, field, runconfig, runners
 from plasmonstack.cli import main
 from plasmonstack.errors import ContrastError
 from plasmonstack.presets import PRESETS
@@ -369,3 +372,60 @@ class TestOutputHelpers:
 
         doc = jsonable({"z": 1 + 2j, "arr": np.array([1.5, 2.5]), "n": np.int64(3)})
         assert doc == {"z": {"re": 1.0, "im": 2.0}, "arr": [1.5, 2.5], "n": 3}
+
+
+def _count_calls(monkeypatch, module, name):
+    """Rebind module.name to a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestWorkCounts:
+    def test_bie_assembles_once_per_node_count(self, monkeypatch):
+        np_calls = _count_calls(monkeypatch, bie, "assemble_block_np")
+        s_calls = _count_calls(monkeypatch, bie, "assemble_block_s")
+        cfg = runconfig.normalize("bie-validate", PRESETS["bie-confocal"].config)
+        runners.run_bie(cfg)
+        # one K* and one S per node count, plus the K* of the containment check
+        assert len(np_calls) == len(cfg["nodes"]) + 1
+        assert len(s_calls) == len(cfg["nodes"])
+
+    def test_field_maps_coordinates_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, field, "cartesian_to_elliptic")
+        cfg = runconfig.normalize(
+            "field", {**FIELD_CONFIG, "geometry": {"R": 1.0, "xi": [1.0, 0.6]},
+                      "ranks": [1, 2], "parities": ["even", "odd"]},
+        )
+        _payload, grids = runners.run_field(cfg)
+        assert len(grids) == 4
+        assert len(calls) == 1
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.mark.skipif(
+    _cpus() < 2 or not os.path.isdir("/proc/self/task"),
+    reason="needs 2 CPUs and /proc to tell a capped BLAS pool from an uncapped one",
+)
+def test_thread_cap_reaches_blas():
+    # the package is imported before numpy here, as in the installed entry point
+    code = (
+        "import os, plasmonstack.cli, numpy as np; a = np.ones((400, 400)); a @ a; "
+        "print(len(os.listdir('/proc/self/task')))"
+    )
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(runners.__file__))
+    env.update(PLASMONSTACK_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert int(out.stdout) == 1

@@ -253,14 +253,14 @@ class TestTotalField:
 class TestFieldGrid:
     def test_zero_background_normalizes_to_zero(self):
         H = BackgroundField(terms=((2, 0.0, 0.0),))
-        grid = field_grid(STACK, LAM, H, (-2, 2, -2, 2), (16, 16), normalize=True)
+        grid = field_grid(STACK, [(LAM, H)], (-2, 2, -2, 2), (16, 16), normalize=True)[0]
         assert np.abs(grid.values).max() == 0.0
         assert grid.normalization == 1.0
 
     def test_normalization_constant(self):
         H = BackgroundField.single(2, EVEN, 1.0)
-        raw = field_grid(STACK, LAM, H, (-2.5, 2.5, -2, 2), (41, 33), normalize=False)
-        norm = field_grid(STACK, LAM, H, (-2.5, 2.5, -2, 2), (41, 33), normalize=True)
+        raw = field_grid(STACK, [(LAM, H)], (-2.5, 2.5, -2, 2), (41, 33), normalize=False)[0]
+        norm = field_grid(STACK, [(LAM, H)], (-2.5, 2.5, -2, 2), (41, 33), normalize=True)[0]
         peak = np.abs(raw.values.real).max()
         assert_allclose(norm.normalization, peak, rtol=1e-12)
         assert np.abs(norm.values.real).max() <= 1.0 + 1e-12
@@ -294,19 +294,19 @@ class TestFieldGrid:
 
     def test_gradient_grid_quantity(self):
         H = BackgroundField.single(2, EVEN, 1.0)
-        grid = field_grid(STACK, LAM, H, (-2.5, 2.5, -2, 2), (31, 21), quantity="gradient")
+        grid = field_grid(STACK, [(LAM, H)], (-2.5, 2.5, -2, 2), (31, 21), quantity="gradient")[0]
         assert grid.values.dtype.kind == "f"
         assert np.all(grid.values >= 0.0)
         assert grid.quantity == "gradient"
 
     def test_interfaces_attached(self):
         H = BackgroundField.single(1, EVEN, 1.0)
-        grid = field_grid(STACK, LAM, H, (-2, 2, -2, 2), (8, 8))
+        grid = field_grid(STACK, [(LAM, H)], (-2, 2, -2, 2), (8, 8))[0]
         assert len(grid.interfaces) == STACK.N
 
     def test_bad_inputs(self):
         H = BackgroundField.single(1, EVEN, 1.0)
         with pytest.raises(ValueError):
-            field_grid(STACK, LAM, H, (-2, 2, -2, 2), (1, 8))
+            field_grid(STACK, [(LAM, H)], (-2, 2, -2, 2), (1, 8))
         with pytest.raises(ValueError):
-            field_grid(STACK, LAM, H, (-2, 2, -2, 2), (8, 8), quantity="curl")
+            field_grid(STACK, [(LAM, H)], (-2, 2, -2, 2), (8, 8), quantity="curl")
