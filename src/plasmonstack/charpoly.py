@@ -28,7 +28,8 @@ from .errors import CombinatorialCapError
 from .geometry import LayerStack
 from .npcore import EVEN, ODD, _check_order, _check_parity
 
-DEFAULT_ENUMERATION_CAP = 24
+#: Largest layer count whose 2^N coefficient terms are enumerated.
+ENUMERATION_CAP = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +62,6 @@ class CharPoly:
         return np.roots(self.coeffs)
 
 
-def sign_for_parity(parity):
-    _check_parity(parity)
-    return +1 if parity == EVEN else -1
-
-
 def _alternating_exponent_sums(xi, n):
     """S_k for k = 0..N by exhaustive enumeration (exact signs, fsum accumulation)."""
     N = len(xi)
@@ -83,22 +79,26 @@ def _alternating_exponent_sums(xi, n):
     return sums
 
 
-def build_charpoly(stack: LayerStack, n, sign, cap=DEFAULT_ENUMERATION_CAP) -> CharPoly:
-    """Exact-coefficient polynomial for the given stack, order, and parity sign.
+def build_charpoly(stack: LayerStack, n) -> dict:
+    """Exact-coefficient polynomials of both parities, ``{EVEN: f+, ODD: f-}``,
+    for the given stack and order.
 
-    Enumerates all 2^N index combinations; stacks beyond ``cap`` layers are
-    rejected rather than silently running for minutes.
+    The sums S_k are enumerated once, over all 2^N index combinations, and
+    shared: c_k = S_k / (s 2)^k with s = +1 (even) or -1 (odd).  Stacks beyond
+    ``ENUMERATION_CAP`` layers are rejected rather than silently running for
+    minutes.
     """
     _check_order(n)
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if stack.N > cap:
+    if stack.N > ENUMERATION_CAP:
         raise CombinatorialCapError(
-            f"N={stack.N} exceeds the enumeration cap {cap} (2^N term explosion)"
+            f"N={stack.N} exceeds the enumeration cap {ENUMERATION_CAP} (2^N term explosion)"
         )
     sums = _alternating_exponent_sums(stack.xi, n)
-    coeffs = np.array([s_k / (sign * 2.0) ** k for k, s_k in enumerate(sums)])
-    return CharPoly(sign=sign, n=n, xi=stack.xi, coeffs=coeffs)
+    polys = {}
+    for parity, sign in ((EVEN, +1), (ODD, -1)):
+        coeffs = np.array([s_k / (sign * 2.0) ** k for k, s_k in enumerate(sums)])
+        polys[parity] = CharPoly(sign=sign, n=n, xi=stack.xi, coeffs=coeffs)
+    return polys
 
 
 def recursion_determinant(stack: LayerStack, lam, n, parity, i=1):
@@ -165,7 +165,7 @@ def disk_limit_poly(stack: LayerStack, n) -> CharPoly:
     O(exp(-2 n xi_tilde)) remainder; the limit polynomial is identical for
     both parities, so the even/odd mode splitting closes at that rate.
     """
-    base = build_charpoly(stack, n, +1)
+    base = build_charpoly(stack, n)[EVEN]
     coeffs = base.coeffs.copy()
     coeffs[1::2] = 0.0
     return CharPoly(sign=+1, n=n, xi=stack.xi, coeffs=coeffs)

@@ -19,8 +19,8 @@ class ContrastError(PlasmonstackError, ValueError):
 
 
 class CombinatorialCapError(PlasmonstackError, ValueError):
-    """Layer count exceeds the configured cap for exhaustive coefficient
-    enumeration (2**N terms)."""
+    """Layer count exceeds the cap for exhaustive coefficient enumeration
+    (2**N terms), :data:`plasmonstack.charpoly.ENUMERATION_CAP`."""
 
 
 class CrossValidationError(PlasmonstackError, RuntimeError):

@@ -125,33 +125,6 @@ def _offdiag_parts(xi, n, parity):
     return lower, upper
 
 
-@dataclass(frozen=True, eq=False)
-class GPMatrix:
-    """Order-n even/odd coupling matrix M(lambda) for the interface densities."""
-
-    n: int
-    parity: str
-    lam: complex
-    entries: np.ndarray
-
-    @property
-    def N(self):
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class NPMatrix:
-    """Order-n even/odd interface-operator matrix (the transposed block form)."""
-
-    n: int
-    parity: str
-    entries: np.ndarray
-
-    @property
-    def N(self):
-        return self.entries.shape[0]
-
-
 def gpm_entries(stack: LayerStack, lam, n, parity):
     """Dense entries of the order-n GPM at contrast lam.
 
@@ -170,28 +143,12 @@ def gpm_entries(stack: LayerStack, lam, n, parity):
     return base + lam * np.diag(alt)
 
 
-def build_gpm(stack: LayerStack, lam, n, parity) -> GPMatrix:
-    """Assemble the order-n even/odd GPM at contrast ``lam``."""
-    return GPMatrix(n=n, parity=parity, lam=lam, entries=gpm_entries(stack, lam, n, parity))
-
-
-def build_np(stack: LayerStack, n, parity) -> NPMatrix:
-    """Assemble the order-n even/odd NP matrix (transposed block form).
+def build_np(stack: LayerStack, n, parity):
+    """Dense entries of the order-n even/odd NP matrix (transposed block form).
 
     With D = diag((-1)^i) the entries equal D @ M(0) where M is the matching
     GPM, i.e. -lam I - K^T = -D M(lam) for every lam; the mode condition
     det(-lam I - K^T) = 0 is the GPM singularity condition.
     """
-    _check_order(n)
-    _check_parity(parity)
     alt = (-1.0) ** np.arange(stack.N)
-    entries = alt[:, None] * gpm_entries(stack, 0.0, n, parity)
-    return NPMatrix(n=n, parity=parity, entries=entries)
-
-
-def matrix_to_csv(matrix, path):
-    """Dump a GPM/NP matrix to CSV (debugging aid; complex as re+imj)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# order n={matrix.n} parity={matrix.parity} N={matrix.N}\n")
-        for row in np.atleast_2d(matrix.entries):
-            fh.write(",".join(f"{v:.17g}" if not np.iscomplexobj(row) else repr(complex(v)) for v in row) + "\n")
+    return alt[:, None] * gpm_entries(stack, 0.0, n, parity)

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from .errors import ConfigError
 from .geometry import LayerStack
+from .spectrum import BOUND_SLACK, CROSS_ROUTE_TOL, IMAG_TOL
 
 GEOMETRY_KEYS = {"R", "xi", "semimajor"}
 MATERIAL_KEYS = {"sigma0", "sigma_star", "delta"}
 DRUDE_KEYS = {"sigma_prime", "omega_p", "tau"}
 TOLERANCE_KEYS = {"cross", "imag", "bound"}
 
-DEFAULT_TOLERANCES = {"cross": 1e-8, "imag": 1e-9, "bound": 1e-10}
+DEFAULT_TOLERANCES = {"cross": CROSS_ROUTE_TOL, "imag": IMAG_TOL, "bound": BOUND_SLACK}
 
 
 def _check_keys(cfg, allowed, required, where):
@@ -194,11 +195,13 @@ def normalize_bie_config(cfg):
     else:
         _check_keys(curves, {"type", "coeffs", "scale"}, {"type", "scale"}, "bie curves")
     nodes = [int(v) for v in cfg["nodes"]]
-    if any(m < 8 or m % 2 for m in nodes):
-        raise ConfigError(f"bie config: node counts must be even and >= 8, got {nodes}")
+    if not nodes or any(m < 8 or m % 2 for m in nodes):
+        raise ConfigError(f"bie config: need at least one node count, each even and >= 8, got {nodes}")
     out = {"curves": curves, "nodes": nodes}
     if "match_orders" in cfg:
         out["match_orders"] = int(cfg["match_orders"])
+        if out["match_orders"] < 1:
+            raise ConfigError(f"bie config: match_orders must be >= 1, got {out['match_orders']}")
         out["match_nodes"] = int(cfg.get("match_nodes", max(nodes)))
     return out
 

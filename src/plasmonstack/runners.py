@@ -30,17 +30,15 @@ def _stack(cfg):
     return LayerStack(R=cfg["geometry"]["R"], xi=tuple(cfg["geometry"]["xi"]))
 
 
+def _gates(cfg):
+    """The config's tolerances as :func:`spectrum.modes` gate keywords."""
+    tol = cfg["tolerances"]
+    return {"cross_tol": tol["cross"], "imag_tol": tol["imag"], "bound_slack": tol["bound"]}
+
+
 def run_modes(cfg):
     stack = _stack(cfg)
-    tol = cfg["tolerances"]
-    ms = spectrum.modes(
-        stack,
-        cfg["n"],
-        sigma0=cfg["sigma0"],
-        cross_tol=tol["cross"],
-        imag_tol=tol["imag"],
-        bound_slack=tol["bound"],
-    )
+    ms = spectrum.modes(stack, cfg["n"], sigma0=cfg["sigma0"], **_gates(cfg))
     drude = None
     if "drude" in cfg:
         d = cfg["drude"]
@@ -68,8 +66,8 @@ def run_modes(cfg):
 def run_charpoly(cfg):
     stack = _stack(cfg)
     n = cfg["n"]
-    plus = cp.build_charpoly(stack, n, +1)
-    minus = cp.build_charpoly(stack, n, -1)
+    polys = cp.build_charpoly(stack, n)
+    plus, minus = polys[EVEN], polys[ODD]
     payload = {
         "n": n,
         "layers": stack.N,
@@ -91,16 +89,7 @@ def run_charpoly(cfg):
 
 
 def run_sweep(cfg):
-    tol = cfg["tolerances"]
-    pairs = spectrum.disk_degeneration_sweep(
-        cfg["layers"],
-        cfg["ratio"],
-        cfg["n"],
-        cfg["L"],
-        cross_tol=tol["cross"],
-        imag_tol=tol["imag"],
-        bound_slack=tol["bound"],
-    )
+    pairs = spectrum.disk_degeneration_sweep(cfg["layers"], cfg["ratio"], cfg["n"], cfg["L"], **_gates(cfg))
     L = [p[0] for p in pairs]
     gap = [p[1] for p in pairs]
     min_xi = [l * cfg["layers"] * cfg["ratio"] ** (cfg["layers"] - 1) for l in L]
@@ -130,10 +119,7 @@ def run_field(cfg):
     """Returns (payload, grids) with grids a list of (meta, FieldGrid)."""
     stack = _stack(cfg)
     n = cfg["n"]
-    tol = cfg["tolerances"]
-    ms = spectrum.modes(
-        stack, n, cross_tol=tol["cross"], imag_tol=tol["imag"], bound_slack=tol["bound"]
-    )
+    ms = spectrum.modes(stack, n, **_gates(cfg))
     keys = [(parity, rank) for parity in cfg["parities"] for rank in cfg["ranks"]]
     # delta = 0 evaluates exactly at resonance; the density solve raises the
     # singularity error itself in that case

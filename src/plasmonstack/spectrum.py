@@ -80,18 +80,18 @@ def modes(
 ) -> ModeSet:
     """Compute all modes of ``stack`` at order ``n``, cross-validated.
 
-    Per parity: the N polynomial roots (companion-matrix route) must agree
-    with the negated eigenvalues of the interface-operator matrix transpose
-    to ``cross_tol``, every value must be real to ``imag_tol`` and lie in
+    Both parities' polynomials come from one coefficient build.  Per parity:
+    the N polynomial roots (companion-matrix route) must agree with the
+    negated eigenvalues of the interface-operator matrix transpose to
+    ``cross_tol``, every value must be real to ``imag_tol`` and lie in
     [-1/2 - bound_slack, 1/2 + bound_slack].  The polynomial-route values
     are the ones returned, sorted descending.
     """
+    polys = cp.build_charpoly(stack, n)
     per_parity = {}
     for parity in PARITIES:
-        sign = cp.sign_for_parity(parity)
-        poly = cp.build_charpoly(stack, n, sign)
-        roots = _real_sorted_descending(poly.roots(), imag_tol, f"{parity} roots")
-        eigs = np.linalg.eigvals(-build_np(stack, n, parity).entries)
+        roots = _real_sorted_descending(polys[parity].roots(), imag_tol, f"{parity} roots")
+        eigs = np.linalg.eigvals(-build_np(stack, n, parity))
         eigs = _real_sorted_descending(eigs, imag_tol, f"{parity} eigenvalues")
         gap = np.abs(roots - eigs).max()
         if gap > cross_tol:

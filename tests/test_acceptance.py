@@ -76,10 +76,11 @@ def random_suite():
             configs.append((LayerStack(R=1.0, xi=tuple(xi)), n))
         entries = []
         for stack, n in configs:
-            roots_p = np.sort(build_charpoly(stack, n, +1).roots().real)[::-1]
-            roots_m = np.sort(build_charpoly(stack, n, -1).roots().real)[::-1]
-            eig_e = np.sort(np.linalg.eigvals(-build_np(stack, n, EVEN).entries).real)[::-1]
-            eig_o = np.sort(np.linalg.eigvals(-build_np(stack, n, ODD).entries).real)[::-1]
+            polys = build_charpoly(stack, n)
+            roots_p = np.sort(polys[EVEN].roots().real)[::-1]
+            roots_m = np.sort(polys[ODD].roots().real)[::-1]
+            eig_e = np.sort(np.linalg.eigvals(-build_np(stack, n, EVEN)).real)[::-1]
+            eig_o = np.sort(np.linalg.eigvals(-build_np(stack, n, ODD)).real)[::-1]
             entries.append((stack, n, roots_p, roots_m, eig_e, eig_o))
         _SUITE = entries
     return _SUITE
@@ -178,7 +179,7 @@ def test_criterion_05_triple_route_determinant():
     for stack, n, *_ in random_suite():
         if stack.N > 10:
             continue
-        poly = build_charpoly(stack, n, +1)
+        poly = build_charpoly(stack, n)[EVEN]
         pref = (-1.0) ** (stack.N // 2)
         for _ in range(20):
             lam = complex(rng.uniform(-1, 1), rng.uniform(0.1, 1.0))
@@ -225,7 +226,7 @@ def test_criterion_08_thin_strip_limit():
             devs = []
             for eps in (1e-1, 1e-2, 1e-3):
                 stack = LayerStack(R=1.0, xi=tuple(eps * k for k in range(N, 0, -1)))
-                roots = np.sort(build_charpoly(stack, 1, sign).roots().real)
+                roots = np.sort(build_charpoly(stack, 1)[EVEN if sign > 0 else ODD].roots().real)
                 devs.append(float(np.abs(roots - limit_roots).max()))
             ok = ok and devs[0] > devs[1] > devs[2]
             details.append(f"N={N},s={sign:+d}: {devs[0]:.1e}>{devs[1]:.1e}>{devs[2]:.1e}")
@@ -378,8 +379,7 @@ def test_criterion_12_bie_cross_validation():
 def test_criterion_13_span_magnitude():
     stack = LayerStack(R=1.0, xi=tuple(float(16 - i) for i in range(1, 16)))
     worst = 0.0
-    for sign in (+1, -1):
-        poly = build_charpoly(stack, 1, sign)
+    for poly in build_charpoly(stack, 1).values():
         roots = np.sort(poly.roots().real)
         grid = np.linspace(roots[0], roots[-1], 1000)
         worst = max(worst, float(np.abs(poly.evaluate(grid)).max()))

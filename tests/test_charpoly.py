@@ -31,8 +31,8 @@ def brute_force_h(N, k):
 class TestBuildCharpoly:
     def test_single_layer(self):
         stack = LayerStack(R=1.0, xi=(0.9,))
-        plus = build_charpoly(stack, 2, +1)
-        minus = build_charpoly(stack, 2, -1)
+        plus = build_charpoly(stack, 2)[EVEN]
+        minus = build_charpoly(stack, 2)[ODD]
         assert_allclose(plus.coeffs, [1.0, -0.5 * math.exp(-4 * 0.9)], rtol=1e-15)
         assert_allclose(minus.coeffs, [1.0, 0.5 * math.exp(-4 * 0.9)], rtol=1e-15)
 
@@ -40,8 +40,8 @@ class TestBuildCharpoly:
         for _ in range(10):
             stack = random_stack(rng, max_layers=9)
             n = int(rng.integers(1, 9))
-            plus = build_charpoly(stack, n, +1)
-            minus = build_charpoly(stack, n, -1)
+            plus = build_charpoly(stack, n)[EVEN]
+            minus = build_charpoly(stack, n)[ODD]
             assert plus.coeffs[0] == 1.0
             signs = (-1.0) ** np.arange(stack.N + 1)
             # exact coefficient relation, not a tolerance check
@@ -51,22 +51,22 @@ class TestBuildCharpoly:
         for _ in range(10):
             stack = random_stack(rng, max_layers=10)
             n = int(rng.integers(1, 5))
-            poly = build_charpoly(stack, n, +1)
+            poly = build_charpoly(stack, n)[EVEN]
             for k, c in enumerate(poly.coeffs):
                 assert abs(c) <= math.comb(stack.N, k) / 2**k + 1e-15
 
     def test_cap(self):
         stack = LayerStack(R=1.0, xi=tuple(np.linspace(25.0, 1.0, 25)))
         with pytest.raises(CombinatorialCapError):
-            build_charpoly(stack, 1, +1)
+            build_charpoly(stack, 1)[EVEN]
 
     def test_parity_reflection_identity(self, rng):
         # f+(lam) == (-1)^N f-(-lam) at random complex points
         for _ in range(10):
             stack = random_stack(rng, max_layers=8)
             n = int(rng.integers(1, 6))
-            plus = build_charpoly(stack, n, +1)
-            minus = build_charpoly(stack, n, -1)
+            plus = build_charpoly(stack, n)[EVEN]
+            minus = build_charpoly(stack, n)[ODD]
             lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             assert_allclose(
                 plus.evaluate(lam),
@@ -76,7 +76,7 @@ class TestBuildCharpoly:
 
     def test_residual_at_roots(self, rng):
         stack = random_stack(rng, max_layers=10)
-        poly = build_charpoly(stack, 2, +1)
+        poly = build_charpoly(stack, 2)[EVEN]
         vals = np.abs(poly.evaluate(poly.roots()))
         assert vals.max() < 1e-10 * np.abs(poly.coeffs).max()
 
@@ -107,9 +107,10 @@ class TestRecursionDeterminant:
             stack = random_stack(rng, max_layers=10)
             n = int(rng.integers(1, 9))
             lam = complex(rng.uniform(-1, 1), rng.uniform(0.1, 1.0))
-            for parity, sign in ((EVEN, +1), (ODD, -1)):
+            polys = build_charpoly(stack, n)
+            for parity in (EVEN, ODD):
                 rec = recursion_determinant(stack, lam, n, parity, i=1)
-                ref = (-1.0) ** (stack.N // 2) * build_charpoly(stack, n, sign).evaluate(lam)
+                ref = (-1.0) ** (stack.N // 2) * polys[parity].evaluate(lam)
                 assert abs(rec - ref) <= 1e-10 * max(abs(rec), abs(ref))
 
     def test_bad_block_index(self):
@@ -186,7 +187,7 @@ class TestDiskLimit:
         even_coeffs = {}
         for xt in (5.0, 10.0, 15.0):
             stack = LayerStack(R=1.0, xi=tuple(xt + c for c in shifts))
-            poly = build_charpoly(stack, n, +1)
+            poly = build_charpoly(stack, n)[EVEN]
             odd_norm[xt] = np.abs(poly.coeffs[1::2]).max()
             even_coeffs[xt] = poly.coeffs[0::2].copy()
         ratio1 = odd_norm[10.0] / odd_norm[5.0]
@@ -204,7 +205,7 @@ class TestDiskLimit:
         dists = []
         for xt in (5.0, 10.0):
             stack = LayerStack(R=1.0, xi=tuple(xt + c for c in shifts))
-            exact = np.sort(build_charpoly(stack, n, +1).roots().real)
+            exact = np.sort(build_charpoly(stack, n)[EVEN].roots().real)
             limit = np.sort(disk_limit_poly(stack, n).roots().real)
             dists.append(np.abs(exact - limit).max())
         ratio = dists[1] / dists[0]
@@ -226,7 +227,7 @@ class TestThinStripLimit:
         devs = []
         for eps in (1e-1, 1e-2, 1e-3):
             stack = LayerStack(R=1.0, xi=tuple(eps * k for k in range(N, 0, -1)))
-            roots = np.sort(build_charpoly(stack, 1, sign).roots().real)
+            roots = np.sort(build_charpoly(stack, 1)[EVEN if sign > 0 else ODD].roots().real)
             devs.append(np.abs(roots - limit_roots).max())
         assert devs[0] > devs[1] > devs[2]
 
@@ -234,10 +235,5 @@ class TestThinStripLimit:
 class TestCharPolyObject:
     def test_parity_label(self):
         stack = LayerStack(R=1.0, xi=(1.0,))
-        assert build_charpoly(stack, 1, +1).parity == EVEN
-        assert build_charpoly(stack, 1, -1).parity == ODD
-
-    def test_bad_sign(self):
-        stack = LayerStack(R=1.0, xi=(1.0,))
-        with pytest.raises(ValueError):
-            build_charpoly(stack, 1, 0)
+        assert build_charpoly(stack, 1)[EVEN].parity == EVEN
+        assert build_charpoly(stack, 1)[ODD].parity == ODD

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from plasmonstack import bie, field, runconfig, runners
+from plasmonstack import bie, charpoly, field, runconfig, runners, spectrum
 from plasmonstack.cli import main
 from plasmonstack.errors import ContrastError
 from plasmonstack.presets import PRESETS
@@ -119,6 +119,14 @@ class TestSweepCommand:
         assert abs(gaps[1] - math.exp(-8.0)) < 1e-12
         assert any("gap-norm: euclidean" in line for line in meta)
 
+    def test_enumeration_cap_exit_code(self, tmp_path, capsys):
+        code = main(
+            ["sweep-disk", "--layers", "25", "--ratio", "0.8", "--n", "1", "--L", "1",
+             "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert "error: N=25 exceeds the enumeration cap 24" in capsys.readouterr().err
+
 
 class TestFieldCommand:
     def test_restricted_grids(self, tmp_path):
@@ -167,6 +175,21 @@ class TestBieCommand:
             ["bie-validate", "--preset", "bie-circle", "--nodes", "33", "--out", str(tmp_path)]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"curves": {"type": "polar", "scale": 1.0}, "nodes": []},
+            {"curves": {"type": "confocal", "R": 1.0, "xi": [1.0, 0.5]}, "nodes": [], "match_orders": 1},
+            {"curves": {"type": "confocal", "R": 1.0, "xi": [1.0, 0.5]}, "nodes": [16], "match_orders": 0},
+        ],
+        ids=["empty-nodes", "empty-nodes-match", "zero-match-orders"],
+    )
+    def test_config_rejected(self, tmp_path, capsys, cfg):
+        path = tmp_path / "bie.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bie-validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "config error:" in capsys.readouterr().err
 
 
 class TestPayloadFormatting:
@@ -388,6 +411,14 @@ def _count_calls(monkeypatch, module, name):
 
 
 class TestWorkCounts:
+    def test_coefficients_enumerated_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, charpoly, "_alternating_exponent_sums")
+        cfg = runconfig.normalize("charpoly", PRESETS["fig5"].config)
+        runners.run_charpoly(cfg)
+        assert len(calls) == 1
+        spectrum.modes(runners._stack(cfg), cfg["n"])
+        assert len(calls) == 2
+
     def test_bie_assembles_once_per_node_count(self, monkeypatch):
         np_calls = _count_calls(monkeypatch, bie, "assemble_block_np")
         s_calls = _count_calls(monkeypatch, bie, "assemble_block_s")

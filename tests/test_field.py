@@ -100,7 +100,7 @@ class TestSolveDensities:
             phi = solve_densities(stack, lam, H).phi[(n, parity)]
             sv = structure_vectors(stack, n)
             rhs_alt = n * a * (sv.s_alt if parity == EVEN else sv.c_alt)
-            K = build_np(stack, n, parity).entries
+            K = build_np(stack, n, parity)
             x = np.linalg.solve(-lam * np.eye(N) - K, rhs_alt)
             assert np.abs(x - (-phi)).max() < 1e-10 * max(1.0, np.abs(x).max())
 
