@@ -57,19 +57,20 @@ def _merge_config(command, args, preset_cfg):
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
 
-    geometry_flags = {}
-    if getattr(args, "xi", None):
-        geometry_flags = {"R": args.R, "xi": args.xi}
-    elif getattr(args, "semimajor", None):
-        geometry_flags = {"R": args.R, "semimajor": args.semimajor}
-    if geometry_flags:
-        cfg["geometry"] = geometry_flags
-        # only modes takes both radii and --layers, as a consistency check
-        layers = getattr(args, "layers", None)
-        if layers is not None:
-            given = len(geometry_flags.get("xi") or geometry_flags.get("semimajor"))
-            if layers != given:
-                raise ConfigError(f"--layers {layers} contradicts the {given} radii given")
+    xi, semimajor, R = (getattr(args, name, None) for name in ("xi", "semimajor", "R"))
+    if xi and semimajor:
+        raise ConfigError("--xi and --semimajor exclude each other; give one of them")
+    if xi or semimajor:
+        cfg["geometry"] = {"R": 1.0 if R is None else R, "xi" if xi else "semimajor": xi or semimajor}
+    elif R is not None:
+        raise ConfigError("--R applies only to radii given by --xi or --semimajor")
+    # only modes takes both radii flags and --layers, as a consistency check
+    layers = getattr(args, "layers", None)
+    if layers is not None and hasattr(args, "xi"):
+        geometry = cfg.get("geometry")
+        radii = geometry.get("xi", geometry.get("semimajor")) if isinstance(geometry, dict) else None
+        if isinstance(radii, list) and len(radii) != layers:
+            raise ConfigError(f"--layers {layers} contradicts the {len(radii)} radii of the geometry")
 
     for flag, key, _kwargs in runners.get_command(command).options:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))  # argparse's dest
@@ -85,8 +86,9 @@ def _merge_config(command, args, preset_cfg):
         value = getattr(args, flag, None)
         if value is not None:
             tol[key] = value
-    if tol:
-        cfg["tolerances"] = dict(cfg.get("tolerances", {})) | tol
+    tolerances = cfg.get("tolerances", {})
+    if tol and isinstance(tolerances, dict):  # normalization rejects anything else
+        cfg["tolerances"] = tolerances | tol
     return cfg
 
 
@@ -114,12 +116,12 @@ def _check_fixture(preset_name, result):
 
 
 def _cmd_make_fixtures(args):
-    names = args.names or sorted(PRESETS)
-    for name in names:
-        preset = PRESETS[name]
+    presets = [get_preset(name) for name in args.names or sorted(PRESETS)]
+    for preset in presets:
         cfg, result, _ = _run_command(preset.command, dict(preset.config))
-        save_fixture(_fixture_path(name), name, preset.command, result, fixture_tolerances(preset.command))
-        print(f"wrote fixture {name}")
+        save_fixture(_fixture_path(preset.name), preset.name, preset.command, result,
+                     fixture_tolerances(preset.command))
+        print(f"wrote fixture {preset.name}")
     return 0
 
 
@@ -131,10 +133,9 @@ def main(argv=None):
         # bad usage is a configuration error (exit 1); --help stays 0
         return exc.code if exc.code in (0, None) else 1
 
-    if args.command == "make-fixtures":
-        return _cmd_make_fixtures(args)
-
     try:
+        if args.command == "make-fixtures":
+            return _cmd_make_fixtures(args)
         preset = get_preset(args.preset) if args.preset else None
         if preset is not None and preset.command != args.command:
             raise ConfigError(

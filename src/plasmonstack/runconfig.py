@@ -2,24 +2,70 @@
 
 Configs are plain JSON-style dicts (from presets, a --config file, or CLI
 flags).  Validation is strict: unknown keys are rejected at every level,
-required keys must be present, and values are range-checked before any
-computation starts.  Normalization fills defaults so that the resulting
-dict is canonical (stable under re-validation) and hashable for output
-metadata.
+required keys must be present, and every value is read by :func:`_read`,
+which checks its kind and range before any computation starts.
+Normalization fills defaults so that the resulting dict is canonical
+(stable under re-validation) and hashable for output metadata.
 """
 
 from __future__ import annotations
 
-from .errors import ConfigError
+import json
+import sys
+
+from .errors import ConfigError, GeometryError
 from .geometry import LayerStack
+from .npcore import EVEN, ODD
 from .spectrum import BOUND_SLACK, CROSS_ROUTE_TOL, IMAG_TOL
 
-GEOMETRY_KEYS = {"R", "xi", "semimajor"}
-MATERIAL_KEYS = {"sigma0", "sigma_star", "delta"}
-DRUDE_KEYS = {"sigma_prime", "omega_p", "tau"}
-TOLERANCE_KEYS = {"cross", "imag", "bound"}
-
 DEFAULT_TOLERANCES = {"cross": CROSS_ROUTE_TOL, "imag": IMAG_TOL, "bound": BOUND_SLACK}
+
+#: value kinds, named by what they need; a kind in a one-item list, such as
+#: [NUMBER], reads a list of such values, and a tuple of strings reads one
+#: of those strings
+INTEGER, NUMBER, BOOLEAN = "an integer", "a number", "true or false"
+
+#: allowed ranges of one value: (test, what it needs)
+ANY = (lambda v: True, "")
+POSITIVE = (lambda v: v > 0, "> 0")
+NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+COUNT = (lambda v: v >= 1, ">= 1")
+GRID_SIZE = (lambda v: v >= 2, ">= 2")
+NODE_COUNT = (lambda m: m >= 8 and m % 2 == 0, "even and >= 8")
+
+
+def _typed(value, kind):
+    """``value`` as a value of ``kind`` (numbers as floats), or None if it
+    is not one: integers are JSON integers, a bool is never a number, and
+    a number is finite (JSON has no NaN or Infinity)."""
+    if isinstance(kind, tuple):
+        return value if value in kind else None
+    if isinstance(value, bool):
+        return value if kind == BOOLEAN else None
+    if kind == INTEGER:
+        return value if isinstance(value, int) else None
+    if kind == NUMBER and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+        return float(value)
+    return None
+
+
+def _read(cfg, key, kind, default=None, allowed=ANY, where="config"):
+    """``cfg[key]``, or ``default`` when the key is absent, checked against
+    its kind and allowed range (each item of a list kind is).  Any other
+    value raises a ConfigError that names the key, what it needs and what
+    it got."""
+    if key not in cfg:
+        return default
+    value = cfg[key]
+    many = isinstance(kind, list)
+    item_kind = kind[0] if many else kind
+    typed = [_typed(v, item_kind) for v in (value if isinstance(value, list) else [value])]
+    test, range_text = allowed
+    if isinstance(value, list) != many or None in typed or not all(map(test, typed)):
+        name = item_kind if isinstance(item_kind, str) else "one of " + ", ".join(map(repr, item_kind))
+        need = f"{'a list, each item ' if many else ''}{name} {range_text}".rstrip()
+        raise ConfigError(f"{where}: {key} must be {need}, got {json.dumps(value, default=repr)}")
+    return typed if many else typed[0]
 
 
 def _check_keys(cfg, allowed, required, where):
@@ -33,176 +79,137 @@ def _check_keys(cfg, allowed, required, where):
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
 
 
-def _positive(cfg, key, where, default=None):
-    value = cfg.get(key, default)
-    if value is None:
-        return None
-    value = float(value)
-    if value <= 0:
-        raise ConfigError(f"{where}: {key} must be positive, got {value}")
-    return value
-
-
-def _order(cfg, where):
-    n = cfg.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigError(f"{where}: 'n' must be an integer >= 1, got {n!r}")
-    return n
-
-
 def normalize_geometry(geo, where="geometry"):
-    _check_keys(geo, GEOMETRY_KEYS, {"R"}, where)
+    """({"R", "xi"} of a geometry, its LayerStack); the stack checks the
+    keys and the radii."""
+    if not isinstance(geo, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(geo).__name__}")
+    kinds = {"R": NUMBER, "xi": [NUMBER], "semimajor": [NUMBER]}
+    typed = {key: _read(geo, key, kind, where=where) for key, kind in kinds.items() if key in geo}
     try:
-        stack = LayerStack.from_dict(geo)
-    except Exception as exc:
+        stack = LayerStack.from_dict(geo | typed)
+    except GeometryError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return {"R": stack.R, "xi": list(stack.xi)}, stack
 
 
 def normalize_tolerances(tol, where="tolerances"):
-    tol = dict(DEFAULT_TOLERANCES) | (tol or {})
-    _check_keys(tol, TOLERANCE_KEYS, set(), where)
-    for key in TOLERANCE_KEYS:
-        if float(tol[key]) <= 0:
-            raise ConfigError(f"{where}: {key} must be positive")
-        tol[key] = float(tol[key])
-    return tol
+    _check_keys(tol, DEFAULT_TOLERANCES.keys(), set(), where)
+    return {key: _read(tol, key, NUMBER, default, POSITIVE, where) for key, default in DEFAULT_TOLERANCES.items()}
 
 
 def normalize_drude(drude, where="drude"):
-    if drude is None:
-        return None
-    _check_keys(drude, DRUDE_KEYS, DRUDE_KEYS, where)
-    out = {k: float(drude[k]) for k in ("sigma_prime", "omega_p", "tau")}
-    if out["sigma_prime"] <= 0 or out["omega_p"] <= 0 or out["tau"] < 0:
-        raise ConfigError(f"{where}: sigma_prime, omega_p must be positive and tau >= 0")
-    return out
+    ranges = {"sigma_prime": POSITIVE, "omega_p": POSITIVE, "tau": NON_NEGATIVE}
+    _check_keys(drude, ranges.keys(), ranges.keys(), where)
+    return {key: _read(drude, key, NUMBER, allowed=allowed, where=where) for key, allowed in ranges.items()}
 
 
 def normalize_material(mat, where="material"):
-    if mat is None:
-        return None
-    _check_keys(mat, MATERIAL_KEYS, {"sigma_star"}, where)
-    out = {
-        "sigma0": float(mat.get("sigma0", 1.0)),
-        "sigma_star": float(mat["sigma_star"]),
-        "delta": float(mat.get("delta", 0.0)),
-    }
-    if out["sigma0"] <= 0 or out["sigma_star"] <= 0 or out["delta"] < 0:
-        raise ConfigError(f"{where}: need sigma0 > 0, sigma_star > 0, delta >= 0")
-    return out
+    keys = {"sigma0": (1.0, POSITIVE), "sigma_star": (None, POSITIVE), "delta": (0.0, NON_NEGATIVE)}
+    _check_keys(mat, keys.keys(), {"sigma_star"}, where)
+    return {key: _read(mat, key, NUMBER, default, allowed, where) for key, (default, allowed) in keys.items()}
 
 
 def normalize_modes_config(cfg):
-    allowed = {"geometry", "n", "sigma0", "material", "drude", "tolerances"}
-    _check_keys(cfg, allowed, {"geometry", "n"}, "modes config")
-    geo, _ = normalize_geometry(cfg["geometry"])
+    where = "modes config"
+    _check_keys(cfg, {"geometry", "n", "sigma0", "material", "drude", "tolerances"}, {"geometry", "n"}, where)
     out = {
-        "geometry": geo,
-        "n": _order(cfg, "modes config"),
-        "sigma0": _positive(cfg, "sigma0", "modes config", default=1.0),
-        "tolerances": normalize_tolerances(cfg.get("tolerances")),
+        "geometry": normalize_geometry(cfg["geometry"])[0],
+        "n": _read(cfg, "n", INTEGER, allowed=COUNT, where=where),
+        "sigma0": _read(cfg, "sigma0", NUMBER, 1.0, POSITIVE, where),
+        "tolerances": normalize_tolerances(cfg.get("tolerances", {})),
     }
-    material = normalize_material(cfg.get("material"))
-    if material is not None:
-        out["material"] = material
-        out["sigma0"] = material["sigma0"]
-    drude = normalize_drude(cfg.get("drude"))
-    if drude is not None:
-        out["drude"] = drude
+    if "material" in cfg:
+        out["material"] = normalize_material(cfg["material"])
+        out["sigma0"] = out["material"]["sigma0"]
+    if "drude" in cfg:
+        out["drude"] = normalize_drude(cfg["drude"])
     return out
 
 
 def normalize_charpoly_config(cfg):
-    allowed = {"geometry", "n", "span_points"}
-    _check_keys(cfg, allowed, {"geometry", "n"}, "charpoly config")
-    geo, _ = normalize_geometry(cfg["geometry"])
-    span = int(cfg.get("span_points", 1000))
-    if span < 2:
-        raise ConfigError(f"charpoly config: span_points must be >= 2, got {span}")
-    return {"geometry": geo, "n": _order(cfg, "charpoly config"), "span_points": span}
+    where = "charpoly config"
+    _check_keys(cfg, {"geometry", "n", "span_points"}, {"geometry", "n"}, where)
+    return {
+        "geometry": normalize_geometry(cfg["geometry"])[0],
+        "n": _read(cfg, "n", INTEGER, allowed=COUNT, where=where),
+        "span_points": _read(cfg, "span_points", INTEGER, 1000, GRID_SIZE, where),
+    }
 
 
 def normalize_field_config(cfg):
+    where = "field config"
     allowed = {
         "geometry", "n", "delta", "quantity", "normalize",
         "bbox", "resolution", "ranks", "parities", "tolerances",
     }
-    _check_keys(cfg, allowed, {"geometry", "n", "bbox", "resolution"}, "field config")
+    _check_keys(cfg, allowed, {"geometry", "n", "bbox", "resolution"}, where)
     geo, stack = normalize_geometry(cfg["geometry"])
-    n = _order(cfg, "field config")
-    delta = float(cfg.get("delta", 1e-5))
-    if delta < 0:
-        raise ConfigError(f"field config: delta must be >= 0, got {delta}")
-    quantity = cfg.get("quantity", "potential")
-    if quantity not in ("potential", "gradient"):
-        raise ConfigError(f"field config: quantity must be 'potential' or 'gradient', got {quantity!r}")
-    bbox = [float(v) for v in cfg["bbox"]]
-    if len(bbox) != 4 or bbox[0] >= bbox[1] or bbox[2] >= bbox[3]:
-        raise ConfigError(f"field config: bbox must be [x1min, x1max, x2min, x2max], got {bbox}")
-    resolution = [int(v) for v in cfg["resolution"]]
-    if len(resolution) != 2 or min(resolution) < 2:
-        raise ConfigError(f"field config: resolution must be two ints >= 2, got {resolution}")
-    ranks = [int(r) for r in cfg.get("ranks", [1])]
-    if any(not 1 <= r <= stack.N for r in ranks):
-        raise ConfigError(f"field config: ranks must lie in 1..{stack.N}, got {ranks}")
-    parities = list(cfg.get("parities", ["even", "odd"]))
-    if any(p not in ("even", "odd") for p in parities):
-        raise ConfigError(f"field config: parities must be 'even'/'odd', got {parities}")
+    bbox = _read(cfg, "bbox", [NUMBER], where=where)
+    if len(bbox) != 4 or not (bbox[0] < bbox[1] and bbox[2] < bbox[3]):
+        raise ConfigError(f"{where}: bbox must be [x1min, x1max, x2min, x2max] with min < max, got {bbox}")
+    resolution = _read(cfg, "resolution", [INTEGER], allowed=GRID_SIZE, where=where)
+    if len(resolution) != 2:
+        raise ConfigError(f"{where}: resolution must be two integers >= 2, got {resolution}")
     return {
         "geometry": geo,
-        "n": n,
-        "delta": delta,
-        "quantity": quantity,
-        "normalize": bool(cfg.get("normalize", True)),
+        "n": _read(cfg, "n", INTEGER, allowed=COUNT, where=where),
+        "delta": _read(cfg, "delta", NUMBER, 1e-5, NON_NEGATIVE, where),
+        "quantity": _read(cfg, "quantity", ("potential", "gradient"), "potential", where=where),
+        "normalize": _read(cfg, "normalize", BOOLEAN, True, where=where),
         "bbox": bbox,
         "resolution": resolution,
-        "ranks": ranks,
-        "parities": parities,
-        "tolerances": normalize_tolerances(cfg.get("tolerances")),
+        "ranks": _read(cfg, "ranks", [INTEGER], [1], (lambda r: 1 <= r <= stack.N, f"in 1..{stack.N}"), where),
+        "parities": _read(cfg, "parities", [(EVEN, ODD)], [EVEN, ODD], where=where),
+        "tolerances": normalize_tolerances(cfg.get("tolerances", {})),
     }
 
 
 def normalize_sweep_config(cfg):
-    allowed = {"layers", "ratio", "n", "L", "tolerances"}
-    _check_keys(cfg, allowed, {"layers", "ratio", "n", "L"}, "sweep config")
-    layers = int(cfg["layers"])
-    if layers < 1:
-        raise ConfigError(f"sweep config: layers must be >= 1, got {layers}")
-    ratio = float(cfg["ratio"])
-    if not 0 < ratio < 1:
-        raise ConfigError(f"sweep config: ratio must be in (0, 1), got {ratio}")
-    L = [float(v) for v in cfg["L"]]
-    if not L or any(v <= 0 for v in L):
-        raise ConfigError(f"sweep config: L values must be positive, got {L}")
+    where = "sweep config"
+    _check_keys(cfg, {"layers", "ratio", "n", "L", "tolerances"}, {"layers", "ratio", "n", "L"}, where)
+    L = _read(cfg, "L", [NUMBER], allowed=POSITIVE, where=where)
+    if not L:
+        raise ConfigError(f"{where}: L must hold at least one scale, got []")
     return {
-        "layers": layers,
-        "ratio": ratio,
-        "n": _order(cfg, "sweep config"),
+        "layers": _read(cfg, "layers", INTEGER, allowed=COUNT, where=where),
+        "ratio": _read(cfg, "ratio", NUMBER, allowed=(lambda v: 0 < v < 1, "in (0, 1)"), where=where),
+        "n": _read(cfg, "n", INTEGER, allowed=COUNT, where=where),
         "L": L,
-        "tolerances": normalize_tolerances(cfg.get("tolerances")),
+        "tolerances": normalize_tolerances(cfg.get("tolerances", {})),
     }
 
 
+def normalize_curves(curves, where="bie curves"):
+    """A confocal curve spec is a geometry with xi radii; a polar one is a
+    scale (a number or a list of them) and optional cosine coefficients."""
+    kind = curves.get("type") if isinstance(curves, dict) else None
+    if kind == "confocal":
+        _check_keys(curves, {"type", "R", "xi"}, {"type", "R", "xi"}, where)
+        geo, _ = normalize_geometry({"R": curves["R"], "xi": curves["xi"]}, where)
+        return {"type": kind, **geo}
+    if kind == "polar":
+        _check_keys(curves, {"type", "coeffs", "scale"}, {"type", "scale"}, where)
+        spec = {"type": kind}
+        if "coeffs" in curves:
+            spec["coeffs"] = _read(curves, "coeffs", [NUMBER], where=where)
+        scale_kind = [NUMBER] if isinstance(curves["scale"], list) else NUMBER
+        spec["scale"] = _read(curves, "scale", scale_kind, allowed=POSITIVE, where=where)
+        return spec
+    raise ConfigError(f"{where}: expected a mapping with type 'confocal' or 'polar', got {curves!r}")
+
+
 def normalize_bie_config(cfg):
-    allowed = {"curves", "nodes", "match_orders", "match_nodes"}
-    _check_keys(cfg, allowed, {"curves", "nodes"}, "bie config")
-    curves = cfg["curves"]
-    if not isinstance(curves, dict) or curves.get("type") not in ("confocal", "polar"):
-        raise ConfigError("bie config: curves must be a mapping with type 'confocal' or 'polar'")
-    if curves["type"] == "confocal":
-        _check_keys(curves, {"type", "R", "xi"}, {"type", "R", "xi"}, "bie curves")
-    else:
-        _check_keys(curves, {"type", "coeffs", "scale"}, {"type", "scale"}, "bie curves")
-    nodes = [int(v) for v in cfg["nodes"]]
-    if not nodes or any(m < 8 or m % 2 for m in nodes):
-        raise ConfigError(f"bie config: need at least one node count, each even and >= 8, got {nodes}")
+    where = "bie config"
+    _check_keys(cfg, {"curves", "nodes", "match_orders", "match_nodes"}, {"curves", "nodes"}, where)
+    curves = normalize_curves(cfg["curves"])
+    nodes = _read(cfg, "nodes", [INTEGER], allowed=NODE_COUNT, where=where)
+    if not nodes:
+        raise ConfigError(f"{where}: nodes must hold at least one node count, got []")
     out = {"curves": curves, "nodes": nodes}
     if "match_orders" in cfg:
-        out["match_orders"] = int(cfg["match_orders"])
-        if out["match_orders"] < 1:
-            raise ConfigError(f"bie config: match_orders must be >= 1, got {out['match_orders']}")
-        out["match_nodes"] = int(cfg.get("match_nodes", max(nodes)))
+        out["match_orders"] = _read(cfg, "match_orders", INTEGER, allowed=COUNT, where=where)
+        out["match_nodes"] = _read(cfg, "match_nodes", INTEGER, max(nodes), NODE_COUNT, where)
     return out
 
 

@@ -307,7 +307,7 @@ _ORDER = ("--n", "n", {"type": int, "help": "Fourier order"})
 _GEOMETRY = (
     ("--xi", None, {"type": float, "nargs": "+", "help": "explicit decreasing elliptic radii"}),
     ("--semimajor", None, {"type": float, "nargs": "+", "help": "semi-major axes (converted via R)"}),
-    ("--R", None, {"type": float, "default": 1.0, "help": "focal half-distance (default 1)"}),
+    ("--R", None, {"type": float, "help": "focal half-distance (default 1)"}),
 )
 _TOLERANCES = (
     ("--tol-cross", None, {"type": float, "help": "route cross-validation tolerance"}),

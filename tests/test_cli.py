@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from plasmonstack import bie, charpoly, field, runconfig, runners, spectrum
+from plasmonstack import bie, charpoly, field, output, runconfig, runners, spectrum
 from plasmonstack.cli import main
 from plasmonstack.errors import ContrastError
 from plasmonstack.presets import PRESETS
@@ -27,6 +27,39 @@ def read_csv(path):
             else:
                 rows.append(line.split(","))
     return meta, header, rows
+
+
+_CONFOCAL = {"type": "confocal", "R": 1.0, "xi": [1.0, 0.5]}
+_MODES = {"geometry": {"R": 1.0, "xi": [1.0, 0.5]}, "n": 1}
+_FIELD = {"geometry": {"R": 1.0, "xi": [1.0]}, "n": 1, "bbox": [-2.0, 3.0, -1.0, 1.0], "resolution": [3, 2]}
+
+#: (command, config, the key the error must name) of malformed configs
+REJECTED_CONFIGS = [
+    pytest.param("bie-validate", {"curves": {"type": "polar", "scale": 1.0}, "nodes": []}, "nodes",
+                 id="empty-nodes"),
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [], "match_orders": 1}, "nodes",
+                 id="empty-nodes-match"),
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_orders": 0}, "match_orders",
+                 id="zero-match-orders"),
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": 16}, "nodes", id="nodes-not-a-list"),
+    pytest.param("field", {**_FIELD, "bbox": 3}, "bbox", id="bbox-not-a-list"),
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_orders": "x"}, "match_orders",
+                 id="match-orders-string"),
+    pytest.param("sweep-disk", {"layers": "x", "ratio": 0.8, "n": 1, "L": [1.0]}, "layers", id="layers-string"),
+    pytest.param("modes", {**_MODES, "tolerances": {"cross": "x"}}, "cross", id="tolerance-string"),
+    pytest.param("modes", {**_MODES, "tolerances": {"cross": math.inf}}, "cross", id="tolerance-infinite"),
+    pytest.param("modes", {**_MODES, "drude": {"sigma_prime": "a", "omega_p": 2e15, "tau": 1e14}},
+                 "sigma_prime", id="drude-string"),
+    pytest.param("modes", {**_MODES, "sigma0": None}, "sigma0", id="sigma0-null"),
+    pytest.param("charpoly", {**_MODES, "span_points": 2.9}, "span_points", id="span-points-float"),
+    pytest.param("field", {**_FIELD, "normalize": "false"}, "normalize", id="normalize-string"),
+    pytest.param("field", {**_FIELD, "parities": 5}, "parities", id="parities-not-a-list"),
+    pytest.param("modes", {**_MODES, "geometry": {"R": True, "xi": [1.0]}}, "R", id="R-bool"),
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_orders": 1, "match_nodes": 7},
+                 "match_nodes", id="odd-match-nodes"),
+    pytest.param("bie-validate", {"curves": {"type": "polar", "scale": "a"}, "nodes": [16]}, "scale",
+                 id="curve-scale-string"),
+]
 
 
 class TestModesCommand:
@@ -51,6 +84,25 @@ class TestModesCommand:
 
     def test_layers_contradiction(self, tmp_path):
         assert main(["modes", "--layers", "2", "--xi", "1", "--n", "1", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["--xi", "1.0", "0.5", "--semimajor", "3", "2", "--n", "1"], "--semimajor"),
+            (["--preset", "table1", "--layers", "3"], "--layers"),
+            (["--config", "{modes}", "--layers", "3"], "--layers"),
+            (["--preset", "table1", "--R", "2"], "--R"),
+        ],
+        ids=["xi-and-semimajor", "preset-layers", "config-layers", "R-without-radii"],
+    )
+    def test_flags_rejected(self, tmp_path, capsys, argv, key):
+        cfg = tmp_path / "modes.json"
+        cfg.write_text(json.dumps(_MODES))
+        argv = [a.replace("{modes}", str(cfg)) for a in argv]
+        assert main(["modes", *argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert key in err
 
     def test_cross_validation_exit_code(self, tmp_path):
         code = main(
@@ -89,6 +141,37 @@ class TestPresetChecks:
 
     def test_unknown_preset(self, tmp_path):
         assert main(["modes", "--preset", "table9", "--out", str(tmp_path)]) == 1
+
+    def test_make_fixtures_unknown_name(self, capsys):
+        assert main(["make-fixtures", "bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "bogus" in err
+
+
+#: config hash of each normalized preset; they pin the normalized configs and
+#: so the metadata of every preset output
+PRESET_CONFIG_HASHES = {
+    "table1": "285a9584e5cbe3b9b38f4e5b5eedc80bd122e61e7966aa6ff1542a5367962eb7",
+    "table2": "fa252c8af0bcd49c3ba0aa3e69dc12befd95f3e163751125a25e28fcf5402a4f",
+    "fig5": "6a4b1c9b4c21e515ef7257d0198d494ceeb7de98cd251870803db88440cee618",
+    "fig8": "e86eb8b1ff585ca97e9d44fb5dc892979554ae7d9bf7b7a78f5bdfc71331acc0",
+    "fig9": "dda462a92163bd325acb1af58dddee7fe6f857cdca3268826e772d6615eaf80b",
+    "fig10": "f3e0f890a46cf52c5a1c9f35fc67754c71e1adcc3c38e2b82656bfaa10f7bae7",
+    "fig11-analog": "98d1b30e9b80e4ba22645ae57c2ca268e042d419eadd03c1289c891de0f934dd",
+    "fig12": "959bb6c5a4b3d8bca656f3f751c1b364b9dc1e7285e1cde6c7f1a6f99ba2dd37",
+    "bie-circle": "4ef1f7cb7ed6f0550f86b561865850e477558ad20c3794dbe9fee8e8cba9283e",
+    "bie-confocal": "a1bccdb69ed064810fb00f6a14adfd66fcd616fdca40362ddb8b35605548252e",
+}
+
+
+class TestNormalize:
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_preset_stable_under_renormalization(self, name):
+        command = PRESETS[name].command
+        once = runconfig.normalize(command, PRESETS[name].config)
+        assert runconfig.normalize(command, once) == once
+        assert output.config_hash(once) == PRESET_CONFIG_HASHES[name]
 
 
 class TestCharpolyCommand:
@@ -176,20 +259,14 @@ class TestBieCommand:
         )
         assert code == 1
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            {"curves": {"type": "polar", "scale": 1.0}, "nodes": []},
-            {"curves": {"type": "confocal", "R": 1.0, "xi": [1.0, 0.5]}, "nodes": [], "match_orders": 1},
-            {"curves": {"type": "confocal", "R": 1.0, "xi": [1.0, 0.5]}, "nodes": [16], "match_orders": 0},
-        ],
-        ids=["empty-nodes", "empty-nodes-match", "zero-match-orders"],
-    )
-    def test_config_rejected(self, tmp_path, capsys, cfg):
-        path = tmp_path / "bie.json"
+    @pytest.mark.parametrize("command,cfg,key", REJECTED_CONFIGS)
+    def test_config_rejected(self, tmp_path, capsys, command, cfg, key):
+        path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert main(["bie-validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert "config error:" in capsys.readouterr().err
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert f"{key} must" in err
 
 
 class TestPayloadFormatting:
