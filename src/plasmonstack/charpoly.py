@@ -1,5 +1,6 @@
-"""Characteristic polynomials of the mode problem, with exact combinatorial
-coefficients, a two-term determinant recursion, and asymptotic limit forms.
+"""Characteristic polynomials of the mode problem: exact combinatorial
+coefficients, the two-term determinant recursion, and the Sturm count of
+its roots taken from that recursion.
 
 The degree-N polynomial for an N-layer stack at Fourier order n is
 
@@ -13,6 +14,8 @@ contribute xi_{i_even} - xi_{i_odd} < 0), so each of the up-to-2^N terms
 has magnitude <= 1 and coefficient accumulation cannot overflow; terms are
 summed with compensated (Shewchuk) summation.  The even-parity polynomial
 uses s = +1, the odd one s = -1, so the two differ only by (-1)^k on c_k.
+The coefficients serve the ``charpoly`` command; mode computation needs
+only the O(N) recursion (:func:`sturm_count`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +32,9 @@ from .npcore import EVEN, ODD, _check_order, _check_parity
 
 #: Largest layer count whose 2^N coefficient terms are enumerated.
 ENUMERATION_CAP = 24
+
+#: stands in for an exact zero ratio in :func:`sturm_count`
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,58 +136,52 @@ def recursion_determinant(stack: LayerStack, lam, n, parity, i=1):
     return d_cur
 
 
-@lru_cache(maxsize=None)
-def _h_row(N):
-    """Row (h_{N,0}, ..., h_{N,N}) of alternating-sign combination sums.
+def sturm_count(stack: LayerStack, lam, n, parity):
+    """Number of roots of the parity's characteristic polynomial (the
+    order-n mode values) below each real probe point in ``lam``; an integer
+    array of ``lam``'s shape.
 
-    Built from h_{N,k} = h_{N-1,k} + (-1)^N h_{N-1,k-1} (split a k-subset of
-    {1..N} on whether it contains N), exact integer arithmetic throughout.
+    Runs the recursion of :func:`recursion_determinant` once for all probes,
+    in the ratio form q_k = D_k / D_{k+1}, q_N = D_N,
+
+        q_k = lam_k (1 - E_k) - (lam^2 - 1/4) E_k / q_{k+1},
+
+    which cannot under- or overflow the way D_k itself does for large N.
+    An exact zero q_k is replaced by the smallest normal float, as if lam
+    were moved by a rounding error.
+
+    Why it counts: flip the sign of entry j of (D_{N+1}, D_N, ..., D_1) by
+    (-1)^floor(j/2).  The flipped entries obey
+    p_{j+1} = +-lam (1 - E) p_j - (1/4 - lam^2) E p_{j-1}, whose coupling is
+    positive for |lam| < 1/2, so where an inner p_j vanishes its neighbours
+    have opposite signs; for |lam| >= 1/2 no inner p_j vanishes, since its
+    roots are the modes of an inner sub-stack.  So the number of sign
+    changes moves only at roots of p_N = +-D_1, by at most one per simple
+    root.  Entries j and j+1 differ in sign exactly when (-1)^j q_{N-j} < 0,
+    and the changes count the roots below lam for even N and above it for
+    odd N.  A count of 0 at one end of an interval and N at the other
+    therefore proves that all N roots are real and lie inside, and that the
+    count is exact in between; :func:`plasmonstack.spectrum.modes` checks
+    both ends.
     """
-    if N == 0:
-        return (1,)
-    prev = _h_row(N - 1)
-    sgn = 1 if N % 2 == 0 else -1
-    row = [1]
-    for k in range(1, N + 1):
-        keep = prev[k] if k <= N - 1 else 0
-        row.append(keep + sgn * prev[k - 1])
-    return tuple(row)
-
-
-def h_coeff(N, k):
-    """Exact integer h_{N,k} = sum of (-1)^(i_1+...+i_k) over ascending
-    k-tuples from {1..N}."""
-    if not 0 <= k <= N:
-        raise ValueError(f"need 0 <= k <= N, got k={k}, N={N}")
-    return _h_row(N)[k]
-
-
-def disk_limit_poly(stack: LayerStack, n) -> CharPoly:
-    """Radial-limit polynomial: the even-k coefficient part of the even-parity
-    polynomial, with odd-k coefficients dropped.
-
-    For stacks xi_k = xi_tilde + c_k the full polynomial equals this plus an
-    O(exp(-2 n xi_tilde)) remainder; the limit polynomial is identical for
-    both parities, so the even/odd mode splitting closes at that rate.
-    """
-    base = build_charpoly(stack, n)[EVEN]
-    coeffs = base.coeffs.copy()
-    coeffs[1::2] = 0.0
-    return CharPoly(sign=+1, n=n, xi=stack.xi, coeffs=coeffs)
-
-
-def thin_strip_limit(N, sign):
-    """Monic limit polynomial of a stack with radii xi_k = eps * rho_k as eps -> 0.
-
-    Equals (lambda^2 - 1/4)^floor(N/2) * (lambda -+ 1/2)^(N mod 2) expanded
-    (minus for sign +1, plus for sign -1); the roots of the exact polynomial
-    converge to this root multiset.
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    coeffs = np.array([1.0])
-    for _ in range(N // 2):
-        coeffs = np.convolve(coeffs, [1.0, 0.0, -0.25])
-    if N % 2:
-        coeffs = np.convolve(coeffs, [1.0, -sign * 0.5])
-    return coeffs
+    _check_order(n)
+    _check_parity(parity)
+    N = stack.N
+    xi = stack.xi_array
+    lam = np.asarray(lam, dtype=float)
+    probes = lam.reshape(-1)
+    diag_sign = 1.0 if parity == EVEN else -1.0
+    # row j holds the factors of q_{N-j}, j = 1..N-1, for every probe
+    k = np.arange(N - 1, 0, -1)
+    E = np.exp(2.0 * n * (xi[k] - xi[k - 1]))
+    lam_sign = np.where(k % 2 == 1, 1.0, -1.0)  # lam_k = (-1)^(k-1) lam
+    a = np.multiply.outer(lam_sign * (1.0 - E), probes)
+    c = np.multiply.outer(E, probes * probes - 0.25)
+    q = np.empty((N, probes.size))
+    q[0] = (1.0 if N % 2 == 1 else -1.0) * probes - diag_sign * 0.5 * math.exp(-2.0 * n * xi[-1])
+    for j in range(1, N):
+        prev = q[j - 1]
+        np.subtract(a[j - 1], c[j - 1] / np.where(prev == 0.0, _TINY, prev), out=q[j])
+    q[1::2] *= -1.0
+    changes = np.count_nonzero(q < 0, axis=0)
+    return (changes if N % 2 == 0 else N - changes).reshape(lam.shape)

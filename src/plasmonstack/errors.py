@@ -20,7 +20,9 @@ class ContrastError(PlasmonstackError, ValueError):
 
 class CombinatorialCapError(PlasmonstackError, ValueError):
     """Layer count exceeds the cap for exhaustive coefficient enumeration
-    (2**N terms), :data:`plasmonstack.charpoly.ENUMERATION_CAP`."""
+    (2**N terms), :data:`plasmonstack.charpoly.ENUMERATION_CAP`.  Only the
+    ``charpoly`` command builds the coefficients; mode computation does not,
+    so the cap does not limit it."""
 
 
 class CrossValidationError(PlasmonstackError, RuntimeError):

@@ -104,8 +104,9 @@ def normalize_drude(drude, where="drude"):
     return {key: _read(drude, key, NUMBER, allowed=allowed, where=where) for key, allowed in ranges.items()}
 
 
-def normalize_material(mat, where="material"):
-    keys = {"sigma0": (1.0, POSITIVE), "sigma_star": (None, POSITIVE), "delta": (0.0, NON_NEGATIVE)}
+def normalize_material(mat, sigma0=1.0, where="material"):
+    """The material block; its sigma0 defaults to the config's top-level one."""
+    keys = {"sigma0": (sigma0, POSITIVE), "sigma_star": (None, POSITIVE), "delta": (0.0, NON_NEGATIVE)}
     _check_keys(mat, keys.keys(), {"sigma_star"}, where)
     return {key: _read(mat, key, NUMBER, default, allowed, where) for key, (default, allowed) in keys.items()}
 
@@ -120,8 +121,13 @@ def normalize_modes_config(cfg):
         "tolerances": normalize_tolerances(cfg.get("tolerances", {})),
     }
     if "material" in cfg:
-        out["material"] = normalize_material(cfg["material"])
-        out["sigma0"] = out["material"]["sigma0"]
+        material = out["material"] = normalize_material(cfg["material"], out["sigma0"])
+        if "sigma0" in cfg and material["sigma0"] != out["sigma0"]:
+            raise ConfigError(
+                f"{where}: sigma0 must equal material.sigma0 when both are given, "
+                f"got {out['sigma0']!r} and {material['sigma0']!r}"
+            )
+        out["sigma0"] = material["sigma0"]
     if "drude" in cfg:
         out["drude"] = normalize_drude(cfg["drude"])
     return out
@@ -210,6 +216,10 @@ def normalize_bie_config(cfg):
     if "match_orders" in cfg:
         out["match_orders"] = _read(cfg, "match_orders", INTEGER, allowed=COUNT, where=where)
         out["match_nodes"] = _read(cfg, "match_nodes", INTEGER, max(nodes), NODE_COUNT, where)
+    elif "match_nodes" in cfg:
+        raise ConfigError(
+            f"{where}: match_nodes must come with match_orders, got {json.dumps(cfg['match_nodes'])} without it"
+        )
     return out
 
 

@@ -1,13 +1,16 @@
-"""Plasmon modes: polynomial roots cross-validated against matrix eigenvalues,
-root-symmetry checks, the disk-degeneration sweep, and resonant materials.
+"""Plasmon modes: interface-operator eigenvalues certified by a Sturm count
+of the characteristic polynomial's roots, root-symmetry checks, and the
+disk-degeneration sweep.
 
 Every mode computation runs two independent routes and accepts the result
-only if they agree: (a) roots of the characteristic polynomial via its
-companion matrix, (b) negated eigenvalues of the matching interface-operator
-matrix transpose.  Both must be real (the underlying operator is
-self-adjoint in a twisted inner product); realness is asserted after the
-fact with a general nonsymmetric eigensolver rather than by symmetrizing,
-so implementation bugs surface as complex eigenvalues.
+only if they agree: (a) negated eigenvalues of the interface-operator
+matrix transpose, from a general nonsymmetric eigensolver, and (b) the
+number of characteristic-polynomial roots below a point, counted from the
+two-term determinant recursion (:func:`plasmonstack.charpoly.sturm_count`).
+Both must be real (the underlying operator is self-adjoint in a twisted
+inner product); realness of (a) is asserted after the fact rather than
+imposed by symmetrizing, so implementation bugs surface as complex
+eigenvalues, and (b) proves that all N roots are real.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from . import charpoly as cp
 from .errors import CrossValidationError
 from .geometry import LayerStack
-from .materials import resonant_frequency, sigma_from_lambda
+from .materials import sigma_from_lambda
 from .npcore import EVEN, ODD, PARITIES, build_np
 
 #: Default acceptance tolerances; all overridable per call (and via CLI flags).
@@ -69,6 +72,46 @@ def _real_sorted_descending(values, imag_tol, what):
     return np.sort(values.real)[::-1]
 
 
+def _certify(stack, n, parity, values, cross_tol, bound_slack):
+    """Raise CrossValidationError unless ``values`` (N reals, descending)
+    place the parity's characteristic-polynomial roots.
+
+    Every value must lie in [-1/2 - bound_slack, 1/2 + bound_slack], and the
+    Sturm count must be 0 at the left end and N at the right one, so all N
+    roots are real and lie in that interval.  The values are grouped into
+    clusters whose [v - cross_tol, v + cross_tol] windows overlap; just
+    outside each cluster's outer window the count must equal the number of
+    values below that point, so the count rises by the cluster's size
+    across it: every root lies within ``cross_tol`` of a value and each
+    value accounts for one root.
+    """
+    N = stack.N
+    excess = np.abs(values).max() - 0.5
+    if excess > bound_slack:
+        raise CrossValidationError(f"{parity} mode leaves the spectral interval by {excess:.3e}")
+    ascending = values[::-1]
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(ascending) > 2.0 * cross_tol) + 1, [N]))
+    starts, ends = bounds[:-1], bounds[1:]
+    edge = 0.5 + bound_slack
+    probes = np.concatenate(([-edge, edge], ascending[starts] - cross_tol, ascending[ends - 1] + cross_tol))
+    counts = cp.sturm_count(stack, probes, n, parity)
+    outside = counts[0] + N - counts[1]
+    if outside:
+        raise CrossValidationError(
+            f"{parity}: {outside} of {N} polynomial roots are not real or leave "
+            f"[-1/2, 1/2] by more than {bound_slack:.1e}"
+        )
+    below, above = counts[2:].reshape(2, -1)
+    missed = np.flatnonzero((below != starts) | (above != ends))
+    if missed.size:
+        i = missed[0]
+        raise CrossValidationError(
+            f"{parity} route disagreement: the Sturm count places {above[i] - below[i]} roots "
+            f"within {cross_tol:.1e} of the {ends[i] - starts[i]} eigenvalues in "
+            f"[{ascending[starts[i]]:.17g}, {ascending[ends[i] - 1]:.17g}]"
+        )
+
+
 def modes(
     stack: LayerStack,
     n: int,
@@ -80,29 +123,21 @@ def modes(
 ) -> ModeSet:
     """Compute all modes of ``stack`` at order ``n``, cross-validated.
 
-    Both parities' polynomials come from one coefficient build.  Per parity:
-    the N polynomial roots (companion-matrix route) must agree with the
-    negated eigenvalues of the interface-operator matrix transpose to
-    ``cross_tol``, every value must be real to ``imag_tol`` and lie in
-    [-1/2 - bound_slack, 1/2 + bound_slack].  The polynomial-route values
-    are the ones returned, sorted descending.
+    Per parity the modes are the negated eigenvalues of the interface-operator
+    matrix transpose (``-build_np``), sorted descending; each must be real
+    to ``imag_tol``.  A Sturm count from the determinant recursion then
+    certifies them against the characteristic polynomial's roots (see
+    :func:`_certify`): all N roots are real, lie in
+    [-1/2 - bound_slack, 1/2 + bound_slack] with the values, and sit within
+    ``cross_tol`` of the values.  The polynomial itself is never built: per
+    parity the cost is one N x N eigensolve and one N-step recursion over at
+    most 2N + 2 probe points.
     """
-    polys = cp.build_charpoly(stack, n)
     per_parity = {}
     for parity in PARITIES:
-        roots = _real_sorted_descending(polys[parity].roots(), imag_tol, f"{parity} roots")
         eigs = np.linalg.eigvals(-build_np(stack, n, parity))
-        eigs = _real_sorted_descending(eigs, imag_tol, f"{parity} eigenvalues")
-        gap = np.abs(roots - eigs).max()
-        if gap > cross_tol:
-            raise CrossValidationError(
-                f"{parity} route disagreement {gap:.3e} exceeds tolerance {cross_tol:.1e}"
-            )
-        excess = np.abs(roots).max() - 0.5
-        if excess > bound_slack:
-            raise CrossValidationError(
-                f"{parity} mode leaves the spectral interval by {excess:.3e}"
-            )
+        values = _real_sorted_descending(eigs, imag_tol, f"{parity} eigenvalues")
+        _certify(stack, n, parity, values, cross_tol, bound_slack)
         per_parity[parity] = tuple(
             PlasmonMode(
                 lambda_root=float(lam),
@@ -111,7 +146,7 @@ def modes(
                 sigma1_resonant=float(sigma_from_lambda(float(lam), sigma0)),
                 rank=rank,
             )
-            for rank, lam in enumerate(roots, start=1)
+            for rank, lam in enumerate(values, start=1)
         )
     return ModeSet(
         stack=stack,
@@ -158,16 +193,3 @@ def disk_degeneration_sweep(num_layers, ratio, n, L_values, sigma0=1.0, **mode_k
         gap = float(np.linalg.norm(ms.lambdas(EVEN) - ms.lambdas(ODD)))
         out.append((float(L), gap))
     return out
-
-
-def mode_to_material(mode: PlasmonMode, sigma0: float, drude=None):
-    """Resonant shell conductivity for a mode, plus the lossless Drude
-    frequency when Drude parameters are supplied.
-
-    Returns (sigma1, omega_or_None).
-    """
-    sigma1 = sigma_from_lambda(mode.lambda_root, sigma0)
-    omega = None
-    if drude is not None:
-        omega = resonant_frequency(mode.lambda_root, drude, sigma0)
-    return sigma1, omega

@@ -23,7 +23,7 @@ from plasmonstack.bie import (
     curves_from_spec,
     self_adjointness_check,
 )
-from plasmonstack.charpoly import build_charpoly, h_coeff, recursion_determinant, thin_strip_limit
+from plasmonstack.charpoly import build_charpoly, recursion_determinant
 from plasmonstack.field import (
     BackgroundField,
     density_summation_potential,
@@ -36,7 +36,7 @@ from plasmonstack.materials import sigma_from_lambda
 from plasmonstack.npcore import EVEN, ODD, build_np, gpm_entries
 from plasmonstack.runconfig import normalize
 from plasmonstack.runners import run_field
-from plasmonstack.spectrum import disk_degeneration_sweep, modes
+from plasmonstack.spectrum import disk_degeneration_sweep, geometric_stack, modes, verify_root_symmetry
 from table_data import (
     TABLE1_LAMBDA_EVEN,
     TABLE1_LAMBDA_ODD,
@@ -48,6 +48,8 @@ from table_data import (
     TABLE2_SIGMA_ODD,
 )
 
+from conftest import random_stack
+from oracles import h_coeff, thin_strip_limit
 from presets_for_tests import FIG12_CONFIG
 
 
@@ -198,6 +200,36 @@ def test_criterion_06_eigen_root_equivalence():
         worst = max(worst, np.abs(roots_p - eig_e).max(), np.abs(roots_m - eig_o).max())
     ok = worst <= 1e-8
     assert report(6, ok, f"operator eigenvalues vs polynomial roots: max {worst:.2e} (tol 1e-8)")
+
+
+def _certified_region():
+    """(stack, n) pairs of the region README states for the mode certificate."""
+    rng = np.random.default_rng(271828)
+    cases = [(random_stack(rng, max_layers=60), int(rng.integers(1, 9))) for _ in range(100)]
+    for N in (1, 7, 24, 25, 40, 60):
+        for ratio in (0.6, 0.8, 0.95):
+            if ratio == 0.6 and N > 30:
+                continue  # innermost radius below 1e-7
+            for xi_outer in (0.5, 3.0, 20.0):
+                cases.append((geometric_stack(N, xi_outer, ratio), int(rng.integers(1, 9))))
+    for N in (2, 9, 25, 60):
+        for eps in (1e-1, 1e-3, 1e-5):
+            cases.append((LayerStack(R=1.0, xi=tuple(eps * k for k in range(N, 0, -1))), int(rng.integers(1, 9))))
+    cases += [(geometric_stack(17, 17.0 * L, 0.8), 1) for L in (1, 2, 3, 4, 5)]
+    return cases
+
+
+def test_modes_certified_region():
+    """Supplementary (not a numbered criterion): modes are accepted across
+    the certified region, up to N = 60 layers, past the N = 24 cap of the
+    coefficient enumeration, each set sorted, bounded and antisymmetric."""
+    for stack, n in _certified_region():
+        ms = modes(stack, n)
+        for parity in (EVEN, ODD):
+            lams = ms.lambdas(parity)
+            assert lams.size == stack.N and np.all(np.diff(lams) <= 0)
+            assert np.abs(lams).max() <= 0.5 + 1e-10
+        assert verify_root_symmetry(ms) <= 1e-10
 
 
 def test_criterion_07_h_coefficients():

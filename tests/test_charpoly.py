@@ -8,16 +8,16 @@ from numpy.testing import assert_allclose
 from plasmonstack.charpoly import (
     CharPoly,
     build_charpoly,
-    disk_limit_poly,
-    h_coeff,
     recursion_determinant,
-    thin_strip_limit,
+    sturm_count,
 )
 from plasmonstack.errors import CombinatorialCapError
 from plasmonstack.geometry import LayerStack
-from plasmonstack.npcore import EVEN, ODD, gpm_entries
+from plasmonstack.npcore import EVEN, ODD, build_np, gpm_entries
+from plasmonstack.spectrum import geometric_stack
 
 from conftest import random_stack
+from oracles import disk_limit_poly, h_coeff, thin_strip_limit
 
 
 def brute_force_h(N, k):
@@ -117,6 +117,69 @@ class TestRecursionDeterminant:
         stack = LayerStack(R=1.0, xi=(1.0,))
         with pytest.raises(ValueError):
             recursion_determinant(stack, 0.1, 1, EVEN, i=2)
+
+
+def assert_count_matches_eigenvalues(stack, n, rng, random_probes=20):
+    """The Sturm count equals numpy's count of interface-operator eigenvalues
+    below random probes, and below and above every eigenvalue by 1e-7."""
+    for parity in (EVEN, ODD):
+        eigs = np.linalg.eigvals(-build_np(stack, n, parity)).real
+        probes = np.concatenate([rng.uniform(-0.6, 0.6, random_probes), eigs - 1e-7, eigs + 1e-7])
+        expected = (eigs[None, :] < probes[:, None]).sum(axis=1)
+        np.testing.assert_array_equal(sturm_count(stack, probes, n, parity), expected)
+
+
+class TestSturmCount:
+    def test_single_layer_closed_form(self):
+        stack = LayerStack(R=1.0, xi=(1.0,))
+        root = 0.5 * math.exp(-2.0)
+        assert list(sturm_count(stack, [root - 1e-12, root + 1e-12], 1, EVEN)) == [0, 1]
+        assert list(sturm_count(stack, [-root - 1e-12, -root + 1e-12], 1, ODD)) == [0, 1]
+
+    def test_shape_and_validation(self):
+        stack = LayerStack(R=1.0, xi=(2.0, 1.0))
+        assert sturm_count(stack, 0.0, 1, EVEN).shape == ()
+        assert sturm_count(stack, np.zeros((2, 3)), 1, ODD).shape == (2, 3)
+        with pytest.raises(ValueError):
+            sturm_count(stack, 0.0, 0, EVEN)
+        with pytest.raises(ValueError):
+            sturm_count(stack, 0.0, 1, "both")
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            stack = random_stack(rng, max_layers=60)
+            assert_count_matches_eigenvalues(stack, int(rng.integers(1, 9)), rng)
+
+    def test_geometric_stacks(self):
+        rng = np.random.default_rng(62)
+        for N in (1, 2, 5, 12, 20, 33, 47, 60):
+            for ratio in (0.6, 0.8, 0.95):
+                for xi_outer in (0.5, 3.0, 20.0):
+                    assert_count_matches_eigenvalues(geometric_stack(N, xi_outer, ratio), int(rng.integers(1, 9)), rng)
+
+    def test_thin_strip_stacks(self):
+        # radii eps * (N, ..., 1): the values cluster at -1/2, 0 and 1/2
+        rng = np.random.default_rng(63)
+        for N in (2, 3, 8, 25, 60):
+            for eps in (1e-1, 1e-2, 1e-3):
+                stack = LayerStack(R=1.0, xi=tuple(eps * k for k in range(N, 0, -1)))
+                assert_count_matches_eigenvalues(stack, int(rng.integers(1, 4)), rng)
+
+    def test_fig9_stacks(self):
+        rng = np.random.default_rng(64)
+        for L in (1.0, 2.0, 3.0, 4.0, 5.0):
+            assert_count_matches_eigenvalues(geometric_stack(17, 17 * L, 0.8), 1, rng)
+
+    @pytest.mark.parametrize("N,n", [(300, 1), (1000, 8)])
+    def test_ratio_form_stays_finite(self, N, n):
+        stack = LayerStack(R=1.0, xi=tuple(np.linspace(20.0, 0.02, N)))
+        if N == 1000:
+            # the determinant itself underflows here; its ratios do not
+            assert recursion_determinant(stack, 0.1, n, EVEN) == 0.0
+        rng = np.random.default_rng(N)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            assert_count_matches_eigenvalues(stack, n, rng, random_probes=50)
 
 
 class TestHCoefficients:

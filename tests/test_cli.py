@@ -59,6 +59,10 @@ REJECTED_CONFIGS = [
                  "match_nodes", id="odd-match-nodes"),
     pytest.param("bie-validate", {"curves": {"type": "polar", "scale": "a"}, "nodes": [16]}, "scale",
                  id="curve-scale-string"),
+    pytest.param("modes", {**_MODES, "sigma0": 2.0, "material": {"sigma0": 3.0, "sigma_star": 3.0}}, "sigma0",
+                 id="sigma0-conflict"),
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_nodes": 16}, "match_nodes",
+                 id="match-nodes-without-orders"),
 ]
 
 
@@ -166,6 +170,16 @@ PRESET_CONFIG_HASHES = {
 
 
 class TestNormalize:
+    def test_material_sigma0_defaults_to_top_level(self):
+        material = {"sigma_star": 3.0}
+        cfg = runconfig.normalize("modes", {**_MODES, "sigma0": 2.0, "material": material})
+        assert cfg["sigma0"] == cfg["material"]["sigma0"] == 2.0
+        cfg = runconfig.normalize("modes", {**_MODES, "material": {**material, "sigma0": 4.0}})
+        assert cfg["sigma0"] == cfg["material"]["sigma0"] == 4.0
+        cfg = runconfig.normalize("modes", {**_MODES, "sigma0": 4.0, "material": {**material, "sigma0": 4.0}})
+        assert cfg["sigma0"] == cfg["material"]["sigma0"] == 4.0
+        assert runconfig.normalize("modes", cfg) == cfg
+
     @pytest.mark.parametrize("name", PRESETS)
     def test_preset_stable_under_renormalization(self, name):
         command = PRESETS[name].command
@@ -203,11 +217,15 @@ class TestSweepCommand:
         assert any("gap-norm: euclidean" in line for line in meta)
 
     def test_enumeration_cap_exit_code(self, tmp_path, capsys):
+        """The cap binds only the charpoly command: mode sweeps never build
+        the polynomial."""
         code = main(
             ["sweep-disk", "--layers", "25", "--ratio", "0.8", "--n", "1", "--L", "1",
-             "--out", str(tmp_path)]
+             "--out", str(tmp_path / "sweep")]
         )
-        assert code == 1
+        assert code == 0
+        xi = [str(25.0 * 0.8**k) for k in range(25)]
+        assert main(["charpoly", "--xi", *xi, "--n", "1", "--out", str(tmp_path / "cp")]) == 1
         assert "error: N=25 exceeds the enumeration cap 24" in capsys.readouterr().err
 
 
@@ -352,10 +370,10 @@ CSV_TEXTS = [
         "# config-sha256: 31e592117e92a889432eba09b1eaf13f91e48d5a1505ed88d5725eb85de4f71e\n"
         "# tolerances: bound=1e-10 cross=1e-08 imag=1.0000000000000001e-09\n"
         "parity,rank,lambda,sigma1,omega\n"
-        "even,1,0.15699672147462615,-1.9154240283042208,\n"
-        "even,2,-0.21550654364856536,-0.39761125719511098,\n"
-        "odd,1,0.21550654364856536,-2.515019335856711,\n"
-        "odd,2,-0.15699672147462615,-0.52207761060893043,\n",
+        "even,1,0.15699672147462607,-1.9154240283042199,\n"
+        "even,2,-0.21550654364856542,-0.39761125719511087,\n"
+        "odd,1,0.21550654364856542,-2.5150193358567119,\n"
+        "odd,2,-0.15699672147462607,-0.52207761060893076,\n",
     ),
     (
         ["charpoly", "--xi", "2", "1", "--n", "1", "--span-points", "3"],
@@ -427,8 +445,9 @@ CSV_TEXTS = [
 class TestCsvText:
     """Pins every byte of each CSV kind: metadata header, mixed str/int/float
     columns, a blank omega column, and both field layouts in x1-major order.
-    The texts are those the earlier row-by-row writer produced; their last
-    digits are float64 results of this numpy/LAPACK build."""
+    The texts are those the earlier row-by-row writer produced, except the
+    modes values, which are the eigenvalue route's; their last digits are
+    float64 results of this numpy/LAPACK build."""
 
     @pytest.mark.parametrize(
         "argv,name,text", CSV_TEXTS,
@@ -441,6 +460,26 @@ class TestCsvText:
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 0
         assert (out / name).read_text() == text
+
+    def test_modes_text_at_roundoff(self):
+        """The pinned modes.csv values sit within 2 ulp of the 60-digit roots.
+        So did the companion-route values pinned before them (0.4-1.3 ulp,
+        against 1.6-1.8 ulp here): on this two-layer stack both routes are
+        at roundoff, and neither is closer for every value."""
+        pytest.importorskip("mpmath")
+        from oracles import precise_roots
+
+        from plasmonstack.geometry import LayerStack
+
+        rows = [line.split(",") for line in CSV_TEXTS[0][2].splitlines()[4:]]
+        companion = {"even": [0.15699672147462615, -0.21550654364856536],
+                     "odd": [0.21550654364856536, -0.15699672147462615]}
+        stack = LayerStack(R=1.0, xi=(2.0, 1.0))
+        for parity, old in companion.items():
+            new = [float(r[2]) for r in rows if r[0] == parity]
+            for value, old_value, root in zip(new, old, precise_roots(stack, 1, parity, new)):
+                assert abs(value - root) <= 2 * np.spacing(abs(value))
+                assert abs(old_value - root) <= 2 * np.spacing(abs(old_value))
 
     def test_writer_columns(self, tmp_path):
         from plasmonstack.output import write_csv
@@ -493,8 +532,9 @@ class TestWorkCounts:
         cfg = runconfig.normalize("charpoly", PRESETS["fig5"].config)
         runners.run_charpoly(cfg)
         assert len(calls) == 1
+        # modes certifies with the O(N) Sturm count and never enumerates
         spectrum.modes(runners._stack(cfg), cfg["n"])
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_bie_assembles_once_per_node_count(self, monkeypatch):
         np_calls = _count_calls(monkeypatch, bie, "assemble_block_np")

@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from plasmonstack.charpoly import build_charpoly
 from plasmonstack.errors import CrossValidationError
 from plasmonstack.geometry import LayerStack
 from plasmonstack.materials import DrudeParams
 from plasmonstack.npcore import EVEN, ODD
 from plasmonstack.spectrum import (
+    BOUND_SLACK,
+    CROSS_ROUTE_TOL,
+    _certify,
     disk_degeneration_sweep,
     geometric_stack,
-    mode_to_material,
     modes,
     verify_root_symmetry,
 )
 from table_data import TABLE1_LAMBDA_EVEN, TABLE1_SIGMA_ODD
 
 from conftest import random_stack
+from oracles import mode_to_material
 
 
 class TestModes:
@@ -29,7 +33,7 @@ class TestModes:
 
     def test_mode_count_and_order(self, rng):
         for _ in range(10):
-            stack = random_stack(rng, max_layers=9)
+            stack = random_stack(rng, max_layers=60)
             n = int(rng.integers(1, 9))
             ms = modes(stack, n)
             for parity in (EVEN, ODD):
@@ -53,10 +57,88 @@ class TestModes:
             modes(stack, 1, cross_tol=1e-18)
 
     def test_spectral_bound_enforced(self, rng):
-        stack = random_stack(rng, max_layers=8)
+        stack = random_stack(rng, max_layers=60)
         ms = modes(stack, 2)
         for parity in (EVEN, ODD):
             assert np.abs(ms.lambdas(parity)).max() <= 0.5 + 1e-10
+
+
+    def test_beyond_enumeration_cap(self):
+        stack = geometric_stack(25, 25.0, 0.8)
+        ms = modes(stack, 1)
+        assert ms.lambdas(EVEN).size == ms.lambdas(ODD).size == 25
+        assert verify_root_symmetry(ms) < 1e-10
+
+    @pytest.mark.parametrize(
+        "stack,n",
+        [
+            (LayerStack(R=1.0, xi=tuple(float(16 - i) for i in range(1, 16))), 1),
+            (LayerStack(R=1.0, xi=tuple(16.0 * 0.8**i for i in range(16))), 2),
+        ],
+        ids=["table1", "table2"],
+    )
+    def test_closer_to_precise_roots_than_companion(self, stack, n):
+        """On the paper's tables the returned values are at least as close
+        to 60-digit roots as the companion-matrix roots of the exact
+        polynomial, in the worst value of each parity."""
+        pytest.importorskip("mpmath")
+        from oracles import precise_roots
+
+        ms = modes(stack, n)
+        polys = build_charpoly(stack, n)
+        for parity in (EVEN, ODD):
+            values = ms.lambdas(parity)
+            companion = np.sort(polys[parity].roots().real)[::-1]
+            roots = precise_roots(stack, n, parity, values)
+            worst = max(abs(v - r) for v, r in zip(values, roots))
+            worst_companion = max(abs(v - r) for v, r in zip(companion, roots))
+            assert worst <= worst_companion
+
+
+TABLE1_STACK = LayerStack(R=1.0, xi=tuple(float(16 - i) for i in range(1, 16)))
+
+
+class TestCertificate:
+    """The Sturm-count certificate on doctored values of the table1 stack."""
+
+    @staticmethod
+    def values(parity):
+        return modes(TABLE1_STACK, 1).lambdas(parity).copy()
+
+    def certify(self, parity, values):
+        _certify(TABLE1_STACK, 1, parity, values, CROSS_ROUTE_TOL, BOUND_SLACK)
+
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    def test_accepts_eigenvalues(self, parity):
+        self.certify(parity, self.values(parity))
+
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    @pytest.mark.parametrize("index", [0, 7, 14])
+    def test_moved_value(self, parity, index):
+        values = self.values(parity)
+        values[index] += 10 * CROSS_ROUTE_TOL
+        with pytest.raises(CrossValidationError, match="route disagreement"):
+            self.certify(parity, values)
+
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    @pytest.mark.parametrize("replacement", ["gap", "duplicate"])
+    def test_dropped_and_replaced_value(self, parity, replacement):
+        values = self.values(parity)
+        # value 5 is dropped; a value between two others or a copy of value 4 stands in
+        values[5] = (values[1] + values[2]) / 2 if replacement == "gap" else values[4]
+        with pytest.raises(CrossValidationError, match="route disagreement"):
+            self.certify(parity, np.sort(values)[::-1])
+
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    def test_value_outside_bound(self, parity):
+        values = self.values(parity)
+        values[0] = 0.5 + 2 * BOUND_SLACK
+        with pytest.raises(CrossValidationError, match="spectral interval"):
+            self.certify(parity, values)
+        values = self.values(parity)
+        values[-1] = -0.5 - 2 * BOUND_SLACK
+        with pytest.raises(CrossValidationError, match="spectral interval"):
+            self.certify(parity, values)
 
 
 class TestRootSymmetry:
@@ -73,7 +155,7 @@ class TestRootSymmetry:
 
     def test_random_configs(self, rng):
         for _ in range(25):
-            stack = random_stack(rng, max_layers=12)
+            stack = random_stack(rng, max_layers=60)
             n = int(rng.integers(1, 9))
             assert verify_root_symmetry(modes(stack, n)) < 1e-10
 
