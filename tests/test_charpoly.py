@@ -145,6 +145,16 @@ class TestSturmCount:
         with pytest.raises(ValueError):
             sturm_count(stack, 0.0, 1, "both")
 
+    @pytest.mark.parametrize("parity,sign", [(EVEN, -1.0), (ODD, 1.0)])
+    def test_exact_zero_ratio(self, parity, sign):
+        # at this probe q_2 = D_2 is exactly 0; the count steps over it
+        # without dividing by zero
+        stack = LayerStack(R=1.0, xi=(2.0, 1.0))
+        probe = sign * 0.5 * math.exp(-2.0)
+        eigs = np.linalg.eigvals(-build_np(stack, 1, parity)).real
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            assert sturm_count(stack, probe, 1, parity) == (eigs < probe).sum()
+
     def test_random_stacks(self):
         rng = np.random.default_rng(61)
         for _ in range(60):
