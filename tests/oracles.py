@@ -9,7 +9,7 @@ import numpy as np
 from plasmonstack.charpoly import CharPoly, build_charpoly
 from plasmonstack.geometry import LayerStack
 from plasmonstack.materials import resonant_frequency, sigma_from_lambda
-from plasmonstack.npcore import EVEN, _check_parity
+from plasmonstack.npcore import EVEN
 from plasmonstack.spectrum import PlasmonMode
 
 
@@ -90,7 +90,6 @@ def precise_roots(stack: LayerStack, n, parity, guesses, digits=60):
     of the guess."""
     import mpmath as mp
 
-    _check_parity(parity)
     with mp.workdps(digits):
         xi = [mp.mpf(x) for x in stack.xi]
         diag = 1 if parity == EVEN else -1

@@ -10,7 +10,10 @@ import pytest
 from plasmonstack import bie, charpoly, field, output, runconfig, runners, spectrum
 from plasmonstack.cli import main
 from plasmonstack.errors import ContrastError
+from plasmonstack.geometry import LayerStack
 from plasmonstack.presets import PRESETS
+
+from oracles import precise_roots
 
 
 def read_csv(path):
@@ -463,14 +466,11 @@ class TestCsvText:
 
     def test_modes_text_at_roundoff(self):
         """The pinned modes.csv values sit within 2 ulp of the 60-digit roots.
-        So did the companion-route values pinned before them (0.4-1.3 ulp,
-        against 1.6-1.8 ulp here): on this two-layer stack both routes are
-        at roundoff, and neither is closer for every value."""
+        So did the companion-route values pinned before them, which were
+        closer on this two-layer stack (0.4-1.3 ulp against 1.6-1.8 ulp):
+        here both routes are at roundoff.  On the paper's tables the
+        eigenvalue route is the closer one (see test_spectrum)."""
         pytest.importorskip("mpmath")
-        from oracles import precise_roots
-
-        from plasmonstack.geometry import LayerStack
-
         rows = [line.split(",") for line in CSV_TEXTS[0][2].splitlines()[4:]]
         companion = {"even": [0.15699672147462615, -0.21550654364856536],
                      "odd": [0.21550654364856536, -0.15699672147462615]}

