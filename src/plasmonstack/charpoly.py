@@ -146,7 +146,7 @@ def sturm_count(stack: LayerStack, lam, n, parity):
 
         q_k = lam_k (1 - E_k) - (lam^2 - 1/4) E_k / q_{k+1},
 
-    which cannot under- or overflow the way D_k itself does for large N.
+    which stays in range where D_k itself under- or overflows for large N.
     An exact zero q_k is replaced by the smallest normal float, as if lam
     were moved by a rounding error.
 
