@@ -171,7 +171,7 @@ def sturm_count(stack: LayerStack, lam, n, parity):
     lam = np.asarray(lam, dtype=float)
     probes = lam.reshape(-1)
     diag_sign = 1.0 if parity == EVEN else -1.0
-    # row j holds the factors of q_{N-j}, j = 1..N-1, for every probe
+    # row j of q holds q_{N-j} at every probe; row j - 1 of a and c builds it
     k = np.arange(N - 1, 0, -1)
     E = np.exp(2.0 * n * (xi[k] - xi[k - 1]))
     lam_sign = np.where(k % 2 == 1, 1.0, -1.0)  # lam_k = (-1)^(k-1) lam
@@ -182,6 +182,6 @@ def sturm_count(stack: LayerStack, lam, n, parity):
     for j in range(1, N):
         prev = q[j - 1]
         np.subtract(a[j - 1], c[j - 1] / np.where(prev == 0.0, _TINY, prev), out=q[j])
-    q[1::2] *= -1.0
+    q[1::2] *= -1.0  # now q[j] < 0 marks a sign change between entries j and j + 1
     changes = np.count_nonzero(q < 0, axis=0)
     return (changes if N % 2 == 0 else N - changes).reshape(lam.shape)
