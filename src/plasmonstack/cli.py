@@ -97,7 +97,9 @@ def _print_mode_table(payload):
         rows = payload[parity]
         print(f"f{tag}  (n={payload['n']})")
         print("lambda_" + tag + " : " + " ".join(f"{r['lambda']:8.4f}" for r in rows))
-        print("sigma_1  : " + " ".join(f"{r['sigma1']:8.4f}" for r in rows))
+        # lambda = 1/2 has no finite resonant conductivity (sigma1 is None)
+        sigmas = ("--" if r["sigma1"] is None else f"{r['sigma1']:.4f}" for r in rows)
+        print("sigma_1  : " + " ".join(f"{s:>8}" for s in sigmas))
 
 
 def _run_command(command, cfg):

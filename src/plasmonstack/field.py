@@ -7,9 +7,11 @@ densities solve M phi = n a (s or c) per (n, parity), and the perturbation
 u - H in region l (0 = exterior, N = core) is a combination of cosh(n xi)
 (or sinh) and exp(-n xi) angular harmonics with region-dependent weights
 built from prefix/suffix sums of the density solution.  Gradients are
-assembled from analytic elliptic-coordinate partials and the chain rule;
-grid evaluation shares one density solve across all points of a field and
-one coordinate map across all fields on the same grid.
+assembled from analytic elliptic-coordinate partials and the chain rule.
+Single points and grids share one evaluator of the region formulas, which
+takes elliptic coordinates and regions of any shape; grid evaluation shares
+one density solve across all points of a field and one coordinate map
+across all fields on the same grid.
 """
 
 from __future__ import annotations
@@ -25,6 +27,14 @@ from .npcore import EVEN, ODD, PARITIES, gpm_entries, single_layer_action
 CONDITION_LIMIT = 1e14
 RESIDUAL_TOL = 1e-10
 INTERFACE_SNAP = 1e-12
+
+#: Per parity, the order-n harmonic cosh(n xi) cos(n eta) (even) or
+#: sinh(n xi) sin(n eta) (odd) as (radial, d radial, angular, d angular),
+#: functions of n xi (radial) and n eta (angular).
+_HARMONIC = {
+    EVEN: (np.cosh, np.sinh, np.cos, lambda t: -np.sin(t)),
+    ODD: (np.sinh, np.cosh, np.sin, np.cos),
+}
 
 
 @dataclass(frozen=True)
@@ -125,7 +135,7 @@ def solve_densities(
                 n=n,
                 parity=parity,
             )
-        rhs = n * a * (np.sinh(n * xi) if parity == EVEN else np.cosh(n * xi))
+        rhs = n * a * _HARMONIC[parity][1](n * xi)
         vec = np.linalg.solve(M, rhs)
         res = np.linalg.norm(M @ vec - rhs) / np.linalg.norm(rhs)
         if res > residual_tol:
@@ -150,7 +160,7 @@ def _region_weights(stack, densities, n, parity):
     v = densities.phi[(n, parity)] / n
     xi = stack.xi_array
     outer = np.exp(-n * xi) * v
-    inner = (np.cosh(n * xi) if parity == EVEN else np.sinh(n * xi)) * v
+    inner = _HARMONIC[parity][0](n * xi) * v
     prefix = np.concatenate([[0.0], np.cumsum(outer)])
     suffix = np.concatenate([np.cumsum(inner[::-1])[::-1], [0.0]])
     return prefix, suffix
@@ -168,22 +178,27 @@ def _resolve_region(stack, xi, region):
     return region_index(stack, xi)
 
 
-def _component_value(prefix, suffix, n, parity, xi, eta, l):
-    if parity == EVEN:
-        radial = np.cosh(n * xi) * prefix[l] + np.exp(-n * xi) * suffix[l]
-        return -np.cos(n * eta) * radial
-    radial = np.sinh(n * xi) * prefix[l] + np.exp(-n * xi) * suffix[l]
-    return -np.sin(n * eta) * radial
+def _potential(stack, densities, H, xi, eta, l):
+    """u - H at elliptic points (xi, eta) in regions l, all of one shape
+    (scalars for a point, arrays for a grid)."""
+    total = np.zeros(np.shape(xi), dtype=complex)
+    for n, parity, _a in H.components():
+        prefix, suffix = _region_weights(stack, densities, n, parity)
+        radial, _, angular, _ = _HARMONIC[parity]
+        total -= angular(n * eta) * (radial(n * xi) * prefix[l] + np.exp(-n * xi) * suffix[l])
+    return total
 
 
-def _component_partials(prefix, suffix, n, parity, xi, eta, l):
-    """(d/dxi, d/deta) of one background component's perturbation."""
-    if parity == EVEN:
-        d_xi = -n * np.cos(n * eta) * (np.sinh(n * xi) * prefix[l] - np.exp(-n * xi) * suffix[l])
-        d_eta = n * np.sin(n * eta) * (np.cosh(n * xi) * prefix[l] + np.exp(-n * xi) * suffix[l])
-    else:
-        d_xi = -n * np.sin(n * eta) * (np.cosh(n * xi) * prefix[l] - np.exp(-n * xi) * suffix[l])
-        d_eta = -n * np.cos(n * eta) * (np.sinh(n * xi) * prefix[l] + np.exp(-n * xi) * suffix[l])
+def _partials(stack, densities, H, xi, eta, l):
+    """(d/dxi, d/deta) of u - H at elliptic points, shaped as in :func:`_potential`."""
+    d_xi = np.zeros(np.shape(xi), dtype=complex)
+    d_eta = np.zeros(np.shape(xi), dtype=complex)
+    for n, parity, _a in H.components():
+        prefix, suffix = _region_weights(stack, densities, n, parity)
+        radial, d_radial, angular, d_angular = _HARMONIC[parity]
+        decay = np.exp(-n * xi) * suffix[l]
+        d_xi += -n * angular(n * eta) * (d_radial(n * xi) * prefix[l] - decay)
+        d_eta += -n * d_angular(n * eta) * (radial(n * xi) * prefix[l] + decay)
     return d_xi, d_eta
 
 
@@ -196,11 +211,7 @@ def perturbed_potential(stack, lam, H, point: EllipticPoint, *, region=None, den
     if densities is None:
         densities = solve_densities(stack, lam, H)
     l = _resolve_region(stack, point.xi, region)
-    total = 0.0j
-    for n, parity, a in H.components():
-        prefix, suffix = _region_weights(stack, densities, n, parity)
-        total += _component_value(prefix, suffix, n, parity, point.xi, point.eta, l)
-    return complex(total)
+    return complex(_potential(stack, densities, H, point.xi, point.eta, l))
 
 
 def perturbed_gradient(stack, lam, H, point: EllipticPoint, *, region=None, densities=None):
@@ -213,13 +224,7 @@ def perturbed_gradient(stack, lam, H, point: EllipticPoint, *, region=None, dens
     if densities is None:
         densities = solve_densities(stack, lam, H)
     l = _resolve_region(stack, point.xi, region)
-    d_xi = 0.0j
-    d_eta = 0.0j
-    for n, parity, a in H.components():
-        prefix, suffix = _region_weights(stack, densities, n, parity)
-        p_xi, p_eta = _component_partials(prefix, suffix, n, parity, point.xi, point.eta, l)
-        d_xi += p_xi
-        d_eta += p_eta
+    d_xi, d_eta = _partials(stack, densities, H, point.xi, point.eta, l)
     return np.array(_elliptic_to_cartesian_gradient(d_xi, d_eta, point.xi, point.eta, stack.R))
 
 
@@ -237,9 +242,9 @@ def _elliptic_to_cartesian_gradient(d_xi, d_eta, xi, eta, R):
 def background_potential(H: BackgroundField, point: EllipticPoint):
     """Value of the background potential H at a point."""
     total = 0.0j
-    for n, a_c, a_s in H.terms:
-        total += a_c * np.cosh(n * point.xi) * np.cos(n * point.eta)
-        total += a_s * np.sinh(n * point.xi) * np.sin(n * point.eta)
+    for n, parity, a in H.components():
+        radial, _, angular, _ = _HARMONIC[parity]
+        total += a * radial(n * point.xi) * angular(n * point.eta)
     return complex(total)
 
 
@@ -247,11 +252,10 @@ def background_gradient(H: BackgroundField, point: EllipticPoint, R):
     """Cartesian gradient of the background potential at a point."""
     d_xi = 0.0j
     d_eta = 0.0j
-    for n, a_c, a_s in H.terms:
-        d_xi += n * (a_c * np.sinh(n * point.xi) * np.cos(n * point.eta)
-                     + a_s * np.cosh(n * point.xi) * np.sin(n * point.eta))
-        d_eta += n * (-a_c * np.cosh(n * point.xi) * np.sin(n * point.eta)
-                      + a_s * np.sinh(n * point.xi) * np.cos(n * point.eta))
+    for n, parity, a in H.components():
+        radial, d_radial, angular, d_angular = _HARMONIC[parity]
+        d_xi += n * a * d_radial(n * point.xi) * angular(n * point.eta)
+        d_eta += n * a * radial(n * point.xi) * d_angular(n * point.eta)
     return np.array(_elliptic_to_cartesian_gradient(d_xi, d_eta, point.xi, point.eta, R))
 
 
@@ -280,10 +284,8 @@ def density_summation_potential(stack, lam, H, point: EllipticPoint, *, densitie
         densities = solve_densities(stack, lam, H)
     total = 0.0j
     for n, parity, a in H.components():
-        vec = densities.phi[(n, parity)]
-        angular = np.cos(n * point.eta) if parity == EVEN else np.sin(n * point.eta)
-        for k in range(stack.N):
-            total += vec[k] * single_layer_action(n, parity, stack.xi[k], point.xi) * angular
+        coeffs = densities.phi[(n, parity)] * single_layer_action(n, parity, stack.xi_array, point.xi)
+        total += coeffs.sum() * _HARMONIC[parity][2](n * point.eta)
     return complex(total)
 
 
@@ -349,19 +351,10 @@ def _grid_values(stack, lam, H, XI, ETA, L, normalize, quantity):
     one field are released before the next field is evaluated."""
     densities = solve_densities(stack, lam, H)
     if quantity == "potential":
-        values = np.zeros(XI.shape, dtype=complex)
-        for n, parity, _a in H.components():
-            prefix, suffix = _region_weights(stack, densities, n, parity)
-            values += _component_value(prefix, suffix, n, parity, XI, ETA, L)
+        values = _potential(stack, densities, H, XI, ETA, L)
         norm_source = np.abs(values.real)
     else:
-        d_xi = np.zeros(XI.shape, dtype=complex)
-        d_eta = np.zeros(XI.shape, dtype=complex)
-        for n, parity, _a in H.components():
-            prefix, suffix = _region_weights(stack, densities, n, parity)
-            p_xi, p_eta = _component_partials(prefix, suffix, n, parity, XI, ETA, L)
-            d_xi += p_xi
-            d_eta += p_eta
+        d_xi, d_eta = _partials(stack, densities, H, XI, ETA, L)
         with np.errstate(divide="ignore", invalid="ignore"):
             gx, gy = _elliptic_to_cartesian_gradient(d_xi, d_eta, XI, ETA, stack.R)
         values = np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import charpoly as cp
-from .errors import CrossValidationError
+from .errors import ContrastError, CrossValidationError
 from .geometry import LayerStack
 from .materials import sigma_from_lambda
 from .npcore import EVEN, ODD, PARITIES, build_np
@@ -33,12 +33,16 @@ BOUND_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class PlasmonMode:
-    """One resonance: contrast value, parity, order, resonant shell conductivity."""
+    """One resonance: contrast value, parity, order, resonant shell conductivity.
+
+    ``sigma1_resonant`` is None for lambda = 1/2, which no finite shell
+    conductivity realizes.
+    """
 
     lambda_root: float
     parity: str
     n: int
-    sigma1_resonant: float
+    sigma1_resonant: float | None
     rank: int  # 1-based index in descending lambda order within the parity
 
 
@@ -61,6 +65,13 @@ class ModeSet:
 
     def lambdas(self, parity):
         return np.array([m.lambda_root for m in self.modes(parity)])
+
+
+def _resonant_sigma(lam, sigma0):
+    try:
+        return float(sigma_from_lambda(lam, sigma0))
+    except ContrastError:  # lambda = 1/2: infinite conductivity
+        return None
 
 
 def _real_sorted_descending(values, imag_tol, what):
@@ -143,7 +154,7 @@ def modes(
                 lambda_root=float(lam),
                 parity=parity,
                 n=n,
-                sigma1_resonant=float(sigma_from_lambda(float(lam), sigma0)),
+                sigma1_resonant=_resonant_sigma(float(lam), sigma0),
                 rank=rank,
             )
             for rank, lam in enumerate(values, start=1)

@@ -1,7 +1,9 @@
 """Reference implementations that only the tests call: exact integer
-combination sums, the asymptotic limit polynomials, the mode-to-material
-mapping, and high-precision mode values."""
+combination sums, the asymptotic limit polynomials, the hyperbolic
+structure vectors, the mode-to-material mapping, and high-precision mode
+values."""
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,6 +70,29 @@ def thin_strip_limit(N, sign):
     if N % 2:
         coeffs = np.convolve(coeffs, [1.0, -sign * 0.5])
     return coeffs
+
+
+@dataclass(frozen=True, eq=False)
+class StructureVectors:
+    """Hyperbolic structure vectors of a stack at order n.
+
+    s_k = sinh(n xi_k), c_k = cosh(n xi_k), and the alternating-sign
+    variants s_alt_k = (-1)^k s_k, c_alt_k = (-1)^k c_k (0-indexed k).
+    """
+
+    n: int
+    s: np.ndarray
+    c: np.ndarray
+    s_alt: np.ndarray
+    c_alt: np.ndarray
+
+
+def structure_vectors(stack: LayerStack, n: int) -> StructureVectors:
+    xi = stack.xi_array
+    signs = (-1.0) ** np.arange(stack.N)
+    s = np.sinh(n * xi)
+    c = np.cosh(n * xi)
+    return StructureVectors(n=n, s=s, c=c, s_alt=signs * s, c_alt=signs * c)
 
 
 def mode_to_material(mode: PlasmonMode, sigma0: float, drude=None):

@@ -89,6 +89,19 @@ class TestModesCommand:
         printed = capsys.readouterr().out
         assert "0.3205" in printed and "-4.5699" in printed
 
+    def test_mode_at_half_leaves_sigma1_blank(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["modes", "--xi", "1e-17", "--n", "1", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out / "modes.csv")
+        assert rows[0][:4] == ["even", "1", "0.5", ""]
+        payload = json.loads((out / "modes.json").read_text())["payload"]
+        assert payload["even"][0]["sigma1"] is None
+
+    def test_mode_at_half_table_placeholder(self, tmp_path, capsys):
+        assert main(["modes", "--xi", "1e-17", "--n", "1", "--out", str(tmp_path), "--table"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["f+  (n=1)", "lambda_+ :   0.5000", "sigma_1  :       --"]
+
     def test_layers_contradiction(self, tmp_path):
         assert main(["modes", "--layers", "2", "--xi", "1", "--n", "1", "--out", str(tmp_path)]) == 1
 

@@ -20,8 +20,10 @@ from plasmonstack.field import (
 )
 from plasmonstack.geometry import EllipticPoint, LayerStack, cartesian_to_elliptic
 from plasmonstack.materials import sigma_from_lambda
-from plasmonstack.npcore import EVEN, ODD, build_np, structure_vectors
+from plasmonstack.npcore import EVEN, ODD, build_np
 from plasmonstack.spectrum import modes
+
+from oracles import structure_vectors
 
 STACK = LayerStack(R=1.0, xi=(1.4, 1.0, 0.7, 0.4))
 LAM = 0.17 + 1e-3j
@@ -291,6 +293,36 @@ class TestFieldGrid:
                 signs = np.sign(vals)
                 crossings = int(np.sum(signs != np.roll(signs, 1)))
                 assert crossings == 2 * n, (parity, rank, crossings)
+
+    @pytest.mark.parametrize(
+        "H",
+        [
+            BackgroundField.single(2, EVEN, 1.0),
+            BackgroundField.single(3, ODD, 0.5 - 1.0j),
+            BackgroundField(terms=((1, 1.0, 0.5j), (3, -0.4, 0.7), (5, 0.2j, 0.0))),
+        ],
+        ids=["even", "odd", "multi-order"],
+    )
+    def test_grid_matches_point_evaluation(self, H):
+        # 20 x 16 nodes: no node lands on a focal point (x2 = 0 is not sampled)
+        bbox, resolution = (-2.5, 2.5, -2.0, 2.0), (20, 16)
+        sol = solve_densities(STACK, LAM, H)
+        x1 = np.linspace(bbox[0], bbox[1], resolution[0])
+        x2 = np.linspace(bbox[2], bbox[3], resolution[1])
+        XI, ETA = cartesian_to_elliptic(*np.meshgrid(x1, x2, indexing="ij"), STACK.R)
+        off_interface = np.abs(XI[..., None] - STACK.xi_array).min(axis=-1) > 1e-9
+        points = [(i, j, EllipticPoint(xi=float(XI[i, j]), eta=float(ETA[i, j])))
+                  for i, j in zip(*np.nonzero(off_interface))]
+        assert len(points) > 0.9 * XI.size
+        [potential] = field_grid(STACK, [(LAM, H)], bbox, resolution)
+        [gradient] = field_grid(STACK, [(LAM, H)], bbox, resolution, quantity="gradient")
+        for grid, at_point in (
+            (potential, lambda p: perturbed_potential(STACK, LAM, H, p, densities=sol)),
+            (gradient, lambda p: np.linalg.norm(perturbed_gradient(STACK, LAM, H, p, densities=sol))),
+        ):
+            tol = 1e-13 * np.abs(grid.values).max()
+            worst = max(abs(grid.values[i, j] - at_point(p)) for i, j, p in points)
+            assert worst <= tol, (grid.quantity, worst, tol)
 
     def test_gradient_grid_quantity(self):
         H = BackgroundField.single(2, EVEN, 1.0)

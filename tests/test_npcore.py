@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,11 +14,11 @@ from plasmonstack.npcore import (
     gpm_entries,
     normal_derivative_action,
     single_layer_action,
-    structure_vectors,
 )
 from table_data import TABLE1_LAMBDA_EVEN
 
 from conftest import random_stack
+from oracles import structure_vectors
 
 
 class TestSingleLayerAction:
@@ -76,6 +77,28 @@ class TestNormalDerivativeAction:
             math.sinh(n * src) / math.exp(n * 2.2),
             rtol=1e-14,
         )
+
+
+class TestArrayRadii:
+    @pytest.mark.parametrize("action", [single_layer_action, normal_derivative_action])
+    def test_elementwise_equals_scalar_calls(self, rng, action):
+        source = rng.uniform(0.05, 3.0, size=6)
+        # evaluation radii on both sides of every source, on two of them and at 0
+        evals = np.concatenate([rng.uniform(0.0, 3.5, size=6), source[:2], [0.0]])
+        for n in (1, 4, 300):
+            for parity in (EVEN, ODD):
+                table = action(n, parity, source[None, :], evals[:, None])
+                assert table.shape == (evals.size, source.size)
+                for (i, e), (j, s) in itertools.product(enumerate(evals), enumerate(source)):
+                    assert table[i, j] == action(n, parity, float(s), float(e))
+
+    @pytest.mark.parametrize("action", [single_layer_action, normal_derivative_action])
+    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    def test_nonpositive_source_in_array_rejected(self, action, bad):
+        with pytest.raises(ValueError):
+            action(1, EVEN, np.array([1.0, bad, 2.0]), 0.5)
+        with pytest.raises(ValueError):
+            action(2, ODD, np.array([[1.0], [bad]]), np.array([0.5, 0.7]))
 
 
 class TestGPM:

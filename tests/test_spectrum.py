@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from plasmonstack.charpoly import build_charpoly
 from plasmonstack.errors import CrossValidationError
 from plasmonstack.geometry import LayerStack
-from plasmonstack.materials import DrudeParams
+from plasmonstack.materials import DrudeParams, sigma_from_lambda
 from plasmonstack.npcore import EVEN, ODD
 from plasmonstack.spectrum import (
     BOUND_SLACK,
@@ -52,6 +52,21 @@ class TestModes:
         sig_odd = [m.sigma1_resonant for m in ms.odd_modes]
         rel = np.abs((np.array(sig_odd) - TABLE1_SIGMA_ODD) / np.array(TABLE1_SIGMA_ODD))
         assert rel.max() < 5e-4
+
+    @pytest.mark.parametrize(
+        "stack, n",
+        [(LayerStack(R=1.0, xi=(1e-17,)), 1), (geometric_stack(40, 0.5, 0.6), 4)],
+        ids=["single-layer", "geometric-40"],
+    )
+    def test_mode_at_half_has_no_sigma(self, stack, n):
+        """A mode at exactly lambda = 1/2 keeps its mode set; only its
+        resonant conductivity, which would be infinite, is None."""
+        ms = modes(stack, n)
+        at_half = [m for m in ms.even_modes + ms.odd_modes if m.lambda_root == 0.5]
+        assert at_half and all(m.sigma1_resonant is None for m in at_half)
+        for m in ms.even_modes + ms.odd_modes:
+            if m.lambda_root != 0.5:
+                assert m.sigma1_resonant == sigma_from_lambda(m.lambda_root, 1.0)
 
     def test_cross_validation_gate(self):
         stack = LayerStack(R=1.0, xi=(2.0, 1.0))
