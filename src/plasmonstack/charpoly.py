@@ -1,6 +1,6 @@
 """Characteristic polynomials of the mode problem: exact combinatorial
-coefficients, the two-term determinant recursion, and the Sturm count of
-its roots taken from that recursion.
+coefficients, and the Sturm count of their roots taken from the two-term
+determinant recursion.
 
 The degree-N polynomial for an N-layer stack at Fourier order n is
 
@@ -14,8 +14,9 @@ contribute xi_{i_even} - xi_{i_odd} < 0), so each of the up-to-2^N terms
 has magnitude <= 1 and coefficient accumulation cannot overflow; terms are
 summed with compensated (Shewchuk) summation.  The even-parity polynomial
 uses s = +1, the odd one s = -1, so the two differ only by (-1)^k on c_k.
-The coefficients serve the ``charpoly`` command; mode computation needs
-only the O(N) recursion (:func:`sturm_count`).
+The coefficients serve the ``charpoly`` command, whose fig5 and fig8
+fixtures pin the enumerated values; mode computation needs only the O(N)
+recursion, in the ratio form of :func:`sturm_count`.
 """
 
 from __future__ import annotations
@@ -39,20 +40,14 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True, eq=False)
 class CharPoly:
-    """Monic characteristic polynomial with coefficient provenance.
+    """Monic characteristic polynomial of one parity.
 
     ``coeffs[k]`` multiplies lambda^(N-k); ``coeffs[0] == 1``.  ``sign`` is
     +1 for the even-parity polynomial and -1 for the odd one.
     """
 
     sign: int
-    n: int
-    xi: tuple
     coeffs: np.ndarray
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
 
     @property
     def parity(self):
@@ -102,38 +97,8 @@ def build_charpoly(stack: LayerStack, n) -> dict:
     polys = {}
     for parity, sign in ((EVEN, +1), (ODD, -1)):
         coeffs = np.array([s_k / (sign * 2.0) ** k for k, s_k in enumerate(sums)])
-        polys[parity] = CharPoly(sign=sign, n=n, xi=stack.xi, coeffs=coeffs)
+        polys[parity] = CharPoly(sign=sign, coeffs=coeffs)
     return polys
-
-
-def recursion_determinant(stack: LayerStack, lam, n, parity, i=1):
-    """Determinant of the trailing (i..N, i..N) block of the order-n GPM via
-    the two-term recursion
-
-        D_i = (lam_i + lam_{i+1} E_i) D_{i+1} - (lam_{i+1}^2 - 1/4) E_i D_{i+2},
-
-    with E_i = exp(2 n (xi_{i+1} - xi_i)), lam_k = (-1)^(k-1) lam, D_{N+1} = 1
-    and D_N = lam_N -+ (2 e^{2 n xi_N})^-1.  For i = 1 this equals the full
-    determinant, i.e. (-1)^floor(N/2) times the characteristic polynomial.
-    """
-    _check_order(n)
-    _check_parity(parity)
-    N = stack.N
-    if not 1 <= i <= N:
-        raise ValueError(f"block start must satisfy 1 <= i <= {N}, got {i}")
-    xi = stack.xi
-    diag_sign = 1.0 if parity == EVEN else -1.0
-
-    def lam_k(k):  # 1-indexed alternation
-        return lam if k % 2 == 1 else -lam
-
-    d_after = 1.0 + 0.0 * lam  # promotes to complex with lam
-    d_cur = lam_k(N) - diag_sign * 0.5 * math.exp(-2.0 * n * xi[N - 1])
-    for k in range(N - 1, i - 1, -1):
-        E = math.exp(2.0 * n * (xi[k] - xi[k - 1]))
-        d_new = (lam_k(k) + lam_k(k + 1) * E) * d_cur - (lam_k(k + 1) ** 2 - 0.25) * E * d_after
-        d_after, d_cur = d_cur, d_new
-    return d_cur
 
 
 def sturm_count(stack: LayerStack, lam, n, parity):
@@ -141,8 +106,13 @@ def sturm_count(stack: LayerStack, lam, n, parity):
     order-n mode values) below each real probe point in ``lam``; an integer
     array of ``lam``'s shape.
 
-    Runs the recursion of :func:`recursion_determinant` once for all probes,
-    in the ratio form q_k = D_k / D_{k+1}, q_N = D_N,
+    The determinants D_k of the trailing (k..N, k..N) blocks of the order-n
+    GPM obey D_k = (lam_k + lam_{k+1} E_k) D_{k+1} - (lam_{k+1}^2 - 1/4) E_k D_{k+2}
+    with E_k = exp(2 n (xi_{k+1} - xi_k)), lam_k = (-1)^(k-1) lam, D_{N+1} = 1
+    and D_N = lam_N -+ exp(-2 n xi_N) / 2 (- for even parity); D_1 is
+    (-1)^floor(N/2) times the characteristic polynomial.  The count runs
+    this recursion for all probes at once, in the ratio form
+    q_k = D_k / D_{k+1}, q_N = D_N,
 
         q_k = lam_k (1 - E_k) - (lam^2 - 1/4) E_k / q_{k+1},
 

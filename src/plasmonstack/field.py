@@ -11,7 +11,8 @@ assembled from analytic elliptic-coordinate partials and the chain rule.
 Single points and grids share one evaluator of the region formulas, which
 takes elliptic coordinates and regions of any shape; grid evaluation shares
 one density solve across all points of a field and one coordinate map
-across all fields on the same grid.
+across all fields on the same grid.  The representation-formula
+cross-check, a sum of single-layer potentials, is a test oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import GeometryError, RegionError, ResonanceError
 from .geometry import EllipticPoint, LayerStack, cartesian_to_elliptic
-from .npcore import EVEN, ODD, PARITIES, gpm_entries, single_layer_action
+from .npcore import EVEN, ODD, PARITIES, gpm_entries
 
 CONDITION_LIMIT = 1e14
 RESIDUAL_TOL = 1e-10
@@ -107,20 +108,13 @@ def region_index(stack: LayerStack, xi):
     return int(idx) if np.ndim(xi) == 0 else idx
 
 
-def solve_densities(
-    stack: LayerStack,
-    lam,
-    H: BackgroundField,
-    *,
-    cond_limit=CONDITION_LIMIT,
-    residual_tol=RESIDUAL_TOL,
-) -> DensitySolution:
+def solve_densities(stack: LayerStack, lam, H: BackgroundField) -> DensitySolution:
     """Solve every needed (n, parity) linear system for the given contrast.
 
     Raises :class:`ResonanceError` when a system is singular or has
-    condition number above ``cond_limit`` (evaluation at a resonance needs a
-    nonzero loss delta = Im lambda to regularize); enforces a relative
-    residual check on each solve.
+    condition number above ``CONDITION_LIMIT`` (evaluation at a resonance
+    needs a nonzero loss delta = Im lambda to regularize), or when a solve's
+    relative residual exceeds ``RESIDUAL_TOL``.
     """
     xi = stack.xi_array
     phi = {}
@@ -128,7 +122,7 @@ def solve_densities(
     for n, parity, a in H.components():
         M = gpm_entries(stack, lam, n, parity)
         cond = np.linalg.cond(M)
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
             raise ResonanceError(
                 f"order-{n} {parity} system is resonance-singular (cond={cond:.3e}); "
                 "supply a nonzero loss parameter",
@@ -138,9 +132,9 @@ def solve_densities(
         rhs = n * a * _HARMONIC[parity][1](n * xi)
         vec = np.linalg.solve(M, rhs)
         res = np.linalg.norm(M @ vec - rhs) / np.linalg.norm(rhs)
-        if res > residual_tol:
+        if res > RESIDUAL_TOL:
             raise ResonanceError(
-                f"order-{n} {parity} solve residual {res:.3e} exceeds {residual_tol:.1e}",
+                f"order-{n} {parity} solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}",
                 n=n,
                 parity=parity,
             )
@@ -271,22 +265,6 @@ def total_gradient(stack, lam, H, point, *, region=None, densities=None):
     return background_gradient(H, point, stack.R) + perturbed_gradient(
         stack, lam, H, point, region=region, densities=densities
     )
-
-
-def density_summation_potential(stack, lam, H, point: EllipticPoint, *, densities=None):
-    """u - H via direct summation of single-layer contributions.
-
-    Independent of the region formula: sums phi_k times the single-layer
-    action of each interface at the evaluation radius.  Used as the
-    representation-formula cross-check.
-    """
-    if densities is None:
-        densities = solve_densities(stack, lam, H)
-    total = 0.0j
-    for n, parity, a in H.components():
-        coeffs = densities.phi[(n, parity)] * single_layer_action(n, parity, stack.xi_array, point.xi)
-        total += coeffs.sum() * _HARMONIC[parity][2](n * point.eta)
-    return complex(total)
 
 
 @dataclass(frozen=True, eq=False)

@@ -84,11 +84,12 @@ def sigma_from_lambda(lam, sigma0):
     """Shell conductivity realizing a given contrast: sigma1 = sigma0 (2 lam + 1)/(2 lam - 1).
 
     Exact inverse of :func:`lambda_from_sigma`.  lam = 1/2 maps to infinite
-    conductivity and is rejected.
+    conductivity and is rejected; lam = -1/2 maps to +0.0, not -0.0.
     """
     if lam == 0.5:
         raise ContrastError("lambda = 1/2 corresponds to infinite conductivity")
-    return sigma0 * (2.0 * lam + 1.0) / (2.0 * lam - 1.0)
+    # adding +0.0 turns -0.0 into 0.0 and leaves every other value unchanged
+    return sigma0 * (2.0 * lam + 1.0) / (2.0 * lam - 1.0) + 0.0
 
 
 def drude_sigma(omega, params):

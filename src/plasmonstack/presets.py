@@ -29,7 +29,6 @@ class Preset:
     name: str
     command: str
     config: dict
-    description: str
 
 
 def _table1_geometry():
@@ -54,31 +53,26 @@ PRESETS = {
         name="table1",
         command="modes",
         config={"geometry": _table1_geometry(), "n": 1, "sigma0": 1.0},
-        description="15-layer equispaced stack, order 1: reference mode table",
     ),
     "table2": Preset(
         name="table2",
         command="modes",
         config={"geometry": _table2_geometry(), "n": 2, "sigma0": 1.0},
-        description="16-layer geometric stack (ratio 0.8), order 2: reference mode table",
     ),
     "fig5": Preset(
         name="fig5",
         command="charpoly",
         config={"geometry": _table1_geometry(), "n": 1, "span_points": 1000},
-        description="characteristic-polynomial coefficients and span values, table1 stack",
     ),
     "fig8": Preset(
         name="fig8",
         command="charpoly",
         config={"geometry": _table2_geometry(), "n": 2, "span_points": 1000},
-        description="characteristic-polynomial coefficients and span values, table2 stack",
     ),
     "fig9": Preset(
         name="fig9",
         command="sweep-disk",
         config={"layers": 17, "ratio": 0.8, "n": 1, "L": [1.0, 2.0, 3.0, 4.0, 5.0]},
-        description="even/odd splitting gap vs scale for a 17-layer geometric stack",
     ),
     "fig10": Preset(
         name="fig10",
@@ -94,7 +88,6 @@ PRESETS = {
             "ranks": [1, 2, 3, 4],
             "parities": ["even", "odd"],
         },
-        description="eight order-6 resonant potential maps on a 4-layer stack",
     ),
     "fig11-analog": Preset(
         name="fig11-analog",
@@ -110,7 +103,6 @@ PRESETS = {
             "ranks": [1, 2, 3, 4, 5, 6, 7, 8],
             "parities": ["even"],
         },
-        description="eight near-circular layers: the concentric-disk mode picture as a confocal limit",
     ),
     "fig12": Preset(
         name="fig12",
@@ -127,13 +119,11 @@ PRESETS = {
             "ranks": [1, 2, 3],
             "parities": ["even", "odd"],
         },
-        description="six order-7 gradient maps on a thin 3-layer stack (vertex localization)",
     ),
     "bie-circle": Preset(
         name="bie-circle",
         command="bie-validate",
         config={"curves": {"type": "polar", "coeffs": [], "scale": 1.3}, "nodes": [64, 128, 256]},
-        description="single circle: closed-form spectra and identities at machine precision",
     ),
     "bie-confocal": Preset(
         name="bie-confocal",
@@ -144,7 +134,6 @@ PRESETS = {
             "match_orders": 6,
             "match_nodes": 384,
         },
-        description="3-layer confocal stack: spectrum containment and identity refinement",
     ),
 }
 

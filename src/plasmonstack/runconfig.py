@@ -99,35 +99,20 @@ def normalize_tolerances(tol, where="tolerances"):
 
 
 def normalize_drude(drude, where="drude"):
-    ranges = {"sigma_prime": POSITIVE, "omega_p": POSITIVE, "tau": NON_NEGATIVE}
-    _check_keys(drude, ranges.keys(), ranges.keys(), where)
-    return {key: _read(drude, key, NUMBER, allowed=allowed, where=where) for key, allowed in ranges.items()}
-
-
-def normalize_material(mat, sigma0=1.0, where="material"):
-    """The material block; its sigma0 defaults to the config's top-level one."""
-    keys = {"sigma0": (sigma0, POSITIVE), "sigma_star": (None, POSITIVE), "delta": (0.0, NON_NEGATIVE)}
-    _check_keys(mat, keys.keys(), {"sigma_star"}, where)
-    return {key: _read(mat, key, NUMBER, default, allowed, where) for key, (default, allowed) in keys.items()}
+    keys = ("sigma_prime", "omega_p")
+    _check_keys(drude, set(keys), set(keys), where)
+    return {key: _read(drude, key, NUMBER, allowed=POSITIVE, where=where) for key in keys}
 
 
 def normalize_modes_config(cfg):
     where = "modes config"
-    _check_keys(cfg, {"geometry", "n", "sigma0", "material", "drude", "tolerances"}, {"geometry", "n"}, where)
+    _check_keys(cfg, {"geometry", "n", "sigma0", "drude", "tolerances"}, {"geometry", "n"}, where)
     out = {
         "geometry": normalize_geometry(cfg["geometry"])[0],
         "n": _read(cfg, "n", INTEGER, allowed=COUNT, where=where),
         "sigma0": _read(cfg, "sigma0", NUMBER, 1.0, POSITIVE, where),
         "tolerances": normalize_tolerances(cfg.get("tolerances", {})),
     }
-    if "material" in cfg:
-        material = out["material"] = normalize_material(cfg["material"], out["sigma0"])
-        if "sigma0" in cfg and material["sigma0"] != out["sigma0"]:
-            raise ConfigError(
-                f"{where}: sigma0 must equal material.sigma0 when both are given, "
-                f"got {out['sigma0']!r} and {material['sigma0']!r}"
-            )
-        out["sigma0"] = material["sigma0"]
     if "drude" in cfg:
         out["drude"] = normalize_drude(cfg["drude"])
     return out

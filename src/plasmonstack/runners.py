@@ -39,10 +39,7 @@ def _gates(cfg):
 def run_modes(cfg):
     stack = _stack(cfg)
     ms = spectrum.modes(stack, cfg["n"], sigma0=cfg["sigma0"], **_gates(cfg))
-    drude = None
-    if "drude" in cfg:
-        d = cfg["drude"]
-        drude = DrudeParams(sigma_prime=d["sigma_prime"], omega_p=d["omega_p"], tau_damp=d["tau"])
+    drude = DrudeParams(**cfg["drude"]) if "drude" in cfg else None
     payload = {"n": cfg["n"], "sigma0": cfg["sigma0"], "layers": stack.N}
     for parity in (EVEN, ODD):
         rows = []
@@ -93,7 +90,8 @@ def run_sweep(cfg):
     L = [p[0] for p in pairs]
     gap = [p[1] for p in pairs]
     min_xi = [l * cfg["layers"] * cfg["ratio"] ** (cfg["layers"] - 1) for l in L]
-    slope = float(np.polyfit(min_xi, np.log(gap), 1)[0]) if len(L) >= 2 else None
+    # a gap that underflows to 0 has no logarithm, so no slope is fitted
+    slope = float(np.polyfit(min_xi, np.log(gap), 1)[0]) if len(L) >= 2 and all(gap) else None
     return {
         "layers": cfg["layers"],
         "ratio": cfg["ratio"],

@@ -180,14 +180,14 @@ def verify_root_symmetry(modeset: ModeSet) -> float:
     return float(np.abs(ev + od[::-1]).max())
 
 
-def geometric_stack(num_layers: int, xi_outer: float, ratio: float, R: float = 1.0) -> LayerStack:
-    """Stack with xi_1 = xi_outer and xi_{i+1} = ratio * xi_i."""
+def geometric_stack(num_layers: int, xi_outer: float, ratio: float) -> LayerStack:
+    """Stack with R = 1, xi_1 = xi_outer and xi_{i+1} = ratio * xi_i."""
     if not 0 < ratio < 1:
         raise ValueError(f"decay ratio must be in (0, 1), got {ratio}")
-    return LayerStack(R=R, xi=tuple(xi_outer * ratio**i for i in range(num_layers)))
+    return LayerStack(R=1.0, xi=tuple(xi_outer * ratio**i for i in range(num_layers)))
 
 
-def disk_degeneration_sweep(num_layers, ratio, n, L_values, sigma0=1.0, **mode_kwargs):
+def disk_degeneration_sweep(num_layers, ratio, n, L_values, **mode_kwargs):
     """Even/odd splitting gap along the scale sweep xi_1 = L * num_layers.
 
     For each L the gap is the Euclidean norm of the difference between the
@@ -200,7 +200,7 @@ def disk_degeneration_sweep(num_layers, ratio, n, L_values, sigma0=1.0, **mode_k
     out = []
     for L in L_values:
         stack = geometric_stack(num_layers, float(L) * num_layers, ratio)
-        ms = modes(stack, n, sigma0=sigma0, **mode_kwargs)
+        ms = modes(stack, n, **mode_kwargs)
         gap = float(np.linalg.norm(ms.lambdas(EVEN) - ms.lambdas(ODD)))
         out.append((float(L), gap))
     return out

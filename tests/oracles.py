@@ -1,17 +1,19 @@
 """Reference implementations that only the tests call: exact integer
-combination sums, the asymptotic limit polynomials, the hyperbolic
-structure vectors, the mode-to-material mapping, and high-precision mode
-values."""
+combination sums, the asymptotic limit polynomials, the determinant
+recursion, the hyperbolic structure vectors, the representation-formula
+potential, the mode-to-material mapping, and high-precision mode values."""
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from plasmonstack.charpoly import CharPoly, build_charpoly
-from plasmonstack.geometry import LayerStack
+from plasmonstack.field import solve_densities
+from plasmonstack.geometry import EllipticPoint, LayerStack
 from plasmonstack.materials import resonant_frequency, sigma_from_lambda
-from plasmonstack.npcore import EVEN
+from plasmonstack.npcore import EVEN, _check_order, _check_parity, single_layer_action
 from plasmonstack.spectrum import PlasmonMode
 
 
@@ -52,7 +54,7 @@ def disk_limit_poly(stack: LayerStack, n) -> CharPoly:
     base = build_charpoly(stack, n)[EVEN]
     coeffs = base.coeffs.copy()
     coeffs[1::2] = 0.0
-    return CharPoly(sign=+1, n=n, xi=stack.xi, coeffs=coeffs)
+    return CharPoly(sign=+1, coeffs=coeffs)
 
 
 def thin_strip_limit(N, sign):
@@ -70,6 +72,36 @@ def thin_strip_limit(N, sign):
     if N % 2:
         coeffs = np.convolve(coeffs, [1.0, -sign * 0.5])
     return coeffs
+
+
+def recursion_determinant(stack: LayerStack, lam, n, parity, i=1):
+    """Determinant of the trailing (i..N, i..N) block of the order-n GPM via
+    the two-term recursion
+
+        D_i = (lam_i + lam_{i+1} E_i) D_{i+1} - (lam_{i+1}^2 - 1/4) E_i D_{i+2},
+
+    with E_i = exp(2 n (xi_{i+1} - xi_i)), lam_k = (-1)^(k-1) lam, D_{N+1} = 1
+    and D_N = lam_N -+ (2 e^{2 n xi_N})^-1.  For i = 1 this equals the full
+    determinant, i.e. (-1)^floor(N/2) times the characteristic polynomial.
+    """
+    _check_order(n)
+    _check_parity(parity)
+    N = stack.N
+    if not 1 <= i <= N:
+        raise ValueError(f"block start must satisfy 1 <= i <= {N}, got {i}")
+    xi = stack.xi
+    diag_sign = 1.0 if parity == EVEN else -1.0
+
+    def lam_k(k):  # 1-indexed alternation
+        return lam if k % 2 == 1 else -lam
+
+    d_after = 1.0 + 0.0 * lam  # promotes to complex with lam
+    d_cur = lam_k(N) - diag_sign * 0.5 * math.exp(-2.0 * n * xi[N - 1])
+    for k in range(N - 1, i - 1, -1):
+        E = math.exp(2.0 * n * (xi[k] - xi[k - 1]))
+        d_new = (lam_k(k) + lam_k(k + 1) * E) * d_cur - (lam_k(k + 1) ** 2 - 0.25) * E * d_after
+        d_after, d_cur = d_cur, d_new
+    return d_cur
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +125,23 @@ def structure_vectors(stack: LayerStack, n: int) -> StructureVectors:
     s = np.sinh(n * xi)
     c = np.cosh(n * xi)
     return StructureVectors(n=n, s=s, c=c, s_alt=signs * s, c_alt=signs * c)
+
+
+def density_summation_potential(stack, lam, H, point: EllipticPoint, *, densities=None):
+    """u - H via direct summation of single-layer contributions.
+
+    Independent of the region formula: sums phi_k times the single-layer
+    action of each interface at the evaluation radius.  Used as the
+    representation-formula cross-check.
+    """
+    if densities is None:
+        densities = solve_densities(stack, lam, H)
+    total = 0.0j
+    for n, parity, a in H.components():
+        coeffs = densities.phi[(n, parity)] * single_layer_action(n, parity, stack.xi_array, point.xi)
+        angular = np.cos if parity == EVEN else np.sin
+        total += coeffs.sum() * angular(n * point.eta)
+    return complex(total)
 
 
 def mode_to_material(mode: PlasmonMode, sigma0: float, drude=None):

@@ -23,10 +23,9 @@ from plasmonstack.bie import (
     curves_from_spec,
     self_adjointness_check,
 )
-from plasmonstack.charpoly import build_charpoly, recursion_determinant
+from plasmonstack.charpoly import build_charpoly
 from plasmonstack.field import (
     BackgroundField,
-    density_summation_potential,
     perturbed_potential,
     solve_densities,
     total_gradient,
@@ -49,7 +48,7 @@ from table_data import (
 )
 
 from conftest import random_stack
-from oracles import h_coeff, thin_strip_limit
+from oracles import density_summation_potential, h_coeff, recursion_determinant, thin_strip_limit
 from presets_for_tests import FIG12_CONFIG
 
 

@@ -5,19 +5,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from plasmonstack.charpoly import (
-    CharPoly,
-    build_charpoly,
-    recursion_determinant,
-    sturm_count,
-)
+from plasmonstack.charpoly import build_charpoly, sturm_count
 from plasmonstack.errors import CombinatorialCapError
 from plasmonstack.geometry import LayerStack
 from plasmonstack.npcore import EVEN, ODD, build_np, gpm_entries
 from plasmonstack.spectrum import geometric_stack
 
 from conftest import random_stack
-from oracles import disk_limit_poly, h_coeff, thin_strip_limit
+from oracles import disk_limit_poly, h_coeff, recursion_determinant, thin_strip_limit
 
 
 def brute_force_h(N, k):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -8,10 +10,10 @@ import numpy as np
 import pytest
 
 from plasmonstack import bie, charpoly, field, output, runconfig, runners, spectrum
-from plasmonstack.cli import main
+from plasmonstack.cli import _merge_config, build_parser, main
 from plasmonstack.errors import ContrastError
 from plasmonstack.geometry import LayerStack
-from plasmonstack.presets import PRESETS
+from plasmonstack.presets import PRESETS, get_preset
 
 from oracles import precise_roots
 
@@ -51,7 +53,7 @@ REJECTED_CONFIGS = [
     pytest.param("sweep-disk", {"layers": "x", "ratio": 0.8, "n": 1, "L": [1.0]}, "layers", id="layers-string"),
     pytest.param("modes", {**_MODES, "tolerances": {"cross": "x"}}, "cross", id="tolerance-string"),
     pytest.param("modes", {**_MODES, "tolerances": {"cross": math.inf}}, "cross", id="tolerance-infinite"),
-    pytest.param("modes", {**_MODES, "drude": {"sigma_prime": "a", "omega_p": 2e15, "tau": 1e14}},
+    pytest.param("modes", {**_MODES, "drude": {"sigma_prime": "a", "omega_p": 2e15}},
                  "sigma_prime", id="drude-string"),
     pytest.param("modes", {**_MODES, "sigma0": None}, "sigma0", id="sigma0-null"),
     pytest.param("charpoly", {**_MODES, "span_points": 2.9}, "span_points", id="span-points-float"),
@@ -62,8 +64,6 @@ REJECTED_CONFIGS = [
                  "match_nodes", id="odd-match-nodes"),
     pytest.param("bie-validate", {"curves": {"type": "polar", "scale": "a"}, "nodes": [16]}, "scale",
                  id="curve-scale-string"),
-    pytest.param("modes", {**_MODES, "sigma0": 2.0, "material": {"sigma0": 3.0, "sigma_star": 3.0}}, "sigma0",
-                 id="sigma0-conflict"),
     pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_nodes": 16}, "match_nodes",
                  id="match-nodes-without-orders"),
 ]
@@ -101,6 +101,32 @@ class TestModesCommand:
         assert main(["modes", "--xi", "1e-17", "--n", "1", "--out", str(tmp_path), "--table"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[:3] == ["f+  (n=1)", "lambda_+ :   0.5000", "sigma_1  :       --"]
+
+    def test_mode_at_minus_half_has_positive_zero_sigma1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["modes", "--xi", "1e-17", "--n", "1", "--out", str(out), "--table"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3:6] == ["f-  (n=1)", "lambda_- :  -0.5000", "sigma_1  :   0.0000"]
+        _, _, rows = read_csv(out / "modes.csv")
+        assert rows[1] == ["odd", "1", "-0.5", "0", ""]
+        sigma1 = json.loads((out / "modes.json").read_text())["payload"]["odd"][0]["sigma1"]
+        assert sigma1 == 0.0 and math.copysign(1.0, sigma1) == 1.0
+
+    @pytest.mark.parametrize(
+        "cfg,key",
+        [({**_MODES, "material": {"sigma0": 1.0, "sigma_star": 2.0}}, "material"),
+         ({**_MODES, "drude": {"sigma_prime": 9e-12, "omega_p": 2e15, "tau": 1e14}}, "tau")],
+        ids=["material", "drude-tau"],
+    )
+    def test_removed_keys_rejected(self, tmp_path, capsys, cfg, key):
+        """No code reads the material block or the Drude damping, so a config
+        that sets them is refused rather than silently ignored."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["modes", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"unknown keys ['{key}']" in err
 
     def test_layers_contradiction(self, tmp_path):
         assert main(["modes", "--layers", "2", "--xi", "1", "--n", "1", "--out", str(tmp_path)]) == 1
@@ -186,16 +212,6 @@ PRESET_CONFIG_HASHES = {
 
 
 class TestNormalize:
-    def test_material_sigma0_defaults_to_top_level(self):
-        material = {"sigma_star": 3.0}
-        cfg = runconfig.normalize("modes", {**_MODES, "sigma0": 2.0, "material": material})
-        assert cfg["sigma0"] == cfg["material"]["sigma0"] == 2.0
-        cfg = runconfig.normalize("modes", {**_MODES, "material": {**material, "sigma0": 4.0}})
-        assert cfg["sigma0"] == cfg["material"]["sigma0"] == 4.0
-        cfg = runconfig.normalize("modes", {**_MODES, "sigma0": 4.0, "material": {**material, "sigma0": 4.0}})
-        assert cfg["sigma0"] == cfg["material"]["sigma0"] == 4.0
-        assert runconfig.normalize("modes", cfg) == cfg
-
     @pytest.mark.parametrize("name", PRESETS)
     def test_preset_stable_under_renormalization(self, name):
         command = PRESETS[name].command
@@ -231,6 +247,22 @@ class TestSweepCommand:
         assert abs(gaps[0] - math.exp(-4.0)) < 1e-12
         assert abs(gaps[1] - math.exp(-8.0)) < 1e-12
         assert any("gap-norm: euclidean" in line for line in meta)
+
+    def test_underflowed_gap_has_no_slope(self, tmp_path):
+        """Gaps of exp(-800) underflow to 0, whose logarithm is -inf; the
+        slope is then left out as for a single L, and the JSON stays valid."""
+        out = tmp_path / "sw"
+        argv = ["sweep-disk", "--layers", "1", "--ratio", "0.5", "--n", "1", "--L", "400", "401"]
+        assert main([*argv, "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads((out / "sweep.json").read_text(), parse_constant=reject)["payload"]
+        assert payload["gap"] == [0.0, 0.0]
+        assert payload["log_gap_slope_vs_min_xi"] is None
+        meta, _, _ = read_csv(out / "sweep.csv")
+        assert "# log-gap-slope-vs-min-xi: None" in meta
 
     def test_enumeration_cap_exit_code(self, tmp_path, capsys):
         """The cap binds only the charpoly command: mode sweeps never build
@@ -315,8 +347,7 @@ class TestPayloadFormatting:
 DRUDE_CONFIG = {
     "geometry": {"R": 1.0, "xi": [1.0, 0.5]},
     "n": 1,
-    "material": {"sigma0": 1.0, "sigma_star": 2.0},
-    "drude": {"sigma_prime": 9e-12, "omega_p": 2e15, "tau": 1e14},
+    "drude": {"sigma_prime": 9e-12, "omega_p": 2e15},
 }
 
 
@@ -590,3 +621,34 @@ def test_thread_cap_reaches_blas():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert int(out.stdout) == 1
+
+
+def readme_text():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+class TestReadme:
+    """The README's commands and config example stay valid input: each is
+    parsed, merged and normalized as the CLI does, but not run."""
+
+    def test_cli_lines_normalize(self, tmp_path):
+        blocks = re.findall(r"```sh\n(.*?)```", readme_text(), flags=re.DOTALL)
+        lines = [line for block in blocks for line in block.splitlines() if line.startswith("plasmonstack ")]
+        assert len(lines) >= 8
+        parser = build_parser()
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            if "--out" in argv:
+                i = argv.index("--out") + 1
+                argv[i] = str(tmp_path / argv[i])
+            args = parser.parse_args(argv)
+            preset = get_preset(args.preset) if args.preset else None
+            cfg = _merge_config(args.command, args, preset.config if preset else {})
+            runconfig.normalize(args.command, cfg)
+
+    def test_modes_config_example_normalizes(self):
+        pattern = r"A modes config looks like\s*```json\n(.*?)```"
+        [example] = re.findall(pattern, readme_text(), flags=re.DOTALL)
+        cfg = runconfig.normalize("modes", json.loads(example))
+        assert set(cfg["drude"]) == {"sigma_prime", "omega_p"}

@@ -9,7 +9,6 @@ from plasmonstack.field import (
     BackgroundField,
     background_gradient,
     background_potential,
-    density_summation_potential,
     field_grid,
     perturbed_gradient,
     perturbed_potential,
@@ -23,7 +22,7 @@ from plasmonstack.materials import sigma_from_lambda
 from plasmonstack.npcore import EVEN, ODD, build_np
 from plasmonstack.spectrum import modes
 
-from oracles import structure_vectors
+from oracles import density_summation_potential, structure_vectors
 
 STACK = LayerStack(R=1.0, xi=(1.4, 1.0, 0.7, 0.4))
 LAM = 0.17 + 1e-3j
