@@ -24,7 +24,7 @@ if os.environ.get("PLASMONSTACK_THREADS"):
 __version__ = "0.1.0"
 
 from .geometry import EllipticPoint, LayerStack
-from .materials import DrudeParams, MaterialConfig
+from .materials import DrudeParams
 from .spectrum import ModeSet, PlasmonMode, modes
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "EllipticPoint",
     "LayerStack",
     "DrudeParams",
-    "MaterialConfig",
     "ModeSet",
     "PlasmonMode",
     "modes",

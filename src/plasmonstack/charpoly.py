@@ -16,7 +16,8 @@ summed with compensated (Shewchuk) summation.  The even-parity polynomial
 uses s = +1, the odd one s = -1, so the two differ only by (-1)^k on c_k.
 The coefficients serve the ``charpoly`` command, whose fig5 and fig8
 fixtures pin the enumerated values; mode computation needs only the O(N)
-recursion, in the ratio form of :func:`sturm_count`.
+recursion, in the ratio form of :func:`sturm_count`, which runs it for both
+parities at once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import CombinatorialCapError
 from .geometry import LayerStack
-from .npcore import EVEN, ODD, _check_order, _check_parity
+from .npcore import _BOTH_SIGNS, EVEN, ODD, _check_order
 
 #: Largest layer count whose 2^N coefficient terms are enumerated.
 ENUMERATION_CAP = 24
@@ -101,24 +102,27 @@ def build_charpoly(stack: LayerStack, n) -> dict:
     return polys
 
 
-def sturm_count(stack: LayerStack, lam, n, parity):
-    """Number of roots of the parity's characteristic polynomial (the
+def sturm_count(stack: LayerStack, lam, n):
+    """Number of roots of each parity's characteristic polynomial (the
     order-n mode values) below each real probe point in ``lam``; an integer
-    array of ``lam``'s shape.
+    array of shape ``(2, *lam.shape)``, even parity at index 0 and odd at
+    index 1 (``PARITIES`` order).
 
     The determinants D_k of the trailing (k..N, k..N) blocks of the order-n
     GPM obey D_k = (lam_k + lam_{k+1} E_k) D_{k+1} - (lam_{k+1}^2 - 1/4) E_k D_{k+2}
     with E_k = exp(2 n (xi_{k+1} - xi_k)), lam_k = (-1)^(k-1) lam, D_{N+1} = 1
     and D_N = lam_N -+ exp(-2 n xi_N) / 2 (- for even parity); D_1 is
     (-1)^floor(N/2) times the characteristic polynomial.  The count runs
-    this recursion for all probes at once, in the ratio form
-    q_k = D_k / D_{k+1}, q_N = D_N,
+    this recursion for both parities and all probes at once, in the ratio
+    form q_k = D_k / D_{k+1}, q_N = D_N,
 
         q_k = lam_k (1 - E_k) - (lam^2 - 1/4) E_k / q_{k+1},
 
     which stays in range where D_k itself under- or overflows for large N.
-    An exact zero q_k is replaced by the smallest normal float, as if lam
-    were moved by a rounding error.
+    The coefficients are the same for both parities; only the starting row
+    q_N differs, by the sign of exp(-2 n xi_N) / 2.  An exact zero q_k is
+    replaced by the smallest normal float, as if lam were moved by a
+    rounding error.
 
     Why it counts: flip the sign of entry j of (D_{N+1}, D_N, ..., D_1) by
     (-1)^floor(j/2).  The flipped entries obey
@@ -135,23 +139,24 @@ def sturm_count(stack: LayerStack, lam, n, parity):
     both ends.
     """
     _check_order(n)
-    _check_parity(parity)
     N = stack.N
     xi = stack.xi_array
     lam = np.asarray(lam, dtype=float)
     probes = lam.reshape(-1)
-    diag_sign = 1.0 if parity == EVEN else -1.0
-    # row j of q holds q_{N-j} at every probe; row j - 1 of a and c builds it
+    # row j of q holds q_{N-j} of (even, odd) at every probe; row j - 1 of
+    # a and c builds it
     k = np.arange(N - 1, 0, -1)
     E = np.exp(2.0 * n * (xi[k] - xi[k - 1]))
     lam_sign = np.where(k % 2 == 1, 1.0, -1.0)  # lam_k = (-1)^(k-1) lam
     a = np.multiply.outer(lam_sign * (1.0 - E), probes)
     c = np.multiply.outer(E, probes * probes - 0.25)
-    q = np.empty((N, probes.size))
-    q[0] = (1.0 if N % 2 == 1 else -1.0) * probes - diag_sign * 0.5 * math.exp(-2.0 * n * xi[-1])
+    q = np.empty((N, 2, probes.size))
+    half_far = 0.5 * math.exp(-2.0 * n * xi[-1])
+    q[0] = (1.0 if N % 2 == 1 else -1.0) * probes - _BOTH_SIGNS[:, None] * half_far
     for j in range(1, N):
         prev = q[j - 1]
-        np.subtract(a[j - 1], c[j - 1] / np.where(prev == 0.0, _TINY, prev), out=q[j])
+        np.divide(c[j - 1], prev if prev.all() else np.where(prev == 0.0, _TINY, prev), out=q[j])
+        np.subtract(a[j - 1], q[j], out=q[j])
     q[1::2] *= -1.0  # now q[j] < 0 marks a sign change between entries j and j + 1
     changes = np.count_nonzero(q < 0, axis=0)
-    return (changes if N % 2 == 0 else N - changes).reshape(lam.shape)
+    return (changes if N % 2 == 0 else N - changes).reshape((2, *lam.shape))

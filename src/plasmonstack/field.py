@@ -78,10 +78,6 @@ class BackgroundField:
             if a_s != 0:
                 yield n, ODD, a_s
 
-    @property
-    def min_order(self):
-        return min(n for n, _, _ in self.terms)
-
 
 @dataclass(frozen=True, eq=False)
 class DensitySolution:

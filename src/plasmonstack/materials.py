@@ -6,10 +6,7 @@ The single contrast parameter
 
     lambda = (sigma1 + sigma0) / (2 (sigma1 - sigma0))
 
-carries all material information entering the mode problem.  delta = 0 is
-allowed in the data types; operations consuming a real lambda near the
-spectrum are near-singular there and say so in their docstrings rather
-than rejecting the input.
+carries all material information entering the mode problem.
 """
 
 from __future__ import annotations
@@ -18,38 +15,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContrastError
-
-
-@dataclass(frozen=True)
-class MaterialConfig:
-    """Background/shell conductivities for an alternating layer structure.
-
-    Odd layers carry sigma1 = -sigma_star + i*delta, even layers sigma0.
-    """
-
-    sigma0: float = 1.0
-    sigma_star: float = 1.0
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma0 <= 0:
-            raise ContrastError(f"sigma0 must be positive, got {self.sigma0}")
-        if self.sigma_star <= 0:
-            raise ContrastError(f"sigma_star must be positive, got {self.sigma_star}")
-        if self.delta < 0:
-            raise ContrastError(f"delta must be >= 0, got {self.delta}")
-
-    @property
-    def sigma1(self):
-        return complex(-self.sigma_star, self.delta)
-
-    @property
-    def contrast(self):
-        return lambda_from_sigma(self.sigma1, self.sigma0)
-
-    def layer_sigma(self, k):
-        """Conductivity of region k (0 = exterior/background, 1 = outer shell, ...)."""
-        return self.sigma1 if k % 2 == 1 else complex(self.sigma0)
 
 
 @dataclass(frozen=True)
@@ -66,11 +31,6 @@ class DrudeParams:
         if self.tau_damp < 0:
             # tau = 0 is the lossless limit used when solving for resonant frequencies
             raise ContrastError(f"tau_damp must be >= 0, got {self.tau_damp}")
-
-    @staticmethod
-    def default_sigma0():
-        """Background conductivity conventionally paired with the defaults, (1.33)^2 sigma_prime."""
-        return 1.33**2 * 9e-12
 
 
 def lambda_from_sigma(sigma1, sigma0):
@@ -122,7 +82,3 @@ def resonant_frequency(lambda_star, params, sigma0):
         )
     return p.omega_p * math.sqrt(p.sigma_prime / (p.sigma_prime - sigma_t))
 
-
-def lossless_limit_lambda(sigma_star, sigma0):
-    """Contrast in the delta -> 0 limit: (sigma0 - sigma*) / (-2 (sigma0 + sigma*))."""
-    return (sigma0 - sigma_star) / (-2.0 * (sigma0 + sigma_star))

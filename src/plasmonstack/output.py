@@ -38,7 +38,7 @@ def metadata_lines(config, tolerances=None, extra=None):
         lines.append(f"# tolerances: {tol}")
     if extra:
         for k, v in extra.items():
-            lines.append(f"# {k}: {v}")
+            lines.append(f"# {k}: {'null' if v is None else v}")  # None as in the JSON
     return lines
 
 

@@ -93,12 +93,14 @@ def normalize_geometry(geo, where="geometry"):
     return {"R": stack.R, "xi": list(stack.xi)}, stack
 
 
-def normalize_tolerances(tol, where="tolerances"):
+def normalize_tolerances(tol):
+    where = "tolerances"
     _check_keys(tol, DEFAULT_TOLERANCES.keys(), set(), where)
     return {key: _read(tol, key, NUMBER, default, POSITIVE, where) for key, default in DEFAULT_TOLERANCES.items()}
 
 
-def normalize_drude(drude, where="drude"):
+def normalize_drude(drude):
+    where = "drude"
     keys = ("sigma_prime", "omega_p")
     _check_keys(drude, set(keys), set(keys), where)
     return {key: _read(drude, key, NUMBER, allowed=POSITIVE, where=where) for key in keys}
@@ -171,9 +173,10 @@ def normalize_sweep_config(cfg):
     }
 
 
-def normalize_curves(curves, where="bie curves"):
+def normalize_curves(curves):
     """A confocal curve spec is a geometry with xi radii; a polar one is a
     scale (a number or a list of them) and optional cosine coefficients."""
+    where = "bie curves"
     kind = curves.get("type") if isinstance(curves, dict) else None
     if kind == "confocal":
         _check_keys(curves, {"type", "R", "xi"}, {"type", "R", "xi"}, where)

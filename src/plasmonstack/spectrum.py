@@ -10,7 +10,9 @@ two-term determinant recursion (:func:`plasmonstack.charpoly.sturm_count`).
 Both must be real (the underlying operator is self-adjoint in a twisted
 inner product); realness of (a) is asserted after the fact rather than
 imposed by symmetrizing, so implementation bugs surface as complex
-eigenvalues, and (b) proves that all N roots are real.
+eigenvalues, and (b) proves that all N roots are real.  The even and odd
+problems go through each route together, on a leading parity axis of
+length 2 (``PARITIES`` order), and are gated one parity after the other.
 """
 
 from __future__ import annotations
@@ -74,53 +76,61 @@ def _resonant_sigma(lam, sigma0):
         return None
 
 
-def _real_sorted_descending(values, imag_tol, what):
-    worst = np.abs(values.imag).max(initial=0.0)
-    if worst > imag_tol:
-        raise CrossValidationError(
-            f"{what}: imaginary part {worst:.3e} exceeds realness tolerance {imag_tol:.1e}"
-        )
-    return np.sort(values.real)[::-1]
+def _certify(stack, n, eigs, cross_tol, imag_tol, bound_slack):
+    """Return the real parts of ``eigs`` (shape (2, N): the even eigenvalues,
+    then the odd ones) sorted descending per parity, or raise
+    CrossValidationError naming the first parity, in ``PARITIES`` order,
+    whose values fail a gate.
 
-
-def _certify(stack, n, parity, values, cross_tol, bound_slack):
-    """Raise CrossValidationError unless ``values`` (N reals, descending)
-    place the parity's characteristic-polynomial roots.
-
-    Every value must lie in [-1/2 - bound_slack, 1/2 + bound_slack], and the
-    Sturm count must be 0 at the left end and N at the right one, so all N
-    roots are real and lie in that interval.  The values are grouped into
-    clusters whose [v - cross_tol, v + cross_tol] windows overlap; just
-    outside each cluster's outer window the count must equal the number of
-    values below that point, so the count rises by the cluster's size
-    across it: every root lies within ``cross_tol`` of a value and each
-    value accounts for one root.
+    Per parity, in this order: every imaginary part must be within
+    ``imag_tol``; every value must lie in
+    [-1/2 - bound_slack, 1/2 + bound_slack]; the Sturm count must be 0 at
+    the left end and N at the right one, so all N roots are real and lie in
+    that interval.  Last, the values are grouped into clusters whose
+    [v - cross_tol, v + cross_tol] windows overlap; just outside each
+    cluster's outer window the count must equal the number of values below
+    that point, so the count rises by the cluster's size across it: every
+    root lies within ``cross_tol`` of a value and each value accounts for
+    one root.  One :func:`~plasmonstack.charpoly.sturm_count` call counts
+    the probes of both parities.
     """
     N = stack.N
-    excess = np.abs(values).max() - 0.5
-    if excess > bound_slack:
-        raise CrossValidationError(f"{parity} mode leaves the spectral interval by {excess:.3e}")
-    ascending = values[::-1]
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(ascending) > 2.0 * cross_tol) + 1, [N]))
-    starts, ends = bounds[:-1], bounds[1:]
+    ascending = np.sort(eigs.real, axis=-1)
     edge = 0.5 + bound_slack
-    probes = np.concatenate(([-edge, edge], ascending[starts] - cross_tol, ascending[ends - 1] + cross_tol))
-    counts = cp.sturm_count(stack, probes, n, parity)
-    outside = counts[0] + N - counts[1]
-    if outside:
-        raise CrossValidationError(
-            f"{parity}: {outside} of {N} polynomial roots are not real or leave "
-            f"[-1/2, 1/2] by more than {bound_slack:.1e}"
-        )
-    below, above = counts[2:].reshape(2, -1)
-    missed = np.flatnonzero((below != starts) | (above != ends))
-    if missed.size:
-        i = missed[0]
-        raise CrossValidationError(
-            f"{parity} route disagreement: the Sturm count places {above[i] - below[i]} roots "
-            f"within {cross_tol:.1e} of the {ends[i] - starts[i]} eigenvalues in "
-            f"[{ascending[starts[i]]:.17g}, {ascending[ends[i] - 1]:.17g}]"
-        )
+    clusters, probes = [], [[-edge, edge]]
+    for row in ascending:
+        bounds = np.concatenate(([0], np.flatnonzero(np.diff(row) > 2.0 * cross_tol) + 1, [N]))
+        starts, ends = bounds[:-1], bounds[1:]
+        clusters.append((starts, ends))
+        probes += [row[starts] - cross_tol, row[ends - 1] + cross_tol]
+    counts = cp.sturm_count(stack, np.concatenate(probes), n)
+    first = 2  # this parity's cluster probes start here
+    for parity, imag, row, count, (starts, ends) in zip(PARITIES, eigs.imag, ascending, counts, clusters):
+        worst = np.abs(imag).max(initial=0.0)
+        if worst > imag_tol:
+            raise CrossValidationError(
+                f"{parity} eigenvalues: imaginary part {worst:.3e} exceeds realness tolerance {imag_tol:.1e}"
+            )
+        excess = np.abs(row).max() - 0.5
+        if excess > bound_slack:
+            raise CrossValidationError(f"{parity} mode leaves the spectral interval by {excess:.3e}")
+        outside = count[0] + N - count[1]
+        if outside:
+            raise CrossValidationError(
+                f"{parity}: {outside} of {N} polynomial roots are not real or leave "
+                f"[-1/2, 1/2] by more than {bound_slack:.1e}"
+            )
+        below, above = count[first : first + 2 * starts.size].reshape(2, -1)
+        first += 2 * starts.size
+        missed = np.flatnonzero((below != starts) | (above != ends))
+        if missed.size:
+            i = missed[0]
+            raise CrossValidationError(
+                f"{parity} route disagreement: the Sturm count places {above[i] - below[i]} roots "
+                f"within {cross_tol:.1e} of the {ends[i] - starts[i]} eigenvalues in "
+                f"[{row[starts[i]]:.17g}, {row[ends[i] - 1]:.17g}]"
+            )
+    return ascending[:, ::-1]
 
 
 def modes(
@@ -140,32 +150,25 @@ def modes(
     certifies them against the characteristic polynomial's roots (see
     :func:`_certify`): all N roots are real, lie in
     [-1/2 - bound_slack, 1/2 + bound_slack] with the values, and sit within
-    ``cross_tol`` of the values.  The polynomial itself is never built: per
-    parity the cost is one N x N eigensolve and one N-step recursion over at
-    most 2N + 2 probe points.
+    ``cross_tol`` of the values.  The polynomial itself is never built.
+    Both parities share each step: one (2, N, N) matrix build, one batched
+    eigensolve and one N-step recursion over at most 4N + 2 probe points.
     """
-    per_parity = {}
-    for parity in PARITIES:
-        eigs = np.linalg.eigvals(-build_np(stack, n, parity))
-        values = _real_sorted_descending(eigs, imag_tol, f"{parity} eigenvalues")
-        _certify(stack, n, parity, values, cross_tol, bound_slack)
-        per_parity[parity] = tuple(
+    values = _certify(stack, n, np.linalg.eigvals(-build_np(stack, n)), cross_tol, imag_tol, bound_slack)
+    even_modes, odd_modes = (
+        tuple(
             PlasmonMode(
-                lambda_root=float(lam),
+                lambda_root=lam,
                 parity=parity,
                 n=n,
-                sigma1_resonant=_resonant_sigma(float(lam), sigma0),
+                sigma1_resonant=_resonant_sigma(lam, sigma0),
                 rank=rank,
             )
-            for rank, lam in enumerate(values, start=1)
+            for rank, lam in enumerate(row.tolist(), start=1)
         )
-    return ModeSet(
-        stack=stack,
-        n=n,
-        sigma0=sigma0,
-        even_modes=per_parity[EVEN],
-        odd_modes=per_parity[ODD],
+        for parity, row in zip(PARITIES, values)
     )
+    return ModeSet(stack=stack, n=n, sigma0=sigma0, even_modes=even_modes, odd_modes=odd_modes)
 
 
 def verify_root_symmetry(modeset: ModeSet) -> float:

@@ -48,7 +48,7 @@ from table_data import (
 )
 
 from conftest import random_stack
-from oracles import density_summation_potential, h_coeff, recursion_determinant, thin_strip_limit
+from oracles import density_summation_potential, h_coeff, min_order, recursion_determinant, thin_strip_limit
 from presets_for_tests import FIG12_CONFIG
 
 
@@ -80,8 +80,7 @@ def random_suite():
             polys = build_charpoly(stack, n)
             roots_p = np.sort(polys[EVEN].roots().real)[::-1]
             roots_m = np.sort(polys[ODD].roots().real)[::-1]
-            eig_e = np.sort(np.linalg.eigvals(-build_np(stack, n, EVEN)).real)[::-1]
-            eig_o = np.sort(np.linalg.eigvals(-build_np(stack, n, ODD)).real)[::-1]
+            eig_e, eig_o = np.sort(np.linalg.eigvals(-build_np(stack, n)).real, axis=-1)[:, ::-1]
             entries.append((stack, n, roots_p, roots_m, eig_e, eig_o))
         _SUITE = entries
     return _SUITE
@@ -335,13 +334,13 @@ def test_criterion_10_field_correctness():
         for x in xi_samples
     ]
     slope = float(np.polyfit(xi_samples, np.log(vals), 1)[0])
-    slope_ok = abs(slope - (-H.min_order)) <= 0.02 * H.min_order
+    slope_ok = abs(slope - (-min_order(H))) <= 0.02 * min_order(H)
 
     ok = cont_worst <= 1e-8 and flux_worst <= 1e-6 and rep_worst <= 1e-10 and slope_ok
     assert report(
         10, ok,
         f"continuity {cont_worst:.2e} (tol 1e-8); flux {flux_worst:.2e} (tol 1e-6); "
-        f"representation {rep_worst:.2e} (tol 1e-10); decay slope {slope:.4f} vs -{H.min_order}",
+        f"representation {rep_worst:.2e} (tol 1e-10); decay slope {slope:.4f} vs -{min_order(H)}",
     )
 
 

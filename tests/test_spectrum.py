@@ -8,10 +8,11 @@ from plasmonstack.charpoly import build_charpoly
 from plasmonstack.errors import CrossValidationError
 from plasmonstack.geometry import LayerStack
 from plasmonstack.materials import DrudeParams, sigma_from_lambda
-from plasmonstack.npcore import EVEN, ODD
+from plasmonstack.npcore import EVEN, ODD, PARITIES
 from plasmonstack.spectrum import (
     BOUND_SLACK,
     CROSS_ROUTE_TOL,
+    IMAG_TOL,
     _certify,
     disk_degeneration_sweep,
     geometric_stack,
@@ -20,8 +21,8 @@ from plasmonstack.spectrum import (
 )
 from table_data import TABLE1_LAMBDA_EVEN, TABLE1_SIGMA_ODD
 
-from conftest import random_stack
-from oracles import mode_to_material, precise_roots
+from conftest import geometric_random_stack, random_stack
+from oracles import DEFAULT_SIGMA0, mode_to_material, per_parity_modes, precise_roots
 
 TABLE1_STACK = LayerStack(R=1.0, xi=tuple(float(16 - i) for i in range(1, 16)))
 
@@ -100,47 +101,103 @@ class TestModes:
             assert worst <= worst_companion
 
 
+class TestFusedRoute:
+    """``modes`` runs both parities through one NP build, one batched
+    eigensolve and one Sturm recursion; the route one parity at a time is
+    the oracle."""
+
+    @staticmethod
+    def outcome(route, stack, n, cross_tol):
+        """The two mode tuples, or the refusal's message."""
+        try:
+            ms = route(stack, n, 1.7, cross_tol=cross_tol)
+        except CrossValidationError as exc:
+            return str(exc)
+        return ms.even_modes, ms.odd_modes
+
+    @pytest.mark.parametrize("cross_tol", [CROSS_ROUTE_TOL, 1e-15], ids=["default", "refusing"])
+    def test_matches_per_parity_route(self, cross_tol):
+        """Equal modes bit for bit, or the same refusal; a cross_tol of 1e-15
+        is below the eigensolver's error, so most stacks are refused."""
+        rng = np.random.default_rng(71)
+        refused = 0
+        for N in range(1, 13):
+            for _ in range(8):
+                stack, n = geometric_random_stack(rng, N), int(rng.integers(1, 9))
+                expected = self.outcome(per_parity_modes, stack, n, cross_tol)
+                assert self.outcome(modes, stack, n, cross_tol) == expected
+                refused += isinstance(expected, str)
+        assert (refused > 0) == (cross_tol < CROSS_ROUTE_TOL)
+
+
 class TestCertificate:
-    """The Sturm-count certificate on doctored values of the table1 stack."""
+    """The gates and the Sturm-count certificate on doctored values of the
+    table1 stack: a defect in one parity's values raises an error that
+    names that parity, while the other parity's values stay correct."""
 
     @staticmethod
     def values(parity):
-        return modes(TABLE1_STACK, 1).lambdas(parity).copy()
+        """(the (2, N) values, the row of ``parity``, a view to doctor)"""
+        ms = modes(TABLE1_STACK, 1)
+        values = np.array([ms.lambdas(EVEN), ms.lambdas(ODD)])
+        return values, values[PARITIES.index(parity)]
 
-    def certify(self, parity, values):
-        _certify(TABLE1_STACK, 1, parity, values, CROSS_ROUTE_TOL, BOUND_SLACK)
+    @staticmethod
+    def certify(values):
+        return _certify(TABLE1_STACK, 1, values, CROSS_ROUTE_TOL, IMAG_TOL, BOUND_SLACK)
 
     @pytest.mark.parametrize("parity", [EVEN, ODD])
     def test_accepts_eigenvalues(self, parity):
-        self.certify(parity, self.values(parity))
+        values, row = self.values(parity)
+        certified = self.certify(values[:, ::-1])  # any order: the values are sorted
+        np.testing.assert_array_equal(certified[PARITIES.index(parity)], row)
 
     @pytest.mark.parametrize("parity", [EVEN, ODD])
     @pytest.mark.parametrize("index", [0, 7, 14])
     def test_moved_value(self, parity, index):
-        values = self.values(parity)
-        values[index] += 10 * CROSS_ROUTE_TOL
-        with pytest.raises(CrossValidationError, match="route disagreement"):
-            self.certify(parity, values)
+        values, row = self.values(parity)
+        row[index] += 10 * CROSS_ROUTE_TOL
+        with pytest.raises(CrossValidationError, match=f"^{parity} route disagreement"):
+            self.certify(values)
 
     @pytest.mark.parametrize("parity", [EVEN, ODD])
     @pytest.mark.parametrize("replacement", ["gap", "duplicate"])
     def test_dropped_and_replaced_value(self, parity, replacement):
-        values = self.values(parity)
+        values, row = self.values(parity)
         # value 5 is dropped; a value between two others or a copy of value 4 stands in
-        values[5] = (values[1] + values[2]) / 2 if replacement == "gap" else values[4]
-        with pytest.raises(CrossValidationError, match="route disagreement"):
-            self.certify(parity, np.sort(values)[::-1])
+        row[5] = (row[1] + row[2]) / 2 if replacement == "gap" else row[4]
+        with pytest.raises(CrossValidationError, match=f"^{parity} route disagreement"):
+            self.certify(values)
 
     @pytest.mark.parametrize("parity", [EVEN, ODD])
     def test_value_outside_bound(self, parity):
-        values = self.values(parity)
-        values[0] = 0.5 + 2 * BOUND_SLACK
-        with pytest.raises(CrossValidationError, match="spectral interval"):
-            self.certify(parity, values)
-        values = self.values(parity)
-        values[-1] = -0.5 - 2 * BOUND_SLACK
-        with pytest.raises(CrossValidationError, match="spectral interval"):
-            self.certify(parity, values)
+        values, row = self.values(parity)
+        row[0] = 0.5 + 2 * BOUND_SLACK
+        with pytest.raises(CrossValidationError, match=f"^{parity} mode leaves the spectral interval"):
+            self.certify(values)
+        values, row = self.values(parity)
+        row[-1] = -0.5 - 2 * BOUND_SLACK
+        with pytest.raises(CrossValidationError, match=f"^{parity} mode leaves the spectral interval"):
+            self.certify(values)
+
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    def test_complex_value(self, parity):
+        values, row = self.values(parity)
+        values = values.astype(complex)
+        values[PARITIES.index(parity), 3] += 2j * IMAG_TOL
+        with pytest.raises(CrossValidationError, match=f"^{parity} eigenvalues: imaginary part"):
+            self.certify(values)
+
+    def test_gates_in_parity_order(self):
+        """With a defect in each parity, the even one is reported, whatever
+        its gate: the gates run parity by parity, as they did one parity at
+        a time."""
+        values, even = self.values(EVEN)
+        even[7] += 10 * CROSS_ROUTE_TOL
+        values = values.astype(complex)
+        values[1, 3] += 2j * IMAG_TOL
+        with pytest.raises(CrossValidationError, match="^even route disagreement"):
+            self.certify(values)
 
 
 class TestRootSymmetry:
@@ -208,7 +265,7 @@ class TestModeToMaterial:
         stack = LayerStack(R=1.0, xi=(1.0, 0.5))
         ms = modes(stack, 1)
         drude = DrudeParams()
-        sigma0 = DrudeParams.default_sigma0()
+        sigma0 = DEFAULT_SIGMA0
         mode = ms.even_modes[0]
         sigma1, omega = mode_to_material(mode, sigma0=sigma0, drude=drude)
         assert omega > 0
