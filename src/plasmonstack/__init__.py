@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`plasmonstack.geometry`   confocal elliptic coordinates, layer stacks
-* :mod:`plasmonstack.materials`  contrast parameter and Drude dispersion
+* :mod:`plasmonstack.materials`  resonant conductivity and lossless Drude frequency
 * :mod:`plasmonstack.npcore`     Fourier-basis layer-potential actions and matrices
 * :mod:`plasmonstack.charpoly`   exact characteristic polynomials and recursions
 * :mod:`plasmonstack.spectrum`   cross-validated mode computation

@@ -86,10 +86,6 @@ class DiscretizedCurve:
         )
 
     @classmethod
-    def circle(cls, radius, M):
-        return cls.polar((), radius, M)
-
-    @classmethod
     def polar(cls, coeffs, scale, M):
         """Star-shaped curve r(theta) = scale * (1 + sum_m coeffs[m-1] cos(m theta))."""
         t = np.arange(M) * (2 * np.pi / M)

@@ -50,10 +50,6 @@ class CharPoly:
     sign: int
     coeffs: np.ndarray
 
-    @property
-    def parity(self):
-        return EVEN if self.sign > 0 else ODD
-
     def evaluate(self, lam):
         """Horner evaluation at a (possibly complex) point or array."""
         return np.polyval(self.coeffs, lam)

@@ -1,9 +1,10 @@
 """Command-line surface: mode tables, polynomial dumps, field grids, the
 disk-degeneration sweep, and the independent discretization cross-checks.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical cross-validation
-failure (including fixture drift under --check), 3 resonance-singular solve
-requested without a loss parameter.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure: a
+cross-validation failure (including fixture drift under --check) or a
+field that overflows floating point, 3 resonance-singular solve requested
+without a loss parameter.
 
 The only environment variable honored is PLASMONSTACK_THREADS, which caps
 the BLAS/OpenMP thread pools; the package applies it when it is first
@@ -19,7 +20,7 @@ import os
 import sys
 
 from . import runconfig, runners
-from .errors import ConfigError, CrossValidationError, PlasmonstackError, ResonanceError
+from .errors import ConfigError, CrossValidationError, FieldOverflowError, PlasmonstackError, ResonanceError
 from .fixtures_io import compare_fixture, fixture_tolerances, load_fixture, save_fixture
 from .presets import PRESETS, get_preset
 
@@ -157,6 +158,9 @@ def main(argv=None):
         return 3
     except CrossValidationError as exc:
         print(f"cross-validation failure: {exc}", file=sys.stderr)
+        return 2
+    except FieldOverflowError as exc:
+        print(f"unrepresentable field: {exc}", file=sys.stderr)
         return 2
     except PlasmonstackError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration and geometry problems
-exit 1, cross-validation failures exit 2, singular resonance solves exit 3.
+exit 1, cross-validation failures and fields that overflow floating point
+exit 2, singular resonance solves exit 3.
 """
 
 
@@ -10,12 +11,12 @@ class PlasmonstackError(Exception):
 
 
 class GeometryError(PlasmonstackError, ValueError):
-    """Invalid or singular geometry (bad radii, curvature at a degenerate point)."""
+    """Invalid or singular geometry (bad radii, a gradient at a focal point)."""
 
 
 class ContrastError(PlasmonstackError, ValueError):
-    """Material contrast is singular (sigma1 == sigma0, lambda == 1/2, or no
-    real Drude frequency exists for the requested conductivity)."""
+    """Material contrast is singular (lambda == 1/2, or no real Drude
+    frequency exists for the requested conductivity)."""
 
 
 class CombinatorialCapError(PlasmonstackError, ValueError):
@@ -50,3 +51,7 @@ class CurveError(PlasmonstackError, ValueError):
 
 class ConfigError(PlasmonstackError, ValueError):
     """Malformed run configuration (unknown keys, wrong types, bad values)."""
+
+
+class FieldOverflowError(PlasmonstackError, ArithmeticError):
+    """A field value overflows floating point (cosh(n xi) does above n xi ~ 710)."""

@@ -11,8 +11,10 @@ assembled from analytic elliptic-coordinate partials and the chain rule.
 Single points and grids share one evaluator of the region formulas, which
 takes elliptic coordinates and regions of any shape; grid evaluation shares
 one density solve across all points of a field and one coordinate map
-across all fields on the same grid.  The representation-formula
-cross-check, a sum of single-layer potentials, is a test oracle.
+across all fields on the same grid.  A value that overflows floating point
+raises :class:`FieldOverflowError` instead of coming back as inf or nan.
+The representation-formula cross-check, a sum of single-layer potentials,
+is a test oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, RegionError, ResonanceError
+from .errors import FieldOverflowError, GeometryError, RegionError, ResonanceError
 from .geometry import EllipticPoint, LayerStack, cartesian_to_elliptic
 from .npcore import EVEN, ODD, PARITIES, gpm_entries
 
@@ -79,20 +81,6 @@ class BackgroundField:
                 yield n, ODD, a_s
 
 
-@dataclass(frozen=True, eq=False)
-class DensitySolution:
-    """Per-(n, parity) Fourier coefficient vectors of the interface densities.
-
-    ``phi[(n, parity)]`` solves M phi = n * a * (sinh or cosh structure
-    vector); ``residual`` records the relative solve residual per key.
-    """
-
-    stack: LayerStack
-    lam: complex
-    phi: dict
-    residual: dict
-
-
 def region_index(stack: LayerStack, xi):
     """Region of elliptic radius xi: count of interfaces with xi <= xi_k.
 
@@ -104,39 +92,53 @@ def region_index(stack: LayerStack, xi):
     return int(idx) if np.ndim(xi) == 0 else idx
 
 
-def solve_densities(stack: LayerStack, lam, H: BackgroundField) -> DensitySolution:
-    """Solve every needed (n, parity) linear system for the given contrast.
+def _require_finite(H, xi, *values):
+    """Raise :class:`FieldOverflowError`, naming the highest order n of ``H``
+    and n max(xi), when one of ``values`` holds a non-finite number."""
+    if not all(np.isfinite(v).all() for v in values):
+        n, parity, _a = max(H.components(), key=lambda c: c[0])
+        raise FieldOverflowError(
+            f"the order-{n} {parity} field overflows floating point: n*xi reaches "
+            f"{n * np.max(xi):.6g} (cosh and sinh overflow above about 710)"
+        )
 
-    Raises :class:`ResonanceError` when a system is singular or has
-    condition number above ``CONDITION_LIMIT`` (evaluation at a resonance
-    needs a nonzero loss delta = Im lambda to regularize), or when a solve's
-    relative residual exceeds ``RESIDUAL_TOL``.
+
+def solve_densities(stack: LayerStack, lam, H: BackgroundField) -> dict:
+    """Solve every needed (n, parity) linear system for the given contrast;
+    returns ``{(n, parity): phi}``, where phi solves M phi = n * a * (sinh or
+    cosh structure vector).
+
+    Raises :class:`FieldOverflowError` when a right-hand side overflows, and
+    :class:`ResonanceError` when a system is singular or has condition
+    number above ``CONDITION_LIMIT`` (evaluation at a resonance needs a
+    nonzero loss delta = Im lambda to regularize), or when a solve's
+    relative residual is not within ``RESIDUAL_TOL``.
     """
     xi = stack.xi_array
     phi = {}
-    residual = {}
     for n, parity, a in H.components():
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = n * a * _HARMONIC[parity][1](n * xi)
+        _require_finite(H, xi, rhs)
         M = gpm_entries(stack, lam, n, parity)
         cond = np.linalg.cond(M)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        if not cond <= CONDITION_LIMIT:
             raise ResonanceError(
                 f"order-{n} {parity} system is resonance-singular (cond={cond:.3e}); "
                 "supply a nonzero loss parameter",
                 n=n,
                 parity=parity,
             )
-        rhs = n * a * _HARMONIC[parity][1](n * xi)
         vec = np.linalg.solve(M, rhs)
         res = np.linalg.norm(M @ vec - rhs) / np.linalg.norm(rhs)
-        if res > RESIDUAL_TOL:
+        if not res <= RESIDUAL_TOL:
             raise ResonanceError(
                 f"order-{n} {parity} solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}",
                 n=n,
                 parity=parity,
             )
         phi[(n, parity)] = vec
-        residual[(n, parity)] = float(res)
-    return DensitySolution(stack=stack, lam=lam, phi=phi, residual=residual)
+    return phi
 
 
 def _region_weights(stack, densities, n, parity):
@@ -147,7 +149,7 @@ def _region_weights(stack, densities, n, parity):
     odd) multiplies exp(-n xi).  v = phi / n already carries the background
     amplitude (the solve right-hand side is n * a * structure vector).
     """
-    v = densities.phi[(n, parity)] / n
+    v = densities[(n, parity)] / n
     xi = stack.xi_array
     outer = np.exp(-n * xi) * v
     inner = _HARMONIC[parity][0](n * xi) * v
@@ -172,10 +174,12 @@ def _potential(stack, densities, H, xi, eta, l):
     """u - H at elliptic points (xi, eta) in regions l, all of one shape
     (scalars for a point, arrays for a grid)."""
     total = np.zeros(np.shape(xi), dtype=complex)
-    for n, parity, _a in H.components():
-        prefix, suffix = _region_weights(stack, densities, n, parity)
-        radial, _, angular, _ = _HARMONIC[parity]
-        total -= angular(n * eta) * (radial(n * xi) * prefix[l] + np.exp(-n * xi) * suffix[l])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, parity, _a in H.components():
+            prefix, suffix = _region_weights(stack, densities, n, parity)
+            radial, _, angular, _ = _HARMONIC[parity]
+            total -= angular(n * eta) * (radial(n * xi) * prefix[l] + np.exp(-n * xi) * suffix[l])
+    _require_finite(H, xi, total)
     return total
 
 
@@ -183,12 +187,14 @@ def _partials(stack, densities, H, xi, eta, l):
     """(d/dxi, d/deta) of u - H at elliptic points, shaped as in :func:`_potential`."""
     d_xi = np.zeros(np.shape(xi), dtype=complex)
     d_eta = np.zeros(np.shape(xi), dtype=complex)
-    for n, parity, _a in H.components():
-        prefix, suffix = _region_weights(stack, densities, n, parity)
-        radial, d_radial, angular, d_angular = _HARMONIC[parity]
-        decay = np.exp(-n * xi) * suffix[l]
-        d_xi += -n * angular(n * eta) * (d_radial(n * xi) * prefix[l] - decay)
-        d_eta += -n * d_angular(n * eta) * (radial(n * xi) * prefix[l] + decay)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, parity, _a in H.components():
+            prefix, suffix = _region_weights(stack, densities, n, parity)
+            radial, d_radial, angular, d_angular = _HARMONIC[parity]
+            decay = np.exp(-n * xi) * suffix[l]
+            d_xi += -n * angular(n * eta) * (d_radial(n * xi) * prefix[l] - decay)
+            d_eta += -n * d_angular(n * eta) * (radial(n * xi) * prefix[l] + decay)
+    _require_finite(H, xi, d_xi, d_eta)
     return d_xi, d_eta
 
 
@@ -215,52 +221,21 @@ def perturbed_gradient(stack, lam, H, point: EllipticPoint, *, region=None, dens
         densities = solve_densities(stack, lam, H)
     l = _resolve_region(stack, point.xi, region)
     d_xi, d_eta = _partials(stack, densities, H, point.xi, point.eta, l)
-    return np.array(_elliptic_to_cartesian_gradient(d_xi, d_eta, point.xi, point.eta, stack.R))
+    gx, gy, focal = _elliptic_to_cartesian_gradient(d_xi, d_eta, point.xi, point.eta, stack.R)
+    if focal:
+        raise GeometryError("gradient is indeterminate at a focal point (gamma = 0)")
+    return np.array((gx, gy))
 
 
 def _elliptic_to_cartesian_gradient(d_xi, d_eta, xi, eta, R):
-    """(gx, gy) = (P_xi x_xi + P_eta x_eta) / gamma^2 with x_xi = (a, b); the
-    map is conformal, so x_eta = (-b, a)."""
+    """(gx, gy, focal): (gx, gy) = (P_xi x_xi + P_eta x_eta) / gamma^2 with
+    x_xi = (a, b), as the map is conformal, x_eta = (-b, a); ``focal`` marks
+    where gamma evaluates to 0 (at a focus), so that the formula is 0/0."""
     g2 = R**2 * (np.sinh(xi) ** 2 + np.sin(eta) ** 2)
-    if np.ndim(g2) == 0 and g2 == 0.0:
-        raise GeometryError("gradient is indeterminate at a focal point (gamma = 0)")
     a = R * np.sinh(xi) * np.cos(eta)
     b = R * np.cosh(xi) * np.sin(eta)
-    return (d_xi * a - d_eta * b) / g2, (d_xi * b + d_eta * a) / g2
-
-
-def background_potential(H: BackgroundField, point: EllipticPoint):
-    """Value of the background potential H at a point."""
-    total = 0.0j
-    for n, parity, a in H.components():
-        radial, _, angular, _ = _HARMONIC[parity]
-        total += a * radial(n * point.xi) * angular(n * point.eta)
-    return complex(total)
-
-
-def background_gradient(H: BackgroundField, point: EllipticPoint, R):
-    """Cartesian gradient of the background potential at a point."""
-    d_xi = 0.0j
-    d_eta = 0.0j
-    for n, parity, a in H.components():
-        radial, d_radial, angular, d_angular = _HARMONIC[parity]
-        d_xi += n * a * d_radial(n * point.xi) * angular(n * point.eta)
-        d_eta += n * a * radial(n * point.xi) * d_angular(n * point.eta)
-    return np.array(_elliptic_to_cartesian_gradient(d_xi, d_eta, point.xi, point.eta, R))
-
-
-def total_potential(stack, lam, H, point, *, region=None, densities=None):
-    """u = H + (u - H) at a point (one-sided on interfaces via ``region``)."""
-    return background_potential(H, point) + perturbed_potential(
-        stack, lam, H, point, region=region, densities=densities
-    )
-
-
-def total_gradient(stack, lam, H, point, *, region=None, densities=None):
-    """Cartesian gradient of the total potential u at a point."""
-    return background_gradient(H, point, stack.R) + perturbed_gradient(
-        stack, lam, H, point, region=region, densities=densities
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (d_xi * a - d_eta * b) / g2, (d_xi * b + d_eta * a) / g2, g2 == 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,11 +304,10 @@ def _grid_values(stack, lam, H, XI, ETA, L, normalize, quantity):
         norm_source = np.abs(values.real)
     else:
         d_xi, d_eta = _partials(stack, densities, H, XI, ETA, L)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gx, gy = _elliptic_to_cartesian_gradient(d_xi, d_eta, XI, ETA, stack.R)
+        gx, gy, focal = _elliptic_to_cartesian_gradient(d_xi, d_eta, XI, ETA, stack.R)
         values = np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2)
         # grid nodes that land exactly on a focal point have no defined gradient
-        values[~np.isfinite(values)] = 0.0
+        values[focal] = 0.0
         norm_source = values
     if normalize:
         peak = float(norm_source.max())

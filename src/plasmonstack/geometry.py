@@ -81,31 +81,6 @@ def xi_from_semimajor(b, R):
     return float(out) if out.ndim == 0 else out
 
 
-def metric_factor(xi, eta, R):
-    """Scale factor gamma(xi, eta) = R * sqrt(sinh(xi)^2 + sin(eta)^2).
-
-    The arclength element on a constant-xi curve is ds = gamma * d(eta) and
-    the outward normal derivative is gamma**-1 * d/d(xi).
-    """
-    return R * np.sqrt(np.sinh(xi) ** 2 + np.sin(eta) ** 2)
-
-
-def curvature(xi, eta, R):
-    """Curvature of the constant-``xi`` ellipse at angular position ``eta``.
-
-    kappa = cosh(xi) sinh(xi) / (R * (sinh(xi)^2 + sin(eta)^2)^(3/2)).
-
-    The maximum over eta is cosh(xi)/(R sinh(xi)^2), attained at the
-    vertices eta in {0, pi} on the semi-major axis.  xi = 0 is rejected:
-    the formula is singular on the degenerate (focal segment) ellipse.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi <= 0.0):
-        raise GeometryError("curvature requires xi > 0 (focal segment is degenerate)")
-    kappa = np.cosh(xi) * np.sinh(xi) / (R * (np.sinh(xi) ** 2 + np.sin(eta) ** 2) ** 1.5)
-    return float(kappa) if kappa.ndim == 0 else kappa
-
-
 @dataclass(frozen=True)
 class EllipticPoint:
     """A point in elliptic coordinates, with eta stored wrapped into [0, 2*pi)."""
@@ -117,14 +92,6 @@ class EllipticPoint:
         if self.xi < 0:
             raise GeometryError(f"elliptic radius must be >= 0, got xi={self.xi}")
         object.__setattr__(self, "eta", float(wrap_angle(self.eta)))
-
-    def to_cartesian(self, R):
-        return elliptic_to_cartesian(self.xi, self.eta, R)
-
-    @classmethod
-    def from_cartesian(cls, x1, x2, R):
-        xi, eta = cartesian_to_elliptic(x1, x2, R)
-        return cls(xi=xi, eta=eta)
 
 
 @dataclass(frozen=True)
@@ -181,9 +148,9 @@ class LayerStack:
             return cls(R=float(data["R"]), xi=tuple(data["xi"]))
         return cls.from_semimajor(float(data["R"]), data["semimajor"])
 
-    def interface_polyline(self, k, num=400):
-        """Sampled Cartesian polyline of interface k (1-indexed), closed."""
+    def interface_polyline(self, k):
+        """Cartesian polyline of interface k (1-indexed): 400 segments, closed."""
         if not 1 <= k <= self.N:
             raise GeometryError(f"interface index must be in 1..{self.N}, got {k}")
-        eta = np.linspace(0.0, TWO_PI, num + 1)
+        eta = np.linspace(0.0, TWO_PI, 401)
         return elliptic_to_cartesian(self.xi[k - 1], eta, self.R)

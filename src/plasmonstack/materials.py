@@ -1,12 +1,10 @@
-"""Material parameters, the contrast parameter, and the Drude model.
+"""The shell conductivity sigma1 a mode's contrast parameter stands for,
+and the lossless Drude frequency that realizes it.  The contrast
 
-The structure alternates a shell conductivity sigma1 = -sigma* + i*delta
-(odd layers) with the background sigma0 (even layers and the exterior).
-The single contrast parameter
+    lambda = (sigma1 + sigma0) / (2 (sigma1 - sigma0)),
 
-    lambda = (sigma1 + sigma0) / (2 (sigma1 - sigma0))
-
-carries all material information entering the mode problem.
+with sigma0 the background, carries all material information entering the
+mode problem; this forward map and the lossy Drude model are test oracles.
 """
 
 from __future__ import annotations
@@ -19,45 +17,26 @@ from .errors import ContrastError
 
 @dataclass(frozen=True)
 class DrudeParams:
-    """Drude dispersion parameters: sigma1(omega) = sigma_prime * (1 - omega_p^2 / (omega (omega + i tau)))."""
+    """Lossless Drude dispersion parameters: sigma1(omega) = sigma_prime * (1 - omega_p^2 / omega^2)."""
 
     sigma_prime: float = 9e-12
     omega_p: float = 2e15
-    tau_damp: float = 1e14
 
     def __post_init__(self):
         if self.sigma_prime <= 0 or self.omega_p <= 0:
             raise ContrastError("sigma_prime and omega_p must be positive")
-        if self.tau_damp < 0:
-            # tau = 0 is the lossless limit used when solving for resonant frequencies
-            raise ContrastError(f"tau_damp must be >= 0, got {self.tau_damp}")
-
-
-def lambda_from_sigma(sigma1, sigma0):
-    """Contrast parameter lambda = (sigma1 + sigma0) / (2 (sigma1 - sigma0))."""
-    if sigma1 == sigma0:
-        raise ContrastError("sigma1 == sigma0 gives no contrast (lambda is singular)")
-    return (sigma1 + sigma0) / (2.0 * (sigma1 - sigma0))
 
 
 def sigma_from_lambda(lam, sigma0):
     """Shell conductivity realizing a given contrast: sigma1 = sigma0 (2 lam + 1)/(2 lam - 1).
 
-    Exact inverse of :func:`lambda_from_sigma`.  lam = 1/2 maps to infinite
+    Inverse of the contrast map lambda(sigma1).  lam = 1/2 maps to infinite
     conductivity and is rejected; lam = -1/2 maps to +0.0, not -0.0.
     """
     if lam == 0.5:
         raise ContrastError("lambda = 1/2 corresponds to infinite conductivity")
     # adding +0.0 turns -0.0 into 0.0 and leaves every other value unchanged
     return sigma0 * (2.0 * lam + 1.0) / (2.0 * lam - 1.0) + 0.0
-
-
-def drude_sigma(omega, params):
-    """Drude conductivity at angular frequency omega (> 0)."""
-    if omega <= 0:
-        raise ContrastError(f"frequency must be positive, got {omega}")
-    p = params
-    return p.sigma_prime * (1.0 - p.omega_p**2 / (omega * complex(omega, p.tau_damp)))
 
 
 def resonant_frequency(lambda_star, params, sigma0):

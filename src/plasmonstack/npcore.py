@@ -1,17 +1,17 @@
-"""Fourier-basis actions of layer potentials on confocal ellipses, and the
-order-n even/odd coupling (GPM) and interface-operator (NP) matrices.
+"""The order-n even/odd coupling (GPM) and interface-operator (NP) matrices
+of confocal ellipses, from Fourier-basis layer-potential actions.
 
 Densities live in the weighted Fourier basis beta_n = gamma^-1 cos(n eta)
 (even) or gamma^-1 sin(n eta) (odd), n >= 1; the n = 0 constants are
-excluded because densities are mean-zero.  On that basis the single-layer
-potential of interface k acts by scalar coefficients.  The N x N matrices
-per (n, parity) are the normal-derivative action evaluated between
-interfaces: entry (i, j) is the action of interface j's single layer at
-interface i, taken as an array over all pairs at once.  The two parities
-differ only in the sign of the far-field term exp(-n (xi_i + xi_j)), so
-:func:`build_np` evaluates one exponential table for both.
+excluded because densities are mean-zero.  On that basis the normal
+derivative of interface k's single-layer potential acts by scalar
+coefficients.  The N x N matrices per (n, parity) are that action evaluated
+between interfaces over all pairs at once.  The two parities differ only in
+the sign of the far-field term exp(-n (xi_i + xi_j)), so :func:`build_np`
+evaluates one exponential table for both.  The single-layer action is a
+test oracle.
 
-The actions are evaluated in factored exponential form,
+The action is evaluated in factored exponential form,
 e.g. cosh(n xi_j)/exp(n xi_i) = (exp(n (xi_j - xi_i)) + exp(-n (xi_j + xi_i)))/2,
 where every exponent is -n |eval - source| or -n (eval + source), so <= 0.
 This keeps every entry in [-1, 1] and avoids cosh/sinh overflow for any n*xi
@@ -57,34 +57,13 @@ def _exponentials(n, source_xi, eval_xi):
     return near, far
 
 
-def single_layer_action(n, parity, source_xi, eval_xi):
-    """Coefficient of cos(n eta) (even) or sin(n eta) (odd) in the single-layer
-    potential of the weighted Fourier density on the ellipse xi = source_xi,
-    evaluated at elliptic radius eval_xi (elementwise over array radii).
-
-    Inside (eval <= source) the even coefficient is -cosh(n eval)/(n e^{n source});
-    outside it is -cosh(n source)/(n e^{n eval}); odd swaps cosh for sinh.  The
-    two branches agree at eval == source (the single layer is continuous).
-    """
-    near, far = _exponentials(n, source_xi, eval_xi)
-    return -(near + _sign(parity) * far) / (2.0 * n)
-
-
 def _normal_derivative(sgn, n, source_xi, eval_xi):
-    """:func:`normal_derivative_action` for a parity sign ``sgn`` (+1 even,
-    -1 odd) that broadcasts against the radii, so one exponential table
-    serves every parity on ``sgn``'s axes."""
-    near, far = _exponentials(n, source_xi, eval_xi)
-    signed_far = sgn * far
-    inside = -0.5 * (near - signed_far)
-    outside = 0.5 * (near + signed_far)
-    return np.where(eval_xi == source_xi, 0.5 * signed_far, np.where(eval_xi < source_xi, inside, outside))
-
-
-def normal_derivative_action(n, parity, source_xi, eval_xi):
-    """Coefficient of gamma^-1 cos(n eta) (even) or gamma^-1 sin(n eta) (odd)
-    in the normal derivative of the single-layer potential (elementwise over
-    array radii).
+    """Coefficient of gamma^-1 cos(n eta) (sgn = +1, even) or gamma^-1 sin(n eta)
+    (sgn = -1, odd) in the normal derivative of the single-layer potential of
+    the weighted Fourier density on the ellipse xi = source_xi, evaluated at
+    elliptic radius eval_xi (elementwise over array radii).  ``sgn``
+    broadcasts against the radii, so one exponential table serves every
+    parity on its axes.
 
     Inside (eval < source): -sinh(n eval)/e^{n source} (even),
     -cosh(n eval)/e^{n source} (odd).  Outside: +cosh(n source)/e^{n eval}
@@ -93,7 +72,11 @@ def normal_derivative_action(n, parity, source_xi, eval_xi):
     -(2 e^{2 n source})^-1 for odd; the one-sided limits differ from it by
     -+ half of the density weight (the jump relation).
     """
-    return _normal_derivative(_sign(parity), n, source_xi, eval_xi)[()]  # a scalar for scalar radii
+    near, far = _exponentials(n, source_xi, eval_xi)
+    signed_far = sgn * far
+    inside = -0.5 * (near - signed_far)
+    outside = 0.5 * (near + signed_far)
+    return np.where(eval_xi == source_xi, 0.5 * signed_far, np.where(eval_xi < source_xi, inside, outside))
 
 
 def _gpm(stack: LayerStack, lam, n, sgn):
@@ -105,7 +88,7 @@ def _gpm(stack: LayerStack, lam, n, sgn):
 
 def gpm_entries(stack: LayerStack, lam, n, parity):
     """Dense entries of the order-n GPM at contrast lam:
-    M[i, j] = (-1)^i lam delta_ij - normal_derivative_action(n, parity, xi_j, xi_i).
+    M[i, j] = (-1)^i lam delta_ij - _normal_derivative(+-1, n, xi_j, xi_i).
 
     Diagonal: (-1)^i lam -+ (2 e^{2 n xi_i})^-1 (minus for even, plus for odd,
     0-indexed rows); sub-diagonal sinh(n xi_i)/e^{n xi_j} (even) or cosh (odd);

@@ -144,6 +144,12 @@ def normalize_field_config(cfg):
     resolution = _read(cfg, "resolution", [INTEGER], allowed=GRID_SIZE, where=where)
     if len(resolution) != 2:
         raise ConfigError(f"{where}: resolution must be two integers >= 2, got {resolution}")
+    ranks = _read(cfg, "ranks", [INTEGER], [1], (lambda r: 1 <= r <= stack.N, f"in 1..{stack.N}"), where)
+    parities = _read(cfg, "parities", [(EVEN, ODD)], [EVEN, ODD], where=where)
+    for key, values in (("ranks", ranks), ("parities", parities)):
+        # each (parity, rank) grid is written to its own file
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{where}: {key} must not repeat a value, got {json.dumps(values)}")
     return {
         "geometry": geo,
         "n": _read(cfg, "n", INTEGER, allowed=COUNT, where=where),
@@ -152,8 +158,8 @@ def normalize_field_config(cfg):
         "normalize": _read(cfg, "normalize", BOOLEAN, True, where=where),
         "bbox": bbox,
         "resolution": resolution,
-        "ranks": _read(cfg, "ranks", [INTEGER], [1], (lambda r: 1 <= r <= stack.N, f"in 1..{stack.N}"), where),
-        "parities": _read(cfg, "parities", [(EVEN, ODD)], [EVEN, ODD], where=where),
+        "ranks": ranks,
+        "parities": parities,
         "tolerances": normalize_tolerances(cfg.get("tolerances", {})),
     }
 
@@ -201,6 +207,9 @@ def normalize_bie_config(cfg):
     if not nodes:
         raise ConfigError(f"{where}: nodes must hold at least one node count, got []")
     out = {"curves": curves, "nodes": nodes}
+    matching = [key for key in ("match_orders", "match_nodes") if key in cfg]
+    if matching and curves["type"] != "confocal":
+        raise ConfigError(f"{where}: {matching[0]} must come with confocal curves, got {curves['type']} curves")
     if "match_orders" in cfg:
         out["match_orders"] = _read(cfg, "match_orders", INTEGER, allowed=COUNT, where=where)
         out["match_nodes"] = _read(cfg, "match_nodes", INTEGER, max(nodes), NODE_COUNT, where)

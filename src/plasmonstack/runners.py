@@ -212,7 +212,7 @@ def run_bie(cfg):
             "s_mode1_err": float(np.abs(evs + r / 2.0).min()),
         }
 
-    if "match_orders" in cfg and spec["type"] == "confocal":
+    if "match_orders" in cfg:
         M = cfg["match_nodes"]
         block = bie_mod.assemble_block_np(bie_mod.curves_from_spec(spec, M))
         ev = bie_mod.block_np_eigenvalues(block, deflated=False)

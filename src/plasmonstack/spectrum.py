@@ -35,15 +35,14 @@ BOUND_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class PlasmonMode:
-    """One resonance: contrast value, parity, order, resonant shell conductivity.
+    """One resonance of a parity: contrast value, resonant shell conductivity
+    and rank.
 
     ``sigma1_resonant`` is None for lambda = 1/2, which no finite shell
     conductivity realizes.
     """
 
     lambda_root: float
-    parity: str
-    n: int
     sigma1_resonant: float | None
     rank: int  # 1-based index in descending lambda order within the parity
 
@@ -52,9 +51,6 @@ class PlasmonMode:
 class ModeSet:
     """All 2N modes of a stack at one Fourier order (N per parity)."""
 
-    stack: LayerStack
-    n: int
-    sigma0: float
     even_modes: tuple
     odd_modes: tuple
 
@@ -92,7 +88,8 @@ def _certify(stack, n, eigs, cross_tol, imag_tol, bound_slack):
     that point, so the count rises by the cluster's size across it: every
     root lies within ``cross_tol`` of a value and each value accounts for
     one root.  One :func:`~plasmonstack.charpoly.sturm_count` call counts
-    the probes of both parities.
+    the probes of both parities.  A gate passes only a value within its
+    tolerance, so a NaN fails it.
     """
     N = stack.N
     ascending = np.sort(eigs.real, axis=-1)
@@ -107,12 +104,12 @@ def _certify(stack, n, eigs, cross_tol, imag_tol, bound_slack):
     first = 2  # this parity's cluster probes start here
     for parity, imag, row, count, (starts, ends) in zip(PARITIES, eigs.imag, ascending, counts, clusters):
         worst = np.abs(imag).max(initial=0.0)
-        if worst > imag_tol:
+        if not worst <= imag_tol:
             raise CrossValidationError(
                 f"{parity} eigenvalues: imaginary part {worst:.3e} exceeds realness tolerance {imag_tol:.1e}"
             )
         excess = np.abs(row).max() - 0.5
-        if excess > bound_slack:
+        if not excess <= bound_slack:
             raise CrossValidationError(f"{parity} mode leaves the spectral interval by {excess:.3e}")
         outside = count[0] + N - count[1]
         if outside:
@@ -157,18 +154,12 @@ def modes(
     values = _certify(stack, n, np.linalg.eigvals(-build_np(stack, n)), cross_tol, imag_tol, bound_slack)
     even_modes, odd_modes = (
         tuple(
-            PlasmonMode(
-                lambda_root=lam,
-                parity=parity,
-                n=n,
-                sigma1_resonant=_resonant_sigma(lam, sigma0),
-                rank=rank,
-            )
+            PlasmonMode(lambda_root=lam, sigma1_resonant=_resonant_sigma(lam, sigma0), rank=rank)
             for rank, lam in enumerate(row.tolist(), start=1)
         )
-        for parity, row in zip(PARITIES, values)
+        for row in values
     )
-    return ModeSet(stack=stack, n=n, sigma0=sigma0, even_modes=even_modes, odd_modes=odd_modes)
+    return ModeSet(even_modes=even_modes, odd_modes=odd_modes)
 
 
 def verify_root_symmetry(modeset: ModeSet) -> float:

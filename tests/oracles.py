@@ -1,8 +1,18 @@
-"""Reference implementations that only the tests call: exact integer
-combination sums, the asymptotic limit polynomials, the determinant
-recursion, the per-parity mode route, the hyperbolic structure vectors, the
-representation-formula potential, the material and mode-to-material
-helpers, and high-precision mode values."""
+"""Reference implementations that only the tests call, grouped by the route
+each one checks:
+
+* the characteristic polynomial and mode route: exact integer combination
+  sums, the asymptotic limit polynomials, the determinant recursion and the
+  per-parity mode route;
+* the npcore actions: the single-layer and normal-derivative actions per
+  parity, and the hyperbolic structure vectors;
+* the field: the background and total potentials and gradients, the
+  representation-formula potential and the lowest background order;
+* the materials: the contrast map, the lossy Drude conductivity, the
+  material configuration and the mode-to-material helper;
+* the geometry: the metric factor and the analytic ellipse curvature;
+* high-precision mode values.
+"""
 
 import math
 from dataclasses import dataclass
@@ -12,11 +22,21 @@ import numpy as np
 
 from plasmonstack.charpoly import _TINY, CharPoly, build_charpoly
 from plasmonstack.errors import ContrastError, CrossValidationError
-from plasmonstack.field import solve_densities
+from plasmonstack.field import (
+    _HARMONIC,
+    BackgroundField,
+    _elliptic_to_cartesian_gradient,
+    perturbed_gradient,
+    perturbed_potential,
+    solve_densities,
+)
 from plasmonstack.geometry import EllipticPoint, LayerStack
-from plasmonstack.materials import lambda_from_sigma, resonant_frequency, sigma_from_lambda
-from plasmonstack.npcore import EVEN, ODD, _check_order, _sign, gpm_entries, single_layer_action
+from plasmonstack.materials import resonant_frequency, sigma_from_lambda
+from plasmonstack.npcore import EVEN, ODD, _check_order, _exponentials, _normal_derivative, _sign, gpm_entries
 from plasmonstack.spectrum import BOUND_SLACK, CROSS_ROUTE_TOL, IMAG_TOL, ModeSet, PlasmonMode, _resonant_sigma
+
+
+# --- characteristic polynomial and mode route --------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +163,7 @@ def certify_one_parity(stack, n, parity, values, cross_tol, bound_slack):
     with the messages of :func:`plasmonstack.spectrum.modes`."""
     N = stack.N
     excess = np.abs(values).max() - 0.5
-    if excess > bound_slack:
+    if not excess <= bound_slack:
         raise CrossValidationError(f"{parity} mode leaves the spectral interval by {excess:.3e}")
     ascending = values[::-1]
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(ascending) > 2.0 * cross_tol) + 1, [N]))
@@ -179,17 +199,40 @@ def per_parity_modes(
     for parity in (EVEN, ODD):
         eigs = np.linalg.eigvals(-np_matrix(stack, n, parity))
         worst = np.abs(eigs.imag).max(initial=0.0)
-        if worst > imag_tol:
+        if not worst <= imag_tol:
             raise CrossValidationError(
                 f"{parity} eigenvalues: imaginary part {worst:.3e} exceeds realness tolerance {imag_tol:.1e}"
             )
         values = np.sort(eigs.real)[::-1]
         certify_one_parity(stack, n, parity, values, cross_tol, bound_slack)
         per_parity[parity] = tuple(
-            PlasmonMode(float(lam), parity, n, _resonant_sigma(float(lam), sigma0), rank)
+            PlasmonMode(float(lam), _resonant_sigma(float(lam), sigma0), rank)
             for rank, lam in enumerate(values, start=1)
         )
-    return ModeSet(stack=stack, n=n, sigma0=sigma0, even_modes=per_parity[EVEN], odd_modes=per_parity[ODD])
+    return ModeSet(even_modes=per_parity[EVEN], odd_modes=per_parity[ODD])
+
+
+# --- npcore actions ----------------------------------------------------------
+
+
+def single_layer_action(n, parity, source_xi, eval_xi):
+    """Coefficient of cos(n eta) (even) or sin(n eta) (odd) in the single-layer
+    potential of the weighted Fourier density on the ellipse xi = source_xi,
+    evaluated at elliptic radius eval_xi (elementwise over array radii).
+
+    Inside (eval <= source) the even coefficient is -cosh(n eval)/(n e^{n source});
+    outside it is -cosh(n source)/(n e^{n eval}); odd swaps cosh for sinh.  The
+    two branches agree at eval == source (the single layer is continuous).
+    """
+    near, far = _exponentials(n, source_xi, eval_xi)
+    return -(near + _sign(parity) * far) / (2.0 * n)
+
+
+def normal_derivative_action(n, parity, source_xi, eval_xi):
+    """The normal-derivative action of one parity (see
+    :func:`plasmonstack.npcore._normal_derivative` for its branches); a
+    scalar for scalar radii."""
+    return _normal_derivative(_sign(parity), n, source_xi, eval_xi)[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +258,44 @@ def structure_vectors(stack: LayerStack, n: int) -> StructureVectors:
     return StructureVectors(n=n, s=s, c=c, s_alt=signs * s, c_alt=signs * c)
 
 
+# --- field -------------------------------------------------------------------
+
+
+def background_potential(H: BackgroundField, point: EllipticPoint):
+    """Value of the background potential H at a point."""
+    total = 0.0j
+    for n, parity, a in H.components():
+        radial, _, angular, _ = _HARMONIC[parity]
+        total += a * radial(n * point.xi) * angular(n * point.eta)
+    return complex(total)
+
+
+def background_gradient(H: BackgroundField, point: EllipticPoint, R):
+    """Cartesian gradient of the background potential at a point."""
+    d_xi = 0.0j
+    d_eta = 0.0j
+    for n, parity, a in H.components():
+        radial, d_radial, angular, d_angular = _HARMONIC[parity]
+        d_xi += n * a * d_radial(n * point.xi) * angular(n * point.eta)
+        d_eta += n * a * radial(n * point.xi) * d_angular(n * point.eta)
+    gx, gy, _focal = _elliptic_to_cartesian_gradient(d_xi, d_eta, point.xi, point.eta, R)
+    return np.array((gx, gy))
+
+
+def total_potential(stack, lam, H, point, *, region=None, densities=None):
+    """u = H + (u - H) at a point (one-sided on interfaces via ``region``)."""
+    return background_potential(H, point) + perturbed_potential(
+        stack, lam, H, point, region=region, densities=densities
+    )
+
+
+def total_gradient(stack, lam, H, point, *, region=None, densities=None):
+    """Cartesian gradient of the total potential u at a point."""
+    return background_gradient(H, point, stack.R) + perturbed_gradient(
+        stack, lam, H, point, region=region, densities=densities
+    )
+
+
 def density_summation_potential(stack, lam, H, point: EllipticPoint, *, densities=None):
     """u - H via direct summation of single-layer contributions.
 
@@ -226,52 +307,35 @@ def density_summation_potential(stack, lam, H, point: EllipticPoint, *, densitie
         densities = solve_densities(stack, lam, H)
     total = 0.0j
     for n, parity, a in H.components():
-        coeffs = densities.phi[(n, parity)] * single_layer_action(n, parity, stack.xi_array, point.xi)
+        coeffs = densities[(n, parity)] * single_layer_action(n, parity, stack.xi_array, point.xi)
         angular = np.cos if parity == EVEN else np.sin
         total += coeffs.sum() * angular(n * point.eta)
     return complex(total)
 
 
-def mode_to_material(mode: PlasmonMode, sigma0: float, drude=None):
-    """Resonant shell conductivity for a mode, plus the lossless Drude
-    frequency when Drude parameters are supplied.
-
-    Returns (sigma1, omega_or_None).
-    """
-    sigma1 = sigma_from_lambda(mode.lambda_root, sigma0)
-    omega = None
-    if drude is not None:
-        omega = resonant_frequency(mode.lambda_root, drude, sigma0)
-    return sigma1, omega
+def min_order(H):
+    """Lowest order of a BackgroundField; its perturbation decays like
+    exp(-min_order xi) outside the stack."""
+    return min(n for n, _, _ in H.terms)
 
 
-def precise_roots(stack: LayerStack, n, parity, guesses, digits=60):
-    """Roots of the parity's characteristic polynomial to ``digits`` digits
-    (needs mpmath), one per float guess: the determinant recursion is
-    evaluated in that precision and its sign change bracketed within 1e-10
-    of the guess."""
-    import mpmath as mp
+# --- materials ---------------------------------------------------------------
 
-    with mp.workdps(digits):
-        xi = [mp.mpf(x) for x in stack.xi]
-        diag = 1 if parity == EVEN else -1
 
-        def det(lam):
-            # recursion_determinant, i = 1, with lam_k = (-1)^(k-1) lam
-            lam_k = [lam if k % 2 else -lam for k in range(len(xi) + 1)]
-            after, cur = mp.mpf(1), lam_k[-1] - diag * mp.exp(-2 * n * xi[-1]) / 2
-            for k in range(len(xi) - 1, 0, -1):
-                E = mp.exp(2 * n * (xi[k] - xi[k - 1]))
-                after, cur = cur, (lam_k[k] + lam_k[k + 1] * E) * cur - (lam * lam - mp.mpf(1) / 4) * E * after
-            return cur
+def lambda_from_sigma(sigma1, sigma0):
+    """Contrast parameter lambda = (sigma1 + sigma0) / (2 (sigma1 - sigma0))."""
+    if sigma1 == sigma0:
+        raise ContrastError("sigma1 == sigma0 gives no contrast (lambda is singular)")
+    return (sigma1 + sigma0) / (2.0 * (sigma1 - sigma0))
 
-        roots = []
-        for guess in guesses:
-            bracket = (mp.mpf(float(guess)) - mp.mpf("1e-10"), mp.mpf(float(guess)) + mp.mpf("1e-10"))
-            if det(bracket[0]) * det(bracket[1]) >= 0:
-                raise ValueError(f"no sign change of the {parity} determinant within 1e-10 of {guess!r}")
-            roots.append(mp.findroot(det, bracket, solver="anderson"))
-        return roots
+
+def drude_sigma(omega, params, tau):
+    """Drude conductivity sigma_prime (1 - omega_p^2 / (omega (omega + i tau)))
+    at angular frequency omega (> 0) with damping rate tau (>= 0; 0 is lossless)."""
+    if omega <= 0:
+        raise ContrastError(f"frequency must be positive, got {omega}")
+    p = params
+    return p.sigma_prime * (1.0 - p.omega_p**2 / (omega * complex(omega, tau)))
 
 
 #: background conductivity conventionally paired with the DrudeParams
@@ -316,7 +380,69 @@ def lossless_limit_lambda(sigma_star, sigma0):
     return (sigma0 - sigma_star) / (-2.0 * (sigma0 + sigma_star))
 
 
-def min_order(H):
-    """Lowest order of a BackgroundField; its perturbation decays like
-    exp(-min_order xi) outside the stack."""
-    return min(n for n, _, _ in H.terms)
+def mode_to_material(mode: PlasmonMode, sigma0: float, drude=None):
+    """Resonant shell conductivity for a mode, plus the lossless Drude
+    frequency when Drude parameters are supplied.
+
+    Returns (sigma1, omega_or_None).
+    """
+    sigma1 = sigma_from_lambda(mode.lambda_root, sigma0)
+    omega = None
+    if drude is not None:
+        omega = resonant_frequency(mode.lambda_root, drude, sigma0)
+    return sigma1, omega
+
+
+# --- geometry ----------------------------------------------------------------
+
+
+def metric_factor(xi, eta, R):
+    """Scale factor gamma(xi, eta) = R * sqrt(sinh(xi)^2 + sin(eta)^2).
+
+    The arclength element on a constant-xi curve is ds = gamma * d(eta) and
+    the outward normal derivative is gamma**-1 * d/d(xi).
+    """
+    return R * np.sqrt(np.sinh(xi) ** 2 + np.sin(eta) ** 2)
+
+
+def curvature(xi, eta, R):
+    """Curvature of the constant-``xi`` ellipse (xi > 0) at angular position ``eta``:
+
+    kappa = cosh(xi) sinh(xi) / (R * (sinh(xi)^2 + sin(eta)^2)^(3/2)).
+
+    The maximum over eta is cosh(xi)/(R sinh(xi)^2), attained at the
+    vertices eta in {0, pi} on the semi-major axis.
+    """
+    return np.cosh(xi) * np.sinh(xi) / (R * (np.sinh(xi) ** 2 + np.sin(eta) ** 2) ** 1.5)
+
+
+# --- high precision ----------------------------------------------------------
+
+
+def precise_roots(stack: LayerStack, n, parity, guesses, digits=60):
+    """Roots of the parity's characteristic polynomial to ``digits`` digits
+    (needs mpmath), one per float guess: the determinant recursion is
+    evaluated in that precision and its sign change bracketed within 1e-10
+    of the guess."""
+    import mpmath as mp
+
+    with mp.workdps(digits):
+        xi = [mp.mpf(x) for x in stack.xi]
+        diag = 1 if parity == EVEN else -1
+
+        def det(lam):
+            # recursion_determinant, i = 1, with lam_k = (-1)^(k-1) lam
+            lam_k = [lam if k % 2 else -lam for k in range(len(xi) + 1)]
+            after, cur = mp.mpf(1), lam_k[-1] - diag * mp.exp(-2 * n * xi[-1]) / 2
+            for k in range(len(xi) - 1, 0, -1):
+                E = mp.exp(2 * n * (xi[k] - xi[k - 1]))
+                after, cur = cur, (lam_k[k] + lam_k[k + 1] * E) * cur - (lam * lam - mp.mpf(1) / 4) * E * after
+            return cur
+
+        roots = []
+        for guess in guesses:
+            bracket = (mp.mpf(float(guess)) - mp.mpf("1e-10"), mp.mpf(float(guess)) + mp.mpf("1e-10"))
+            if det(bracket[0]) * det(bracket[1]) >= 0:
+                raise ValueError(f"no sign change of the {parity} determinant within 1e-10 of {guess!r}")
+            roots.append(mp.findroot(det, bracket, solver="anderson"))
+        return roots

@@ -28,7 +28,6 @@ from plasmonstack.field import (
     BackgroundField,
     perturbed_potential,
     solve_densities,
-    total_gradient,
 )
 from plasmonstack.geometry import EllipticPoint, LayerStack
 from plasmonstack.materials import sigma_from_lambda
@@ -48,7 +47,14 @@ from table_data import (
 )
 
 from conftest import random_stack
-from oracles import density_summation_potential, h_coeff, min_order, recursion_determinant, thin_strip_limit
+from oracles import (
+    density_summation_potential,
+    h_coeff,
+    min_order,
+    recursion_determinant,
+    thin_strip_limit,
+    total_gradient,
+)
 from presets_for_tests import FIG12_CONFIG
 
 
@@ -385,7 +391,7 @@ def test_criterion_12_bie_cross_validation():
             for lam in ms.lambdas(parity):
                 contain_err = max(contain_err, float(np.abs(ev_block - (-lam)).min()))
     # (c) circle spectrum {1/2, 0}
-    ev_circle = np.sort(np.linalg.eigvals(assemble_kstar_block(DiscretizedCurve.circle(1.3, 128))).real)
+    ev_circle = np.sort(np.linalg.eigvals(assemble_kstar_block(DiscretizedCurve.polar((), 1.3, 128))).real)
     circle_err = max(abs(ev_circle[-1] - 0.5), float(np.abs(ev_circle[:-1]).max()))
     # (d) identity residuals strictly decreasing under node doubling
     cal = []

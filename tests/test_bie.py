@@ -19,14 +19,16 @@ from plasmonstack.bie import (
     self_adjointness_check,
 )
 from plasmonstack.errors import CurveError
-from plasmonstack.geometry import LayerStack, elliptic_to_cartesian, metric_factor
-from plasmonstack.npcore import EVEN, ODD, single_layer_action
+from plasmonstack.geometry import LayerStack, elliptic_to_cartesian
+from plasmonstack.npcore import EVEN, ODD
 from plasmonstack.spectrum import modes
+
+from oracles import metric_factor, single_layer_action
 
 
 class TestDiscretizedCurve:
     def test_circle_properties(self):
-        c = DiscretizedCurve.circle(2.0, 64)
+        c = DiscretizedCurve.polar((), 2.0, 64)
         assert_allclose(c.speed, 2.0, rtol=1e-14)
         assert_allclose(c.curvature, 0.5, rtol=1e-13)
         assert_allclose(np.einsum("ij,ij->i", c.normal, c.x / 2.0), 1.0, rtol=1e-14)
@@ -48,7 +50,7 @@ class TestDiscretizedCurve:
 
     def test_odd_node_count_rejected(self):
         with pytest.raises(CurveError):
-            DiscretizedCurve.circle(1.0, 33)
+            DiscretizedCurve.polar((), 1.0, 33)
 
     def test_polar_radius_positivity(self):
         with pytest.raises(CurveError):
@@ -77,14 +79,14 @@ class TestKressRule:
 
 class TestSingleCurveOperators:
     def test_circle_kstar_spectrum(self):
-        c = DiscretizedCurve.circle(1.3, 64)
+        c = DiscretizedCurve.polar((), 1.3, 64)
         ev = np.sort(np.linalg.eigvals(assemble_kstar_block(c)).real)
         assert abs(ev[-1] - 0.5) < 1e-12
         assert np.abs(ev[:-1]).max() < 1e-12
 
     def test_circle_single_layer_spectrum(self):
         r = 1.7
-        c = DiscretizedCurve.circle(r, 64)
+        c = DiscretizedCurve.polar((), r, 64)
         ev = np.sort(np.linalg.eigvals(assemble_single_layer(c)).real)
         assert np.abs(ev - r * math.log(r)).min() < 1e-12
         for m in (1, 2, 5):
@@ -166,8 +168,8 @@ class TestBlockOperators:
             assert_allclose((K @ phi) @ (w * psi), phi @ (w * (Kadj @ psi)), rtol=1e-12)
 
     def test_invalid_nesting_rejected(self):
-        inner = DiscretizedCurve.circle(1.0, 32)
-        outer = DiscretizedCurve.circle(2.0, 32)
+        inner = DiscretizedCurve.polar((), 1.0, 32)
+        outer = DiscretizedCurve.polar((), 2.0, 32)
         with pytest.raises(CurveError):
             assemble_block_np([inner, outer])  # wrong order: inner first
         crossing = [
@@ -215,7 +217,7 @@ class TestBlockOperators:
         assert sym[0] > sym[1] > sym[2]
 
     def test_circle_residuals_at_machine_precision(self):
-        curves = [DiscretizedCurve.circle(1.2, 64)]
+        curves = [DiscretizedCurve.polar((), 1.2, 64)]
         assert calderon_residual(assemble_block_np(curves), assemble_block_s(curves)) < 1e-13
         assert self_adjointness_check(assemble_block_np(curves), assemble_block_s(curves)) < 1e-12
 

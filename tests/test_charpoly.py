@@ -304,10 +304,3 @@ class TestThinStripLimit:
             roots = np.sort(build_charpoly(stack, 1)[EVEN if sign > 0 else ODD].roots().real)
             devs.append(np.abs(roots - limit_roots).max())
         assert devs[0] > devs[1] > devs[2]
-
-
-class TestCharPolyObject:
-    def test_parity_label(self):
-        stack = LayerStack(R=1.0, xi=(1.0,))
-        assert build_charpoly(stack, 1)[EVEN].parity == EVEN
-        assert build_charpoly(stack, 1)[ODD].parity == ODD

@@ -66,6 +66,11 @@ REJECTED_CONFIGS = [
                  id="curve-scale-string"),
     pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_nodes": 16}, "match_nodes",
                  id="match-nodes-without-orders"),
+    pytest.param("bie-validate", {"curves": {"type": "polar", "scale": 1.0}, "nodes": [16], "match_orders": 3},
+                 "match_orders", id="polar-match-orders"),
+    pytest.param("field", {**_FIELD, "geometry": {"R": 1.0, "xi": [1.0, 0.5]}, "ranks": [1, 1],
+                           "parities": ["even", "even"]}, "ranks", id="repeated-ranks"),
+    pytest.param("field", {**_FIELD, "parities": ["odd", "odd"]}, "parities", id="repeated-parities"),
 ]
 
 
@@ -316,6 +321,22 @@ class TestFieldCommand:
              "--delta", "0", "--out", str(tmp_path)]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("quantity", ["potential", "gradient"])
+    @pytest.mark.parametrize("xi,n,n_xi", [([6, 5, 4], 120, "720"), ([13, 12.5, 12], 60, "780")])
+    def test_overflowing_field_exit_code(self, tmp_path, capsys, quantity, xi, n, n_xi):
+        """sinh(n xi_1) overflows in the density solve's right-hand side: no
+        grid of zeros or nan is written, and the run names the failure."""
+        cfg = {"geometry": {"R": 1, "xi": xi}, "n": n, "delta": 1e-5, "bbox": [-3, 3, -3, 3],
+               "resolution": [5, 5], "quantity": quantity}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["field", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unrepresentable field: the order-{n} even field overflows" in err
+        assert f"n*xi reaches {n_xi} " in err
+        assert not out.exists()
 
 
 class TestBieCommand:
@@ -638,7 +659,17 @@ def readme_text():
 
 class TestReadme:
     """The README's commands and config example stay valid input: each is
-    parsed, merged and normalized as the CLI does, but not run."""
+    parsed, merged and normalized as the CLI does, but not run.  Its
+    ``python`` blocks run, in order, in one namespace."""
+
+    def test_python_blocks_run(self, capsys):
+        blocks = re.findall(r"```python\n(.*?)```", readme_text(), flags=re.DOTALL)
+        assert len(blocks) >= 2
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert np.isfinite(namespace["u"]) and np.isfinite(namespace["g"]).all()
+        assert namespace["grid"].values.shape == (201, 201)
 
     def test_cli_lines_normalize(self, tmp_path):
         blocks = re.findall(r"```sh\n(.*?)```", readme_text(), flags=re.DOTALL)

@@ -4,25 +4,29 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from plasmonstack.errors import GeometryError, RegionError, ResonanceError
+from plasmonstack.errors import FieldOverflowError, GeometryError, RegionError, ResonanceError
 from plasmonstack.field import (
     BackgroundField,
-    background_gradient,
-    background_potential,
     field_grid,
     perturbed_gradient,
     perturbed_potential,
     region_index,
     solve_densities,
-    total_gradient,
-    total_potential,
 )
-from plasmonstack.geometry import EllipticPoint, LayerStack, cartesian_to_elliptic
+from plasmonstack.geometry import EllipticPoint, LayerStack, cartesian_to_elliptic, elliptic_to_cartesian
 from plasmonstack.materials import sigma_from_lambda
 from plasmonstack.npcore import EVEN, ODD, PARITIES, build_np
 from plasmonstack.spectrum import modes
 
-from oracles import density_summation_potential, min_order, structure_vectors
+from oracles import (
+    background_gradient,
+    background_potential,
+    density_summation_potential,
+    min_order,
+    structure_vectors,
+    total_gradient,
+    total_potential,
+)
 
 STACK = LayerStack(R=1.0, xi=(1.4, 1.0, 0.7, 0.4))
 LAM = 0.17 + 1e-3j
@@ -73,7 +77,7 @@ class TestSolveDensities:
     def test_zero_background(self):
         H = BackgroundField(terms=((2, 0.0, 0.0),))
         sol = solve_densities(STACK, LAM, H)
-        assert sol.phi == {}
+        assert sol == {}
 
     def test_single_layer_closed_form(self):
         stack = LayerStack(R=1.0, xi=(0.9,))
@@ -81,7 +85,7 @@ class TestSolveDensities:
         H = BackgroundField.single(n, EVEN, a)
         sol = solve_densities(stack, LAM, H)
         expected = n * a * math.sinh(n * 0.9) / (LAM - 0.5 * math.exp(-2 * n * 0.9))
-        assert_allclose(sol.phi[(n, EVEN)][0], expected, rtol=1e-14)
+        assert_allclose(sol[(n, EVEN)][0], expected, rtol=1e-14)
 
     def test_route_equivalence_with_interface_operator(self, rng):
         # the coupling-matrix solve and the transposed-operator solve are the
@@ -98,7 +102,7 @@ class TestSolveDensities:
             lam = complex(rng.uniform(-1, 1), rng.uniform(0.05, 0.5))
             parity = EVEN if rng.uniform() < 0.5 else ODD
             H = BackgroundField.single(n, parity, a)
-            phi = solve_densities(stack, lam, H).phi[(n, parity)]
+            phi = solve_densities(stack, lam, H)[(n, parity)]
             sv = structure_vectors(stack, n)
             rhs_alt = n * a * (sv.s_alt if parity == EVEN else sv.c_alt)
             K = build_np(stack, n)[PARITIES.index(parity)]
@@ -115,7 +119,7 @@ class TestSolveDensities:
         assert err.value.n == 1 and err.value.parity == EVEN
         # a small loss parameter regularizes the same solve
         sol = solve_densities(stack, complex(lam_star, 1e-5), H)
-        assert (1, EVEN) in sol.phi
+        assert (1, EVEN) in sol
 
 
 class TestPerturbedPotential:
@@ -181,7 +185,7 @@ class TestPerturbedGradient:
             p = interior_point(rng, STACK, lo=0.05)
             if min(abs(p.xi - x) for x in STACK.xi) < 5e-3 or p.xi < 0.05:
                 continue
-            x1, x2 = p.to_cartesian(R)
+            x1, x2 = elliptic_to_cartesian(p.xi, p.eta, R)
             g = perturbed_gradient(STACK, LAM, H, p, densities=sol)
             h = 1e-6
             fd = []
@@ -220,6 +224,15 @@ class TestPerturbedGradient:
         with pytest.raises(GeometryError):
             perturbed_gradient(STACK, LAM, H, EllipticPoint(xi=0.0, eta=0.0))
 
+    @pytest.mark.parametrize("evaluate", [perturbed_potential, perturbed_gradient])
+    def test_overflow_rejected(self, evaluate):
+        # outside the stack u - H is exp(-n xi) times a weight, but the
+        # evaluator also forms sinh(n xi) * 0, which is nan at n xi = 720;
+        # the point is refused rather than given a nan value
+        H = BackgroundField.single(120, ODD, 1.0)
+        with pytest.raises(FieldOverflowError, match=r"order-120 odd field .* n\*xi reaches 720 "):
+            evaluate(STACK, LAM, H, EllipticPoint(xi=6.0, eta=0.3))
+
 
 def _unit_normal(p, R):
     g = R * math.sqrt(math.sinh(p.xi) ** 2 + math.sin(p.eta) ** 2)
@@ -241,7 +254,7 @@ class TestTotalField:
         H = BackgroundField(terms=((3, 0.8, -1.2),))
         p = EllipticPoint(xi=0.9, eta=2.2)
         R = 1.0
-        x1, x2 = p.to_cartesian(R)
+        x1, x2 = elliptic_to_cartesian(p.xi, p.eta, R)
         h = 1e-6
         g = background_gradient(H, p, R)
         for axis, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):

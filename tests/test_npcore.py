@@ -7,19 +7,11 @@ from numpy.testing import assert_allclose
 
 from plasmonstack.charpoly import build_charpoly
 from plasmonstack.geometry import LayerStack
-from plasmonstack.npcore import (
-    EVEN,
-    ODD,
-    PARITIES,
-    build_np,
-    gpm_entries,
-    normal_derivative_action,
-    single_layer_action,
-)
+from plasmonstack.npcore import EVEN, ODD, PARITIES, build_np, gpm_entries
 from table_data import TABLE1_LAMBDA_EVEN
 
 from conftest import geometric_random_stack, random_stack
-from oracles import np_matrix, structure_vectors
+from oracles import normal_derivative_action, np_matrix, single_layer_action, structure_vectors
 
 
 class TestSingleLayerAction:

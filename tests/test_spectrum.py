@@ -22,7 +22,7 @@ from plasmonstack.spectrum import (
 from table_data import TABLE1_LAMBDA_EVEN, TABLE1_SIGMA_ODD
 
 from conftest import geometric_random_stack, random_stack
-from oracles import DEFAULT_SIGMA0, mode_to_material, per_parity_modes, precise_roots
+from oracles import DEFAULT_SIGMA0, drude_sigma, lambda_from_sigma, mode_to_material, per_parity_modes, precise_roots
 
 TABLE1_STACK = LayerStack(R=1.0, xi=tuple(float(16 - i) for i in range(1, 16)))
 
@@ -188,6 +188,19 @@ class TestCertificate:
         with pytest.raises(CrossValidationError, match=f"^{parity} eigenvalues: imaginary part"):
             self.certify(values)
 
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    def test_nan_fails_the_gates(self, parity):
+        """A gate passes only a value within its tolerance, so NaN fails it."""
+        values, _row = self.values(parity)
+        values = values.astype(complex)
+        values[PARITIES.index(parity), 3] += complex(0.0, math.nan)
+        with pytest.raises(CrossValidationError, match=f"^{parity} eigenvalues: imaginary part nan"):
+            self.certify(values)
+        values, row = self.values(parity)
+        row[3] = math.nan
+        with pytest.raises(CrossValidationError, match=f"^{parity} mode leaves the spectral interval by nan"):
+            self.certify(values)
+
     def test_gates_in_parity_order(self):
         """With a defect in each parity, the even one is reported, whatever
         its gate: the gates run parity by parity, as they did one parity at
@@ -257,7 +270,7 @@ class TestModeToMaterial:
     def test_zero_mode(self):
         from plasmonstack.spectrum import PlasmonMode
 
-        mode = PlasmonMode(lambda_root=0.0, parity=EVEN, n=1, sigma1_resonant=-2.0, rank=1)
+        mode = PlasmonMode(lambda_root=0.0, sigma1_resonant=-2.0, rank=1)
         sigma1, omega = mode_to_material(mode, sigma0=2.0)
         assert sigma1 == -2.0
 
@@ -270,8 +283,5 @@ class TestModeToMaterial:
         sigma1, omega = mode_to_material(mode, sigma0=sigma0, drude=drude)
         assert omega > 0
         # lossless consistency: the frequency reproduces the mode's contrast
-        from plasmonstack.materials import drude_sigma, lambda_from_sigma
-
-        lossless = DrudeParams(tau_damp=0.0)
-        back = lambda_from_sigma(drude_sigma(omega, lossless), sigma0)
+        back = lambda_from_sigma(drude_sigma(omega, drude, tau=0.0), sigma0)
         assert abs(back - mode.lambda_root) < 1e-10

@@ -1,0 +1,81 @@
+"""The library's public surface is what its commands, the README and the
+benchmark use.  Every public top-level function or class, and every public
+method or property, of ``src/plasmonstack`` must be referenced somewhere
+other than its own definition: in the library, in ``perfbench/*.py`` or in
+a README ``python`` block.  A name that only tests use belongs in
+``tests/oracles.py``."""
+
+import ast
+import glob
+import os
+import re
+from collections import defaultdict
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "plasmonstack")
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _readme_blocks():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", fh.read(), flags=re.DOTALL)]
+
+
+def _module_aliases(tree, modules):
+    """Names that refer to a ``plasmonstack`` module in ``tree``."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {(a.asname or a.name).split(".")[0] for a in node.names if a.name.startswith("plasmonstack")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("plasmonstack")):
+            aliases |= {a.asname or a.name for a in node.names if a.name in modules}
+    return aliases
+
+
+def _references(trees, modules):
+    """{"top": {name: node ids}, "attr": {name: node ids}} over ``trees``: a
+    loaded name or a module attribute can reach a top-level function or
+    class, and any loaded attribute can reach a method or property."""
+    refs = {"top": defaultdict(set), "attr": defaultdict(set)}
+    for tree in trees:
+        aliases = _module_aliases(tree, modules)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs["top"][node.id].add(id(node))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                refs["attr"][node.attr].add(id(node))
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    refs["top"][node.attr].add(id(node))
+    return refs
+
+
+def _definitions(tree):
+    """(kind, qualified name, name, node) of each public top-level function
+    or class, and of each public method or property of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield "top", node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield "attr", f"{node.name}.{item.name}", item.name, item
+
+
+def test_every_public_name_is_used():
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    modules = {os.path.splitext(os.path.basename(p))[0] for p in paths} - {"__init__"}
+    library = {p: _parse(p) for p in paths}
+    users = [_parse(p) for p in sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))] + _readme_blocks()
+    refs = _references([*library.values(), *users], modules)
+    unused = []
+    for path, tree in library.items():
+        for kind, qualname, name, definition in _definitions(tree):
+            # a use inside the definition itself, such as a recursive call, does not count
+            inside = {id(node) for node in ast.walk(definition)}
+            if not refs[kind][name] - inside:
+                unused.append(f"{os.path.basename(path)}: {qualname}")
+    assert unused == [], "public names that nothing outside tests uses: " + ", ".join(unused)
