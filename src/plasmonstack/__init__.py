@@ -24,14 +24,12 @@ if os.environ.get("PLASMONSTACK_THREADS"):
 __version__ = "0.1.0"
 
 from .geometry import EllipticPoint, LayerStack
-from .materials import DrudeParams
 from .spectrum import ModeSet, PlasmonMode, modes
 
 __all__ = [
     "__version__",
     "EllipticPoint",
     "LayerStack",
-    "DrudeParams",
     "ModeSet",
     "PlasmonMode",
     "modes",

@@ -43,11 +43,9 @@ _TINY = np.finfo(float).tiny
 class CharPoly:
     """Monic characteristic polynomial of one parity.
 
-    ``coeffs[k]`` multiplies lambda^(N-k); ``coeffs[0] == 1``.  ``sign`` is
-    +1 for the even-parity polynomial and -1 for the odd one.
+    ``coeffs[k]`` multiplies lambda^(N-k); ``coeffs[0] == 1``.
     """
 
-    sign: int
     coeffs: np.ndarray
 
     def evaluate(self, lam):
@@ -94,7 +92,7 @@ def build_charpoly(stack: LayerStack, n) -> dict:
     polys = {}
     for parity, sign in ((EVEN, +1), (ODD, -1)):
         coeffs = np.array([s_k / (sign * 2.0) ** k for k, s_k in enumerate(sums)])
-        polys[parity] = CharPoly(sign=sign, coeffs=coeffs)
+        polys[parity] = CharPoly(coeffs=coeffs)
     return polys
 
 

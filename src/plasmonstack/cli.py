@@ -75,21 +75,16 @@ def _merge_config(command, args, preset_cfg):
 
     for flag, key, _kwargs in runners.get_command(command).options:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))  # argparse's dest
-        if key and value is not None:
-            cfg[key] = value
-    if getattr(args, "gradient", False):
-        cfg["quantity"] = "gradient"
-    parity = getattr(args, "parity", None)
-    if parity:
-        cfg["parities"] = ["even", "odd"] if parity == "both" else [parity]
-    tol = {}
-    for flag, key in (("tol_cross", "cross"), ("tol_imag", "imag"), ("tol_bound", "bound")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            tol[key] = value
-    tolerances = cfg.get("tolerances", {})
-    if tol and isinstance(tolerances, dict):  # normalization rejects anything else
-        cfg["tolerances"] = tolerances | tol
+        if key is None or value is None:
+            continue
+        block, name = cfg, key
+        if "." in key:  # a key inside a block, merged into the block a file gives
+            outer, name = key.split(".")
+            block = cfg.get(outer, {})
+            if not isinstance(block, dict):
+                continue  # normalization rejects the malformed block
+            block = cfg[outer] = dict(block)
+        block[name] = value
     return cfg
 
 

@@ -11,7 +11,8 @@ class PlasmonstackError(Exception):
 
 
 class GeometryError(PlasmonstackError, ValueError):
-    """Invalid or singular geometry (bad radii, a gradient at a focal point)."""
+    """Invalid or singular geometry (bad radii, a gradient at a focus taken
+    with a region formula other than the core's)."""
 
 
 class ContrastError(PlasmonstackError, ValueError):
@@ -33,12 +34,7 @@ class CrossValidationError(PlasmonstackError, RuntimeError):
 
 class ResonanceError(PlasmonstackError, RuntimeError):
     """Density solve requested at (or numerically indistinguishable from) a
-    resonance; carries the offending Fourier order and parity."""
-
-    def __init__(self, message, n=None, parity=None):
-        super().__init__(message)
-        self.n = n
-        self.parity = parity
+    resonance; the message names the offending Fourier order and parity."""
 
 
 class RegionError(PlasmonstackError, ValueError):

@@ -7,7 +7,8 @@ densities solve M phi = n a (s or c) per (n, parity), and the perturbation
 u - H in region l (0 = exterior, N = core) is a combination of cosh(n xi)
 (or sinh) and exp(-n xi) angular harmonics with region-dependent weights
 built from prefix/suffix sums of the density solution.  Gradients are
-assembled from analytic elliptic-coordinate partials and the chain rule.
+assembled from analytic elliptic-coordinate partials and the chain rule,
+with the core formula's limit at the two foci, where the chain rule is 0/0.
 Single points and grids share one evaluator of the region formulas, which
 takes elliptic coordinates and regions of any shape; grid evaluation shares
 one density solve across all points of a field and one coordinate map
@@ -125,18 +126,12 @@ def solve_densities(stack: LayerStack, lam, H: BackgroundField) -> dict:
         if not cond <= CONDITION_LIMIT:
             raise ResonanceError(
                 f"order-{n} {parity} system is resonance-singular (cond={cond:.3e}); "
-                "supply a nonzero loss parameter",
-                n=n,
-                parity=parity,
+                "supply a nonzero loss parameter"
             )
         vec = np.linalg.solve(M, rhs)
         res = np.linalg.norm(M @ vec - rhs) / np.linalg.norm(rhs)
         if not res <= RESIDUAL_TOL:
-            raise ResonanceError(
-                f"order-{n} {parity} solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}",
-                n=n,
-                parity=parity,
-            )
+            raise ResonanceError(f"order-{n} {parity} solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
         phi[(n, parity)] = vec
     return phi
 
@@ -170,15 +165,23 @@ def _resolve_region(stack, xi, region):
     return region_index(stack, xi)
 
 
+def _growth_radius(xi, l):
+    """xi, or 0 in region 0: there the growing harmonic cosh(n xi) (sinh for
+    odd parity) has the weight prefix[0] = 0, and at xi = 0 the product
+    stays 0 where cosh(n xi) itself would overflow (n xi above ~710)."""
+    return np.where(l == 0, 0.0, xi)
+
+
 def _potential(stack, densities, H, xi, eta, l):
     """u - H at elliptic points (xi, eta) in regions l, all of one shape
     (scalars for a point, arrays for a grid)."""
     total = np.zeros(np.shape(xi), dtype=complex)
+    xi_grow = _growth_radius(xi, l)
     with np.errstate(over="ignore", invalid="ignore"):
         for n, parity, _a in H.components():
             prefix, suffix = _region_weights(stack, densities, n, parity)
             radial, _, angular, _ = _HARMONIC[parity]
-            total -= angular(n * eta) * (radial(n * xi) * prefix[l] + np.exp(-n * xi) * suffix[l])
+            total -= angular(n * eta) * (radial(n * xi_grow) * prefix[l] + np.exp(-n * xi) * suffix[l])
     _require_finite(H, xi, total)
     return total
 
@@ -187,55 +190,70 @@ def _partials(stack, densities, H, xi, eta, l):
     """(d/dxi, d/deta) of u - H at elliptic points, shaped as in :func:`_potential`."""
     d_xi = np.zeros(np.shape(xi), dtype=complex)
     d_eta = np.zeros(np.shape(xi), dtype=complex)
+    xi_grow = _growth_radius(xi, l)
     with np.errstate(over="ignore", invalid="ignore"):
         for n, parity, _a in H.components():
             prefix, suffix = _region_weights(stack, densities, n, parity)
             radial, d_radial, angular, d_angular = _HARMONIC[parity]
             decay = np.exp(-n * xi) * suffix[l]
-            d_xi += -n * angular(n * eta) * (d_radial(n * xi) * prefix[l] - decay)
-            d_eta += -n * d_angular(n * eta) * (radial(n * xi) * prefix[l] + decay)
+            d_xi += -n * angular(n * eta) * (d_radial(n * xi_grow) * prefix[l] - decay)
+            d_eta += -n * d_angular(n * eta) * (radial(n * xi_grow) * prefix[l] + decay)
     _require_finite(H, xi, d_xi, d_eta)
     return d_xi, d_eta
 
 
-def perturbed_potential(stack, lam, H, point: EllipticPoint, *, region=None, densities=None):
-    """Value of u - H at a point, using the exact region formula.
+def _gradient(stack, densities, H, xi, eta, l):
+    """Cartesian gradient (gx, gy) of u - H at elliptic points, shaped as in
+    :func:`_potential`.
 
-    ``region`` overrides the automatic region choice (needed on interfaces);
-    ``densities`` reuses a previous :func:`solve_densities` result.
+    Off the foci it is (P_xi x_xi + P_eta x_eta) / gamma^2 with x_xi = (a, b)
+    and, as the map is conformal, x_eta = (-b, a).  That is 0/0 at a focus,
+    a point with cos(eta) = +-1 and xi = 0 (or gamma = 0 in floating
+    point); there it is the limit of the core region's formula
+    u - H = -prefix[N] T_n(z / R), real part for even parity and imaginary
+    part for odd: -prefix[N] (+-1)^(n-1) n^2 / R along x (even) or y (odd).
+    A focus evaluated with another region's formula raises
+    :class:`GeometryError`.
     """
-    if densities is None:
-        densities = solve_densities(stack, lam, H)
-    l = _resolve_region(stack, point.xi, region)
-    return complex(_potential(stack, densities, H, point.xi, point.eta, l))
-
-
-def perturbed_gradient(stack, lam, H, point: EllipticPoint, *, region=None, densities=None):
-    """Cartesian gradient of u - H at a point, as a complex 2-vector.
-
-    Assembled from analytic elliptic partials: grad = (P_xi x_xi + P_eta x_eta)
-    / gamma^2.  Points on an interface need an explicit ``region`` (one-sided
-    gradient); the two focal points are rejected (gamma = 0).
-    """
-    if densities is None:
-        densities = solve_densities(stack, lam, H)
-    l = _resolve_region(stack, point.xi, region)
-    d_xi, d_eta = _partials(stack, densities, H, point.xi, point.eta, l)
-    gx, gy, focal = _elliptic_to_cartesian_gradient(d_xi, d_eta, point.xi, point.eta, stack.R)
-    if focal:
-        raise GeometryError("gradient is indeterminate at a focal point (gamma = 0)")
-    return np.array((gx, gy))
-
-
-def _elliptic_to_cartesian_gradient(d_xi, d_eta, xi, eta, R):
-    """(gx, gy, focal): (gx, gy) = (P_xi x_xi + P_eta x_eta) / gamma^2 with
-    x_xi = (a, b), as the map is conformal, x_eta = (-b, a); ``focal`` marks
-    where gamma evaluates to 0 (at a focus), so that the formula is 0/0."""
+    d_xi, d_eta = _partials(stack, densities, H, xi, eta, l)
+    R = stack.R
     g2 = R**2 * (np.sinh(xi) ** 2 + np.sin(eta) ** 2)
     a = R * np.sinh(xi) * np.cos(eta)
     b = R * np.cosh(xi) * np.sin(eta)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (d_xi * a - d_eta * b) / g2, (d_xi * b + d_eta * a) / g2, g2 == 0.0
+        gx, gy = (d_xi * a - d_eta * b) / g2, (d_xi * b + d_eta * a) / g2
+    near = (xi == 0) | (g2 == 0)  # tested first, as grids rarely sample a focus
+    if np.any(near):
+        side = np.cos(eta)  # +1 at the focus (R, 0), -1 at (-R, 0)
+        focus = near & (np.abs(side) == 1)
+        if np.any(focus & (l != stack.N)):
+            raise GeometryError(f"at a focus the gradient has only the core region's formula (region {stack.N})")
+        limit = {EVEN: 0.0, ODD: 0.0}
+        for n, parity, _a in H.components():
+            prefix, _suffix = _region_weights(stack, densities, n, parity)
+            limit[parity] = limit[parity] - prefix[-1] * side ** (n - 1) * n**2 / R
+        gx, gy = np.where(focus, limit[EVEN], gx), np.where(focus, limit[ODD], gy)
+    return gx, gy
+
+
+def perturbed_potential(stack, lam, H, point: EllipticPoint, *, region=None):
+    """Value of u - H at a point, using the exact region formula.
+
+    ``region`` overrides the automatic region choice (needed on interfaces).
+    """
+    densities = solve_densities(stack, lam, H)
+    l = _resolve_region(stack, point.xi, region)
+    return complex(_potential(stack, densities, H, point.xi, point.eta, l))
+
+
+def perturbed_gradient(stack, lam, H, point: EllipticPoint, *, region=None):
+    """Cartesian gradient of u - H at a point, as a complex 2-vector (see
+    :func:`_gradient`, which also gives its limit at the two foci).  Points
+    on an interface need an explicit ``region`` (one-sided gradient).
+    """
+    densities = solve_densities(stack, lam, H)
+    l = _resolve_region(stack, point.xi, region)
+    return np.array(_gradient(stack, densities, H, point.xi, point.eta, l))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,11 +321,8 @@ def _grid_values(stack, lam, H, XI, ETA, L, normalize, quantity):
         values = _potential(stack, densities, H, XI, ETA, L)
         norm_source = np.abs(values.real)
     else:
-        d_xi, d_eta = _partials(stack, densities, H, XI, ETA, L)
-        gx, gy, focal = _elliptic_to_cartesian_gradient(d_xi, d_eta, XI, ETA, stack.R)
+        gx, gy = _gradient(stack, densities, H, XI, ETA, L)
         values = np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2)
-        # grid nodes that land exactly on a focal point have no defined gradient
-        values[focal] = 0.0
         norm_source = values
     if normalize:
         peak = float(norm_source.max())

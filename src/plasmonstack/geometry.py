@@ -131,23 +131,6 @@ class LayerStack:
         """Build a stack from semi-major axes b_k = R cosh(xi_k)."""
         return cls(R=R, xi=tuple(xi_from_semimajor(b, R) for b in semimajor))
 
-    @classmethod
-    def from_dict(cls, data):
-        """Construct from a JSON-style mapping.
-
-        Accepts either {"R": ..., "xi": [...]} or {"R": ..., "semimajor": [...]}.
-        """
-        keys = set(data)
-        if not keys <= {"R", "xi", "semimajor"}:
-            raise GeometryError(f"unknown geometry keys: {sorted(keys - {'R', 'xi', 'semimajor'})}")
-        if "R" not in keys:
-            raise GeometryError("geometry requires 'R'")
-        if ("xi" in keys) == ("semimajor" in keys):
-            raise GeometryError("geometry requires exactly one of 'xi' or 'semimajor'")
-        if "xi" in keys:
-            return cls(R=float(data["R"]), xi=tuple(data["xi"]))
-        return cls.from_semimajor(float(data["R"]), data["semimajor"])
-
     def interface_polyline(self, k):
         """Cartesian polyline of interface k (1-indexed): 400 segments, closed."""
         if not 1 <= k <= self.N:

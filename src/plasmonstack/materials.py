@@ -10,21 +10,8 @@ mode problem; this forward map and the lossy Drude model are test oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ContrastError
-
-
-@dataclass(frozen=True)
-class DrudeParams:
-    """Lossless Drude dispersion parameters: sigma1(omega) = sigma_prime * (1 - omega_p^2 / omega^2)."""
-
-    sigma_prime: float = 9e-12
-    omega_p: float = 2e15
-
-    def __post_init__(self):
-        if self.sigma_prime <= 0 or self.omega_p <= 0:
-            raise ContrastError("sigma_prime and omega_p must be positive")
 
 
 def sigma_from_lambda(lam, sigma0):
@@ -39,10 +26,11 @@ def sigma_from_lambda(lam, sigma0):
     return sigma0 * (2.0 * lam + 1.0) / (2.0 * lam - 1.0) + 0.0
 
 
-def resonant_frequency(lambda_star, params, sigma0):
+def resonant_frequency(lambda_star, sigma0, sigma_prime, omega_p):
     """Lossless Drude frequency whose conductivity realizes the contrast lambda_star.
 
-    Solves sigma_prime (1 - omega_p^2/omega^2) = sigma_t with
+    The Drude parameters sigma_prime, omega_p > 0 are a config's ``drude``
+    block.  Solves sigma_prime (1 - omega_p^2/omega^2) = sigma_t with
     sigma_t = sigma0 (2 lambda_star + 1)/(2 lambda_star - 1), giving
     omega = omega_p sqrt(sigma_prime / (sigma_prime - sigma_t)).
 
@@ -54,10 +42,7 @@ def resonant_frequency(lambda_star, params, sigma0):
     if abs(sigma_t.imag) > 0:
         raise ContrastError("resonant_frequency expects a real target contrast")
     sigma_t = sigma_t.real
-    p = params
-    if sigma_t >= p.sigma_prime:
-        raise ContrastError(
-            f"no real frequency: target sigma {sigma_t} is not below sigma_prime {p.sigma_prime}"
-        )
-    return p.omega_p * math.sqrt(p.sigma_prime / (p.sigma_prime - sigma_t))
+    if sigma_t >= sigma_prime:
+        raise ContrastError(f"no real frequency: target sigma {sigma_t} is not below sigma_prime {sigma_prime}")
+    return omega_p * math.sqrt(sigma_prime / (sigma_prime - sigma_t))
 

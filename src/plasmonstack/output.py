@@ -1,10 +1,12 @@
 """CSV/JSON writers with reproducibility metadata headers.
 
 Every payload carries the package version, a sha256 hash of the canonical
-run configuration, and the tolerances in force, so a CSV can be audited
-bit-for-bit against a recomputation with the same build.  Payload floats
-use 17 significant digits ('.' decimal, no locale); the 4-decimal
-table-reproduction format is applied only by the CLI's table printer.
+run configuration, and the gate tolerances in force (the config's
+``tolerances`` block, which every command that gates mode sets has), so a
+CSV can be audited bit-for-bit against a recomputation with the same
+build.  Payload floats use 17 significant digits ('.' decimal, no locale);
+the 4-decimal table-reproduction format is applied only by the CLI's table
+printer.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ def config_hash(config):
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
-def metadata_lines(config, tolerances=None, extra=None):
+def metadata_lines(config, extra=None):
     lines = [
         f"# plasmonstack {__version__}",
         f"# config-sha256: {config_hash(config)}",
     ]
+    tolerances = config.get("tolerances")
     if tolerances:
         tol = " ".join(f"{k}={PAYLOAD_FMT.format(v)}" for k, v in sorted(tolerances.items()))
         lines.append(f"# tolerances: {tol}")
@@ -54,14 +57,14 @@ def _column(values):
     return "{}", values.tolist()
 
 
-def write_csv(path, columns, config, tolerances=None, extra=None):
+def write_csv(path, columns, config, extra=None):
     """Write a CSV payload with a commented metadata header.  ``columns``
     maps each column name to its values (a sequence or array); rows are
     streamed from the columns in order."""
     fields, cells = zip(*map(_column, columns.values()))
     row = ",".join(fields) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for line in metadata_lines(config, tolerances, extra):
+        for line in metadata_lines(config, extra):
             fh.write(line + "\n")
         fh.write(",".join(columns) + "\n")
         fh.writelines(map(row.format, *cells))
@@ -82,15 +85,15 @@ def jsonable(obj):
     return obj
 
 
-def write_json(path, payload, config, tolerances=None):
+def write_json(path, payload, config):
     """Write a JSON payload wrapped with the same metadata as the CSVs."""
     doc = {
         "version": __version__,
         "config_sha256": config_hash(config),
         "config": jsonable(config),
     }
-    if tolerances:
-        doc["tolerances"] = jsonable(tolerances)
+    if config.get("tolerances"):
+        doc["tolerances"] = jsonable(config["tolerances"])
     doc["payload"] = jsonable(payload)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -16,9 +16,7 @@ import sys
 from .errors import ConfigError, GeometryError
 from .geometry import LayerStack
 from .npcore import EVEN, ODD
-from .spectrum import BOUND_SLACK, CROSS_ROUTE_TOL, IMAG_TOL
-
-DEFAULT_TOLERANCES = {"cross": CROSS_ROUTE_TOL, "imag": IMAG_TOL, "bound": BOUND_SLACK}
+from .spectrum import TOLERANCES
 
 #: value kinds, named by what they need; a kind in a one-item list, such as
 #: [NUMBER], reads a list of such values, and a tuple of strings reads one
@@ -80,14 +78,16 @@ def _check_keys(cfg, allowed, required, where):
 
 
 def normalize_geometry(geo, where="geometry"):
-    """({"R", "xi"} of a geometry, its LayerStack); the stack checks the
-    keys and the radii."""
-    if not isinstance(geo, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(geo).__name__}")
-    kinds = {"R": NUMBER, "xi": [NUMBER], "semimajor": [NUMBER]}
-    typed = {key: _read(geo, key, kind, where=where) for key, kind in kinds.items() if key in geo}
+    """({"R", "xi"} of a geometry, its LayerStack).  A geometry gives R and
+    either xi or semimajor radii; the stack checks the radii."""
+    _check_keys(geo, {"R", "xi", "semimajor"}, {"R"}, where)
+    if ("xi" in geo) == ("semimajor" in geo):
+        raise ConfigError(f"{where}: give exactly one of xi and semimajor, got keys {sorted(geo)}")
+    R = _read(geo, "R", NUMBER, where=where)
+    radii = "xi" if "xi" in geo else "semimajor"
+    values = _read(geo, radii, [NUMBER], where=where)
     try:
-        stack = LayerStack.from_dict(geo | typed)
+        stack = LayerStack(R=R, xi=tuple(values)) if radii == "xi" else LayerStack.from_semimajor(R, values)
     except GeometryError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return {"R": stack.R, "xi": list(stack.xi)}, stack
@@ -95,8 +95,8 @@ def normalize_geometry(geo, where="geometry"):
 
 def normalize_tolerances(tol):
     where = "tolerances"
-    _check_keys(tol, DEFAULT_TOLERANCES.keys(), set(), where)
-    return {key: _read(tol, key, NUMBER, default, POSITIVE, where) for key, default in DEFAULT_TOLERANCES.items()}
+    _check_keys(tol, TOLERANCES.keys(), set(), where)
+    return {key: _read(tol, key, NUMBER, default, POSITIVE, where) for key, default in TOLERANCES.items()}
 
 
 def normalize_drude(drude):

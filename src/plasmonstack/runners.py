@@ -11,6 +11,7 @@ normalizer, its runner and the files it writes.
 
 from __future__ import annotations
 
+import argparse
 import os
 from typing import Callable, NamedTuple
 
@@ -22,7 +23,7 @@ from . import field as field_mod
 from . import output, runconfig, spectrum
 from .errors import ConfigError, ContrastError
 from .geometry import LayerStack, cartesian_to_elliptic
-from .materials import DrudeParams, resonant_frequency
+from .materials import resonant_frequency
 from .npcore import EVEN, ODD
 
 
@@ -30,16 +31,9 @@ def _stack(cfg):
     return LayerStack(R=cfg["geometry"]["R"], xi=tuple(cfg["geometry"]["xi"]))
 
 
-def _gates(cfg):
-    """The config's tolerances as :func:`spectrum.modes` gate keywords."""
-    tol = cfg["tolerances"]
-    return {"cross_tol": tol["cross"], "imag_tol": tol["imag"], "bound_slack": tol["bound"]}
-
-
 def run_modes(cfg):
     stack = _stack(cfg)
-    ms = spectrum.modes(stack, cfg["n"], sigma0=cfg["sigma0"], **_gates(cfg))
-    drude = DrudeParams(**cfg["drude"]) if "drude" in cfg else None
+    ms = spectrum.modes(stack, cfg["n"], sigma0=cfg["sigma0"], **cfg["tolerances"])
     payload = {"n": cfg["n"], "sigma0": cfg["sigma0"], "layers": stack.N}
     for parity in (EVEN, ODD):
         rows = []
@@ -49,9 +43,9 @@ def run_modes(cfg):
                 "lambda": mode.lambda_root,
                 "sigma1": mode.sigma1_resonant,
             }
-            if drude is not None:
+            if "drude" in cfg:
                 try:
-                    row["omega"] = resonant_frequency(mode.lambda_root, drude, cfg["sigma0"])
+                    row["omega"] = resonant_frequency(mode.lambda_root, cfg["sigma0"], **cfg["drude"])
                 except ContrastError:
                     row["omega"] = None
             rows.append(row)
@@ -86,7 +80,7 @@ def run_charpoly(cfg):
 
 
 def run_sweep(cfg):
-    pairs = spectrum.disk_degeneration_sweep(cfg["layers"], cfg["ratio"], cfg["n"], cfg["L"], **_gates(cfg))
+    pairs = spectrum.disk_degeneration_sweep(cfg["layers"], cfg["ratio"], cfg["n"], cfg["L"], **cfg["tolerances"])
     L = [p[0] for p in pairs]
     gap = [p[1] for p in pairs]
     min_xi = [l * cfg["layers"] * cfg["ratio"] ** (cfg["layers"] - 1) for l in L]
@@ -117,7 +111,7 @@ def run_field(cfg):
     """Returns (payload, grids) with grids a list of (meta, FieldGrid)."""
     stack = _stack(cfg)
     n = cfg["n"]
-    ms = spectrum.modes(stack, n, **_gates(cfg))
+    ms = spectrum.modes(stack, n, **cfg["tolerances"])
     keys = [(parity, rank) for parity in cfg["parities"] for rank in cfg["ranks"]]
     # delta = 0 evaluates exactly at resonance; the density solve raises the
     # singularity error itself in that case
@@ -232,8 +226,8 @@ def run_bie(cfg):
 def _write_modes(out, cfg, payload, grids):
     rows = [dict(r, parity=parity) for parity in (EVEN, ODD) for r in payload[parity]]
     columns = {k: [r.get(k) for r in rows] for k in ("parity", "rank", "lambda", "sigma1", "omega")}
-    output.write_csv(os.path.join(out, "modes.csv"), columns, cfg, cfg["tolerances"])
-    output.write_json(os.path.join(out, "modes.json"), payload, cfg, cfg["tolerances"])
+    output.write_csv(os.path.join(out, "modes.csv"), columns, cfg)
+    output.write_json(os.path.join(out, "modes.json"), payload, cfg)
 
 
 def _write_charpoly(out, cfg, payload, grids):
@@ -267,7 +261,6 @@ def _write_sweep(out, cfg, payload, grids):
 
 
 def _write_field(out, cfg, payload, grids):
-    tolerances = cfg["tolerances"]
     for meta, grid in grids:
         stem = os.path.join(out, f"field_{meta['parity']}_r{meta['rank']}")
         # x1-major rows: values[i, j] sits at (x1[i], x2[j])
@@ -276,10 +269,10 @@ def _write_field(out, cfg, payload, grids):
             columns |= {"re": grid.values.real.ravel(), "im": grid.values.imag.ravel()}
         else:
             columns["gradmag"] = grid.values.ravel()
-        output.write_csv(stem + ".csv", columns, cfg, tolerances)
+        output.write_csv(stem + ".csv", columns, cfg)
         interfaces = [{"x1": list(px), "x2": list(py)} for px, py in grid.interfaces]
-        output.write_json(stem + ".json", dict(meta, interfaces=interfaces), cfg, tolerances)
-    output.write_json(os.path.join(out, "field_summary.json"), payload, cfg, tolerances)
+        output.write_json(stem + ".json", dict(meta, interfaces=interfaces), cfg)
+    output.write_json(os.path.join(out, "field_summary.json"), payload, cfg)
 
 
 def _write_bie(out, cfg, payload, grids):
@@ -290,8 +283,10 @@ class Command(NamedTuple):
     """Everything the CLI knows about one command."""
 
     help: str
-    #: (flag, config key or None, argparse keywords); a given flag with a
-    #: key is copied into the config, the CLI reads the others itself
+    #: (flag, config key or None, argparse keywords): a given flag's parsed
+    #: value is copied to its key, where "block.key" names a key inside a
+    #: block such as tolerances; the CLI reads the flags without a key
+    #: itself (the geometry flags and --table)
     options: tuple
     #: raw config -> canonical config
     normalize: Callable
@@ -308,10 +303,19 @@ _GEOMETRY = (
     ("--R", None, {"type": float, "help": "focal half-distance (default 1)"}),
 )
 _TOLERANCES = (
-    ("--tol-cross", None, {"type": float, "help": "route cross-validation tolerance"}),
-    ("--tol-imag", None, {"type": float, "help": "eigenvalue realness tolerance"}),
-    ("--tol-bound", None, {"type": float, "help": "spectral interval slack"}),
+    ("--tol-cross", "tolerances.cross", {"type": float, "help": "route cross-validation tolerance"}),
+    ("--tol-imag", "tolerances.imag", {"type": float, "help": "eigenvalue realness tolerance"}),
+    ("--tol-bound", "tolerances.bound", {"type": float, "help": "spectral interval slack"}),
 )
+
+
+def _parities(value):
+    """--parity's value as the config's parities list."""
+    parities = {EVEN: [EVEN], ODD: [ODD], "both": [EVEN, ODD]}
+    if value not in parities:
+        raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from 'even', 'odd', 'both')")
+    return parities[value]
+
 
 COMMANDS = {
     "modes": Command(
@@ -341,8 +345,9 @@ COMMANDS = {
         "sample perturbed potential or gradient grids",
         (
             ("--mode-rank", "ranks", {"type": int, "nargs": "+", "help": "restrict to these ranks"}),
-            ("--parity", None, {"choices": ["even", "odd", "both"], "help": "restrict parity"}),
-            ("--gradient", None, {"action": "store_true", "help": "emit |grad(u-H)| instead of u-H"}),
+            ("--parity", "parities", {"type": _parities, "metavar": "{even,odd,both}", "help": "restrict parity"}),
+            ("--gradient", "quantity", {"action": "store_const", "const": "gradient",
+                                        "help": "emit |grad(u-H)| instead of u-H"}),
             ("--delta", "delta", {"type": float, "help": "loss parameter added to the resonant contrast"}),
             _ORDER,
             *_TOLERANCES,

@@ -18,6 +18,7 @@ length 2 (``PARITIES`` order), and are gated one parity after the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,10 +28,11 @@ from .geometry import LayerStack
 from .materials import sigma_from_lambda
 from .npcore import EVEN, ODD, PARITIES, build_np
 
-#: Default acceptance tolerances; all overridable per call (and via CLI flags).
-CROSS_ROUTE_TOL = 1e-8
-IMAG_TOL = 1e-9
-BOUND_SLACK = 1e-10
+#: Default gate tolerances of :func:`modes`, under the names its keywords,
+#: the config's ``tolerances`` block and the ``--tol-*`` flags share: the
+#: route gap, the imaginary parts and the spectral-bound excess.  Read-only,
+#: as the keyword defaults are bound once.
+TOLERANCES = MappingProxyType({"cross": 1e-8, "imag": 1e-9, "bound": 1e-10})
 
 
 @dataclass(frozen=True)
@@ -72,50 +74,50 @@ def _resonant_sigma(lam, sigma0):
         return None
 
 
-def _certify(stack, n, eigs, cross_tol, imag_tol, bound_slack):
+def _certify(stack, n, eigs, cross, imag, bound):
     """Return the real parts of ``eigs`` (shape (2, N): the even eigenvalues,
     then the odd ones) sorted descending per parity, or raise
     CrossValidationError naming the first parity, in ``PARITIES`` order,
     whose values fail a gate.
 
     Per parity, in this order: every imaginary part must be within
-    ``imag_tol``; every value must lie in
-    [-1/2 - bound_slack, 1/2 + bound_slack]; the Sturm count must be 0 at
+    ``imag``; every value must lie in [-1/2 - bound, 1/2 + bound]; the
+    Sturm count must be 0 at
     the left end and N at the right one, so all N roots are real and lie in
     that interval.  Last, the values are grouped into clusters whose
-    [v - cross_tol, v + cross_tol] windows overlap; just outside each
+    [v - cross, v + cross] windows overlap; just outside each
     cluster's outer window the count must equal the number of values below
     that point, so the count rises by the cluster's size across it: every
-    root lies within ``cross_tol`` of a value and each value accounts for
+    root lies within ``cross`` of a value and each value accounts for
     one root.  One :func:`~plasmonstack.charpoly.sturm_count` call counts
     the probes of both parities.  A gate passes only a value within its
     tolerance, so a NaN fails it.
     """
     N = stack.N
     ascending = np.sort(eigs.real, axis=-1)
-    edge = 0.5 + bound_slack
+    edge = 0.5 + bound
     clusters, probes = [], [[-edge, edge]]
     for row in ascending:
-        bounds = np.concatenate(([0], np.flatnonzero(np.diff(row) > 2.0 * cross_tol) + 1, [N]))
+        bounds = np.concatenate(([0], np.flatnonzero(np.diff(row) > 2.0 * cross) + 1, [N]))
         starts, ends = bounds[:-1], bounds[1:]
         clusters.append((starts, ends))
-        probes += [row[starts] - cross_tol, row[ends - 1] + cross_tol]
+        probes += [row[starts] - cross, row[ends - 1] + cross]
     counts = cp.sturm_count(stack, np.concatenate(probes), n)
     first = 2  # this parity's cluster probes start here
-    for parity, imag, row, count, (starts, ends) in zip(PARITIES, eigs.imag, ascending, counts, clusters):
-        worst = np.abs(imag).max(initial=0.0)
-        if not worst <= imag_tol:
+    for parity, imag_parts, row, count, (starts, ends) in zip(PARITIES, eigs.imag, ascending, counts, clusters):
+        worst = np.abs(imag_parts).max(initial=0.0)
+        if not worst <= imag:
             raise CrossValidationError(
-                f"{parity} eigenvalues: imaginary part {worst:.3e} exceeds realness tolerance {imag_tol:.1e}"
+                f"{parity} eigenvalues: imaginary part {worst:.3e} exceeds realness tolerance {imag:.1e}"
             )
         excess = np.abs(row).max() - 0.5
-        if not excess <= bound_slack:
+        if not excess <= bound:
             raise CrossValidationError(f"{parity} mode leaves the spectral interval by {excess:.3e}")
         outside = count[0] + N - count[1]
         if outside:
             raise CrossValidationError(
                 f"{parity}: {outside} of {N} polynomial roots are not real or leave "
-                f"[-1/2, 1/2] by more than {bound_slack:.1e}"
+                f"[-1/2, 1/2] by more than {bound:.1e}"
             )
         below, above = count[first : first + 2 * starts.size].reshape(2, -1)
         first += 2 * starts.size
@@ -124,7 +126,7 @@ def _certify(stack, n, eigs, cross_tol, imag_tol, bound_slack):
             i = missed[0]
             raise CrossValidationError(
                 f"{parity} route disagreement: the Sturm count places {above[i] - below[i]} roots "
-                f"within {cross_tol:.1e} of the {ends[i] - starts[i]} eigenvalues in "
+                f"within {cross:.1e} of the {ends[i] - starts[i]} eigenvalues in "
                 f"[{row[starts[i]]:.17g}, {row[ends[i] - 1]:.17g}]"
             )
     return ascending[:, ::-1]
@@ -135,23 +137,23 @@ def modes(
     n: int,
     sigma0: float = 1.0,
     *,
-    cross_tol: float = CROSS_ROUTE_TOL,
-    imag_tol: float = IMAG_TOL,
-    bound_slack: float = BOUND_SLACK,
+    cross: float = TOLERANCES["cross"],
+    imag: float = TOLERANCES["imag"],
+    bound: float = TOLERANCES["bound"],
 ) -> ModeSet:
     """Compute all modes of ``stack`` at order ``n``, cross-validated.
 
     Per parity the modes are the negated eigenvalues of the interface-operator
     matrix transpose (``-build_np``), sorted descending; each must be real
-    to ``imag_tol``.  A Sturm count from the determinant recursion then
+    to ``imag``.  A Sturm count from the determinant recursion then
     certifies them against the characteristic polynomial's roots (see
     :func:`_certify`): all N roots are real, lie in
-    [-1/2 - bound_slack, 1/2 + bound_slack] with the values, and sit within
-    ``cross_tol`` of the values.  The polynomial itself is never built.
+    [-1/2 - bound, 1/2 + bound] with the values, and sit within ``cross``
+    of the values.  The polynomial itself is never built.
     Both parities share each step: one (2, N, N) matrix build, one batched
     eigensolve and one N-step recursion over at most 4N + 2 probe points.
     """
-    values = _certify(stack, n, np.linalg.eigvals(-build_np(stack, n)), cross_tol, imag_tol, bound_slack)
+    values = _certify(stack, n, np.linalg.eigvals(-build_np(stack, n)), cross, imag, bound)
     even_modes, odd_modes = (
         tuple(
             PlasmonMode(lambda_root=lam, sigma1_resonant=_resonant_sigma(lam, sigma0), rank=rank)
@@ -181,7 +183,7 @@ def geometric_stack(num_layers: int, xi_outer: float, ratio: float) -> LayerStac
     return LayerStack(R=1.0, xi=tuple(xi_outer * ratio**i for i in range(num_layers)))
 
 
-def disk_degeneration_sweep(num_layers, ratio, n, L_values, **mode_kwargs):
+def disk_degeneration_sweep(num_layers, ratio, n, L_values, **tolerances):
     """Even/odd splitting gap along the scale sweep xi_1 = L * num_layers.
 
     For each L the gap is the Euclidean norm of the difference between the
@@ -189,12 +191,13 @@ def disk_degeneration_sweep(num_layers, ratio, n, L_values, **mode_kwargs):
     CLI output metadata).  The gap closes like exp(-2 n min xi) as the stack
     degenerates to concentric disks.
 
-    Returns a list of (L, gap) pairs.
+    ``tolerances`` are the gate keywords of :func:`modes`, which certifies
+    every mode set.  Returns a list of (L, gap) pairs.
     """
     out = []
     for L in L_values:
         stack = geometric_stack(num_layers, float(L) * num_layers, ratio)
-        ms = modes(stack, n, **mode_kwargs)
+        ms = modes(stack, n, **tolerances)
         gap = float(np.linalg.norm(ms.lambdas(EVEN) - ms.lambdas(ODD)))
         out.append((float(L), gap))
     return out

@@ -22,18 +22,11 @@ import numpy as np
 
 from plasmonstack.charpoly import _TINY, CharPoly, build_charpoly
 from plasmonstack.errors import ContrastError, CrossValidationError
-from plasmonstack.field import (
-    _HARMONIC,
-    BackgroundField,
-    _elliptic_to_cartesian_gradient,
-    perturbed_gradient,
-    perturbed_potential,
-    solve_densities,
-)
+from plasmonstack.field import _HARMONIC, BackgroundField, perturbed_gradient, perturbed_potential, solve_densities
 from plasmonstack.geometry import EllipticPoint, LayerStack
 from plasmonstack.materials import resonant_frequency, sigma_from_lambda
 from plasmonstack.npcore import EVEN, ODD, _check_order, _exponentials, _normal_derivative, _sign, gpm_entries
-from plasmonstack.spectrum import BOUND_SLACK, CROSS_ROUTE_TOL, IMAG_TOL, ModeSet, PlasmonMode, _resonant_sigma
+from plasmonstack.spectrum import TOLERANCES, ModeSet, PlasmonMode, _resonant_sigma
 
 
 # --- characteristic polynomial and mode route --------------------------------
@@ -76,7 +69,7 @@ def disk_limit_poly(stack: LayerStack, n) -> CharPoly:
     base = build_charpoly(stack, n)[EVEN]
     coeffs = base.coeffs.copy()
     coeffs[1::2] = 0.0
-    return CharPoly(sign=+1, coeffs=coeffs)
+    return CharPoly(coeffs=coeffs)
 
 
 def thin_strip_limit(N, sign):
@@ -157,25 +150,25 @@ def sturm_count_one_parity(stack: LayerStack, lam, n, parity):
     return (changes if N % 2 == 0 else N - changes).reshape(lam.shape)
 
 
-def certify_one_parity(stack, n, parity, values, cross_tol, bound_slack):
+def certify_one_parity(stack, n, parity, values, cross, bound):
     """One parity's bound gate and Sturm-count certificate of ``values`` (N
     reals, descending), from its own recursion; raises CrossValidationError
     with the messages of :func:`plasmonstack.spectrum.modes`."""
     N = stack.N
     excess = np.abs(values).max() - 0.5
-    if not excess <= bound_slack:
+    if not excess <= bound:
         raise CrossValidationError(f"{parity} mode leaves the spectral interval by {excess:.3e}")
     ascending = values[::-1]
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(ascending) > 2.0 * cross_tol) + 1, [N]))
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(ascending) > 2.0 * cross) + 1, [N]))
     starts, ends = bounds[:-1], bounds[1:]
-    edge = 0.5 + bound_slack
-    probes = np.concatenate(([-edge, edge], ascending[starts] - cross_tol, ascending[ends - 1] + cross_tol))
+    edge = 0.5 + bound
+    probes = np.concatenate(([-edge, edge], ascending[starts] - cross, ascending[ends - 1] + cross))
     counts = sturm_count_one_parity(stack, probes, n, parity)
     outside = counts[0] + N - counts[1]
     if outside:
         raise CrossValidationError(
             f"{parity}: {outside} of {N} polynomial roots are not real or leave "
-            f"[-1/2, 1/2] by more than {bound_slack:.1e}"
+            f"[-1/2, 1/2] by more than {bound:.1e}"
         )
     below, above = counts[2:].reshape(2, -1)
     missed = np.flatnonzero((below != starts) | (above != ends))
@@ -183,13 +176,19 @@ def certify_one_parity(stack, n, parity, values, cross_tol, bound_slack):
         i = missed[0]
         raise CrossValidationError(
             f"{parity} route disagreement: the Sturm count places {above[i] - below[i]} roots "
-            f"within {cross_tol:.1e} of the {ends[i] - starts[i]} eigenvalues in "
+            f"within {cross:.1e} of the {ends[i] - starts[i]} eigenvalues in "
             f"[{ascending[starts[i]]:.17g}, {ascending[ends[i] - 1]:.17g}]"
         )
 
 
 def per_parity_modes(
-    stack: LayerStack, n, sigma0=1.0, *, cross_tol=CROSS_ROUTE_TOL, imag_tol=IMAG_TOL, bound_slack=BOUND_SLACK
+    stack: LayerStack,
+    n,
+    sigma0=1.0,
+    *,
+    cross=TOLERANCES["cross"],
+    imag=TOLERANCES["imag"],
+    bound=TOLERANCES["bound"],
 ):
     """The mode route one parity at a time: per parity one NP build, one
     ``eigvals`` call, the realness gate and one recursion.
@@ -199,12 +198,12 @@ def per_parity_modes(
     for parity in (EVEN, ODD):
         eigs = np.linalg.eigvals(-np_matrix(stack, n, parity))
         worst = np.abs(eigs.imag).max(initial=0.0)
-        if not worst <= imag_tol:
+        if not worst <= imag:
             raise CrossValidationError(
-                f"{parity} eigenvalues: imaginary part {worst:.3e} exceeds realness tolerance {imag_tol:.1e}"
+                f"{parity} eigenvalues: imaginary part {worst:.3e} exceeds realness tolerance {imag:.1e}"
             )
         values = np.sort(eigs.real)[::-1]
-        certify_one_parity(stack, n, parity, values, cross_tol, bound_slack)
+        certify_one_parity(stack, n, parity, values, cross, bound)
         per_parity[parity] = tuple(
             PlasmonMode(float(lam), _resonant_sigma(float(lam), sigma0), rank)
             for rank, lam in enumerate(values, start=1)
@@ -278,33 +277,31 @@ def background_gradient(H: BackgroundField, point: EllipticPoint, R):
         radial, d_radial, angular, d_angular = _HARMONIC[parity]
         d_xi += n * a * d_radial(n * point.xi) * angular(n * point.eta)
         d_eta += n * a * radial(n * point.xi) * d_angular(n * point.eta)
-    gx, gy, _focal = _elliptic_to_cartesian_gradient(d_xi, d_eta, point.xi, point.eta, R)
-    return np.array((gx, gy))
+    # chain rule: x_xi = (p, q) and, as the map is conformal, x_eta = (-q, p)
+    p = R * math.sinh(point.xi) * math.cos(point.eta)
+    q = R * math.cosh(point.xi) * math.sin(point.eta)
+    g2 = p**2 + q**2
+    return np.array(((d_xi * p - d_eta * q) / g2, (d_xi * q + d_eta * p) / g2))
 
 
-def total_potential(stack, lam, H, point, *, region=None, densities=None):
+def total_potential(stack, lam, H, point, *, region=None):
     """u = H + (u - H) at a point (one-sided on interfaces via ``region``)."""
-    return background_potential(H, point) + perturbed_potential(
-        stack, lam, H, point, region=region, densities=densities
-    )
+    return background_potential(H, point) + perturbed_potential(stack, lam, H, point, region=region)
 
 
-def total_gradient(stack, lam, H, point, *, region=None, densities=None):
+def total_gradient(stack, lam, H, point, *, region=None):
     """Cartesian gradient of the total potential u at a point."""
-    return background_gradient(H, point, stack.R) + perturbed_gradient(
-        stack, lam, H, point, region=region, densities=densities
-    )
+    return background_gradient(H, point, stack.R) + perturbed_gradient(stack, lam, H, point, region=region)
 
 
-def density_summation_potential(stack, lam, H, point: EllipticPoint, *, densities=None):
+def density_summation_potential(stack, lam, H, point: EllipticPoint):
     """u - H via direct summation of single-layer contributions.
 
     Independent of the region formula: sums phi_k times the single-layer
     action of each interface at the evaluation radius.  Used as the
     representation-formula cross-check.
     """
-    if densities is None:
-        densities = solve_densities(stack, lam, H)
+    densities = solve_densities(stack, lam, H)
     total = 0.0j
     for n, parity, a in H.components():
         coeffs = densities[(n, parity)] * single_layer_action(n, parity, stack.xi_array, point.xi)
@@ -329,18 +326,20 @@ def lambda_from_sigma(sigma1, sigma0):
     return (sigma1 + sigma0) / (2.0 * (sigma1 - sigma0))
 
 
-def drude_sigma(omega, params, tau):
+#: the paper's Drude parameters, as a config's drude block
+PAPER_DRUDE = {"sigma_prime": 9e-12, "omega_p": 2e15}
+
+#: background conductivity conventionally paired with the paper's Drude
+#: parameters, (1.33)^2 sigma_prime
+DEFAULT_SIGMA0 = 1.33**2 * PAPER_DRUDE["sigma_prime"]
+
+
+def drude_sigma(omega, sigma_prime, omega_p, tau):
     """Drude conductivity sigma_prime (1 - omega_p^2 / (omega (omega + i tau)))
     at angular frequency omega (> 0) with damping rate tau (>= 0; 0 is lossless)."""
     if omega <= 0:
         raise ContrastError(f"frequency must be positive, got {omega}")
-    p = params
-    return p.sigma_prime * (1.0 - p.omega_p**2 / (omega * complex(omega, tau)))
-
-
-#: background conductivity conventionally paired with the DrudeParams
-#: defaults, (1.33)^2 sigma_prime
-DEFAULT_SIGMA0 = 1.33**2 * 9e-12
+    return sigma_prime * (1.0 - omega_p**2 / (omega * complex(omega, tau)))
 
 
 @dataclass(frozen=True)
@@ -382,14 +381,14 @@ def lossless_limit_lambda(sigma_star, sigma0):
 
 def mode_to_material(mode: PlasmonMode, sigma0: float, drude=None):
     """Resonant shell conductivity for a mode, plus the lossless Drude
-    frequency when Drude parameters are supplied.
+    frequency when a drude block ({"sigma_prime", "omega_p"}) is supplied.
 
     Returns (sigma1, omega_or_None).
     """
     sigma1 = sigma_from_lambda(mode.lambda_root, sigma0)
     omega = None
     if drude is not None:
-        omega = resonant_frequency(mode.lambda_root, drude, sigma0)
+        omega = resonant_frequency(mode.lambda_root, sigma0, **drude)
     return sigma1, omega
 
 

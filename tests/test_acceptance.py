@@ -24,11 +24,7 @@ from plasmonstack.bie import (
     self_adjointness_check,
 )
 from plasmonstack.charpoly import build_charpoly
-from plasmonstack.field import (
-    BackgroundField,
-    perturbed_potential,
-    solve_densities,
-)
+from plasmonstack.field import BackgroundField, perturbed_potential
 from plasmonstack.geometry import EllipticPoint, LayerStack
 from plasmonstack.materials import sigma_from_lambda
 from plasmonstack.npcore import EVEN, ODD, build_np, gpm_entries
@@ -298,7 +294,6 @@ def test_criterion_10_field_correctness():
     stack = LayerStack.from_semimajor(0.9, [1.6, 1.4, 1.2, 1.0])
     lam = 0.23 + 2e-3j
     H = BackgroundField(terms=((2, 1.0, 0.4), (5, 0.6, -0.3)))
-    sol = solve_densities(stack, lam, H)
     rng = np.random.default_rng(987654)
     sigma0 = 1.0
     sigma1 = sigma_from_lambda(lam, sigma0)
@@ -310,16 +305,16 @@ def test_criterion_10_field_correctness():
         sig_in = sigma1 if k % 2 == 1 else sigma0
         for eta in rng.uniform(0, 2 * math.pi, 64):
             p = EllipticPoint(xi=stack.xi[k - 1], eta=float(eta))
-            po = perturbed_potential(stack, lam, H, p, region=k - 1, densities=sol)
-            pi = perturbed_potential(stack, lam, H, p, region=k, densities=sol)
+            po = perturbed_potential(stack, lam, H, p, region=k - 1)
+            pi = perturbed_potential(stack, lam, H, p, region=k)
             cont_worst = max(cont_worst, abs(po - pi) / max(abs(po), 1e-12))
             normal = np.array(
                 [stack.R * math.sinh(p.xi) * math.cos(p.eta),
                  stack.R * math.cosh(p.xi) * math.sin(p.eta)]
             )
             normal /= np.linalg.norm(normal)
-            fo = sig_out * (total_gradient(stack, lam, H, p, region=k - 1, densities=sol) @ normal)
-            fi = sig_in * (total_gradient(stack, lam, H, p, region=k, densities=sol) @ normal)
+            fo = sig_out * (total_gradient(stack, lam, H, p, region=k - 1) @ normal)
+            fi = sig_in * (total_gradient(stack, lam, H, p, region=k) @ normal)
             flux_worst = max(flux_worst, abs(fo - fi) / max(abs(fo), 1e-12))
 
     rep_worst = 0.0
@@ -329,14 +324,14 @@ def test_criterion_10_field_correctness():
         if min(abs(xi - x) for x in stack.xi) < 1e-3:
             continue
         p = EllipticPoint(xi=xi, eta=float(rng.uniform(0, 2 * math.pi)))
-        closed = perturbed_potential(stack, lam, H, p, densities=sol)
-        direct = density_summation_potential(stack, lam, H, p, densities=sol)
+        closed = perturbed_potential(stack, lam, H, p)
+        direct = density_summation_potential(stack, lam, H, p)
         rep_worst = max(rep_worst, abs(closed - direct) / max(1.0, abs(closed)))
         count += 1
 
     xi_samples = np.linspace(stack.xi[0] + 2, stack.xi[0] + 6, 24)
     vals = [
-        abs(perturbed_potential(stack, lam, H, EllipticPoint(xi=float(x), eta=0.4), densities=sol))
+        abs(perturbed_potential(stack, lam, H, EllipticPoint(xi=float(x), eta=0.4)))
         for x in xi_samples
     ]
     slope = float(np.polyfit(xi_samples, np.log(vals), 1)[0])

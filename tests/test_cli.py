@@ -38,39 +38,45 @@ _CONFOCAL = {"type": "confocal", "R": 1.0, "xi": [1.0, 0.5]}
 _MODES = {"geometry": {"R": 1.0, "xi": [1.0, 0.5]}, "n": 1}
 _FIELD = {"geometry": {"R": 1.0, "xi": [1.0]}, "n": 1, "bbox": [-2.0, 3.0, -1.0, 1.0], "resolution": [3, 2]}
 
-#: (command, config, the key the error must name) of malformed configs
+#: (command, config, what the error must say) of malformed configs
 REJECTED_CONFIGS = [
-    pytest.param("bie-validate", {"curves": {"type": "polar", "scale": 1.0}, "nodes": []}, "nodes",
+    pytest.param("bie-validate", {"curves": {"type": "polar", "scale": 1.0}, "nodes": []}, "nodes must",
                  id="empty-nodes"),
-    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [], "match_orders": 1}, "nodes",
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [], "match_orders": 1}, "nodes must",
                  id="empty-nodes-match"),
-    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_orders": 0}, "match_orders",
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_orders": 0}, "match_orders must",
                  id="zero-match-orders"),
-    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": 16}, "nodes", id="nodes-not-a-list"),
-    pytest.param("field", {**_FIELD, "bbox": 3}, "bbox", id="bbox-not-a-list"),
-    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_orders": "x"}, "match_orders",
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": 16}, "nodes must", id="nodes-not-a-list"),
+    pytest.param("field", {**_FIELD, "bbox": 3}, "bbox must", id="bbox-not-a-list"),
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_orders": "x"}, "match_orders must",
                  id="match-orders-string"),
-    pytest.param("sweep-disk", {"layers": "x", "ratio": 0.8, "n": 1, "L": [1.0]}, "layers", id="layers-string"),
-    pytest.param("modes", {**_MODES, "tolerances": {"cross": "x"}}, "cross", id="tolerance-string"),
-    pytest.param("modes", {**_MODES, "tolerances": {"cross": math.inf}}, "cross", id="tolerance-infinite"),
+    pytest.param("sweep-disk", {"layers": "x", "ratio": 0.8, "n": 1, "L": [1.0]}, "layers must", id="layers-string"),
+    pytest.param("modes", {**_MODES, "tolerances": {"cross": "x"}}, "cross must", id="tolerance-string"),
+    pytest.param("modes", {**_MODES, "tolerances": {"cross": math.inf}}, "cross must", id="tolerance-infinite"),
     pytest.param("modes", {**_MODES, "drude": {"sigma_prime": "a", "omega_p": 2e15}},
-                 "sigma_prime", id="drude-string"),
-    pytest.param("modes", {**_MODES, "sigma0": None}, "sigma0", id="sigma0-null"),
-    pytest.param("charpoly", {**_MODES, "span_points": 2.9}, "span_points", id="span-points-float"),
-    pytest.param("field", {**_FIELD, "normalize": "false"}, "normalize", id="normalize-string"),
-    pytest.param("field", {**_FIELD, "parities": 5}, "parities", id="parities-not-a-list"),
-    pytest.param("modes", {**_MODES, "geometry": {"R": True, "xi": [1.0]}}, "R", id="R-bool"),
+                 "sigma_prime must", id="drude-string"),
+    pytest.param("modes", {**_MODES, "sigma0": None}, "sigma0 must", id="sigma0-null"),
+    pytest.param("charpoly", {**_MODES, "span_points": 2.9}, "span_points must", id="span-points-float"),
+    pytest.param("field", {**_FIELD, "normalize": "false"}, "normalize must", id="normalize-string"),
+    pytest.param("field", {**_FIELD, "parities": 5}, "parities must", id="parities-not-a-list"),
+    pytest.param("modes", {**_MODES, "geometry": {"R": True, "xi": [1.0]}}, "R must", id="R-bool"),
     pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_orders": 1, "match_nodes": 7},
-                 "match_nodes", id="odd-match-nodes"),
-    pytest.param("bie-validate", {"curves": {"type": "polar", "scale": "a"}, "nodes": [16]}, "scale",
+                 "match_nodes must", id="odd-match-nodes"),
+    pytest.param("bie-validate", {"curves": {"type": "polar", "scale": "a"}, "nodes": [16]}, "scale must",
                  id="curve-scale-string"),
-    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_nodes": 16}, "match_nodes",
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_nodes": 16}, "match_nodes must",
                  id="match-nodes-without-orders"),
     pytest.param("bie-validate", {"curves": {"type": "polar", "scale": 1.0}, "nodes": [16], "match_orders": 3},
-                 "match_orders", id="polar-match-orders"),
+                 "match_orders must", id="polar-match-orders"),
     pytest.param("field", {**_FIELD, "geometry": {"R": 1.0, "xi": [1.0, 0.5]}, "ranks": [1, 1],
-                           "parities": ["even", "even"]}, "ranks", id="repeated-ranks"),
-    pytest.param("field", {**_FIELD, "parities": ["odd", "odd"]}, "parities", id="repeated-parities"),
+                           "parities": ["even", "even"]}, "ranks must", id="repeated-ranks"),
+    pytest.param("field", {**_FIELD, "parities": ["odd", "odd"]}, "parities must", id="repeated-parities"),
+    pytest.param("modes", {**_MODES, "geometry": {"R": 1.0, "xi": [1.0], "semimajor": [2.0]}},
+                 "give exactly one of xi and semimajor", id="geometry-xi-and-semimajor"),
+    pytest.param("modes", {**_MODES, "geometry": {"R": 1.0, "xi": [1.0], "foo": 2}},
+                 "geometry: unknown keys ['foo']", id="geometry-unknown-key"),
+    pytest.param("modes", {**_MODES, "geometry": {"xi": [1.0]}}, "geometry: missing required keys ['R']",
+                 id="geometry-missing-R"),
 ]
 
 
@@ -224,6 +230,92 @@ class TestNormalize:
         assert runconfig.normalize(command, once) == once
         assert output.config_hash(once) == PRESET_CONFIG_HASHES[name]
 
+    def test_geometry_variants(self):
+        geo, stack = runconfig.normalize_geometry({"R": 0.9, "xi": [0.5, 0.25]})
+        assert geo == {"R": 0.9, "xi": [0.5, 0.25]} and stack.xi == (0.5, 0.25)
+        geo, stack = runconfig.normalize_geometry({"R": 0.9, "semimajor": [1.6, 1.4, 1.2, 1.0]})
+        assert stack.N == 4 and geo == {"R": 0.9, "xi": list(stack.xi)}
+        np.testing.assert_allclose(0.9 * np.cosh(stack.xi_array), [1.6, 1.4, 1.2, 1.0], rtol=1e-15)
+
+
+#: per option that names a config key: (its arguments, the value they put
+#: at the key); each differs from the value in the command's base preset
+OPTION_VALUES = {
+    "--n": (["2"], 2),
+    "--sigma0": (["2.5"], 2.5),
+    "--span-points": (["10"], 10),
+    "--mode-rank": (["2"], [2]),
+    "--parity": (["odd"], ["odd"]),
+    "--gradient": ([], "gradient"),
+    "--delta": (["1e-4"], 1e-4),
+    "--layers": (["3"], 3),
+    "--ratio": (["0.5"], 0.5),
+    "--L": (["1", "2"], [1.0, 2.0]),
+    "--nodes": (["16", "32"], [16, 32]),
+    "--tol-cross": (["1e-7"], 1e-7),
+    "--tol-imag": (["1e-8"], 1e-8),
+    "--tol-bound": (["1e-9"], 1e-9),
+}
+BASE_PRESETS = {"modes": "table1", "charpoly": "fig5", "field": "fig10", "sweep-disk": "fig9",
+                "bie-validate": "bie-circle"}
+KEYED_OPTIONS = [
+    pytest.param(command, flag, key, id=f"{command}{flag}")
+    for command, entry in runners.COMMANDS.items()
+    for flag, key, _kwargs in entry.options
+    if key is not None
+]
+
+
+def _at(cfg, key):
+    """The value at a config key; "block.key" names a key inside a block."""
+    for name in key.split("."):
+        cfg = cfg[name]
+    return cfg
+
+
+class TestOptionTable:
+    """Every option in runners.COMMANDS that names a config key puts its
+    parsed value there, and the CLI needs no other rule for it."""
+
+    def test_every_keyed_option_has_a_value(self):
+        assert {flag for _command, flag, _key in (p.values for p in KEYED_OPTIONS)} == set(OPTION_VALUES)
+
+    @pytest.mark.parametrize("command,flag,key", KEYED_OPTIONS)
+    def test_flag_lands_at_its_key(self, command, flag, key):
+        argv, value = OPTION_VALUES[flag]
+        preset = get_preset(BASE_PRESETS[command])
+        default = runconfig.normalize(command, preset.config)
+        assert _at(default, key) != value
+        args = build_parser().parse_args([command, "--preset", preset.name, flag, *argv])
+        cfg = _merge_config(command, args, preset.config)
+        assert _at(cfg, key) == value
+        normalized = runconfig.normalize(command, cfg)
+        assert _at(normalized, key) == value
+        assert normalized == default | {key.split(".")[0]: _at(normalized, key.split(".")[0])}
+
+    def test_tolerance_flags_merge_with_config_block(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**_MODES, "tolerances": {"imag": 1e-7, "cross": 1e-6}}))
+        args = build_parser().parse_args(["modes", "--config", str(path), "--tol-cross", "1e-5",
+                                          "--tol-bound", "1e-9"])
+        cfg = _merge_config("modes", args, {})
+        assert cfg["tolerances"] == {"imag": 1e-7, "cross": 1e-5, "bound": 1e-9}
+        assert runconfig.normalize("modes", cfg)["tolerances"] == cfg["tolerances"]
+
+    def test_merge_leaves_preset_block_unchanged(self):
+        preset_cfg = {**_MODES, "tolerances": {"imag": 1e-7}}
+        args = build_parser().parse_args(["modes", "--tol-cross", "1e-7"])
+        assert _merge_config("modes", args, preset_cfg)["tolerances"] == {"imag": 1e-7, "cross": 1e-7}
+        assert preset_cfg["tolerances"] == {"imag": 1e-7}
+
+    def test_unknown_parity_is_a_usage_error(self, capsys):
+        assert main(["field", "--preset", "fig12", "--parity", "foo"]) == 1
+        assert "invalid choice: 'foo' (choose from 'even', 'odd', 'both')" in capsys.readouterr().err
+
+    def test_help_lists_parities(self, capsys):
+        assert main(["field", "--help"]) == 0
+        assert "--parity {even,odd,both}" in capsys.readouterr().out
+
 
 class TestCharpolyCommand:
     def test_coefficients_and_span(self, tmp_path):
@@ -354,14 +446,14 @@ class TestBieCommand:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("command,cfg,key", REJECTED_CONFIGS)
-    def test_config_rejected(self, tmp_path, capsys, command, cfg, key):
+    @pytest.mark.parametrize("command,cfg,message", REJECTED_CONFIGS)
+    def test_config_rejected(self, tmp_path, capsys, command, cfg, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "config error:" in err
-        assert f"{key} must" in err
+        assert message in err
 
 
 class TestPayloadFormatting:
@@ -395,10 +487,10 @@ class TestDrudeColumn:
         omega cell and a null omega in the JSON; the others keep theirs."""
         real_frequency = runners.resonant_frequency
 
-        def frequency(lam, drude, sigma0):
+        def frequency(lam, sigma0, **drude):
             if lam < 0:
                 raise ContrastError("no real frequency")
-            return real_frequency(lam, drude, sigma0)
+            return real_frequency(lam, sigma0, **drude)
 
         monkeypatch.setattr(runners, "resonant_frequency", frequency)
         cfg = tmp_path / "cfg.json"
@@ -417,7 +509,7 @@ class TestDrudeColumn:
                 assert mode["omega"] > 0 and row[4] == "{:.17g}".format(mode["omega"])
 
     def test_other_errors_propagate(self, tmp_path, monkeypatch):
-        def frequency(lam, drude, sigma0):
+        def frequency(lam, sigma0, **drude):
             raise ZeroDivisionError("not a contrast problem")
 
         monkeypatch.setattr(runners, "resonant_frequency", frequency)
@@ -481,6 +573,7 @@ CSV_TEXTS = [
         "sweep.csv",
         "# plasmonstack 0.1.0\n"
         "# config-sha256: 46753519a7aa39921fcc92372525dc6acc50a633b01b68e7c09e52dde35dd990\n"
+        "# tolerances: bound=1e-10 cross=1e-08 imag=1.0000000000000001e-09\n"
         "# gap-norm: euclidean\n"
         "# log-gap-slope-vs-min-xi: -3.9999999999999982\n"
         "L,gap\n"

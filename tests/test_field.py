@@ -114,9 +114,8 @@ class TestSolveDensities:
         ms = modes(stack, 1)
         lam_star = ms.even_modes[0].lambda_root
         H = BackgroundField.single(1, EVEN, 1.0)
-        with pytest.raises(ResonanceError) as err:
+        with pytest.raises(ResonanceError, match="^order-1 even system is resonance-singular"):
             solve_densities(stack, lam_star, H)
-        assert err.value.n == 1 and err.value.parity == EVEN
         # a small loss parameter regularizes the same solve
         sol = solve_densities(stack, complex(lam_star, 1e-5), H)
         assert (1, EVEN) in sol
@@ -125,29 +124,26 @@ class TestSolveDensities:
 class TestPerturbedPotential:
     def test_representation_formula_equivalence(self, rng):
         H = BackgroundField(terms=((2, 1.1, -0.4), (5, 0.3, 0.8)))
-        sol = solve_densities(STACK, LAM, H)
         for _ in range(100):
             p = interior_point(rng, STACK)
-            closed = perturbed_potential(STACK, LAM, H, p, densities=sol)
-            direct = density_summation_potential(STACK, LAM, H, p, densities=sol)
+            closed = perturbed_potential(STACK, LAM, H, p)
+            direct = density_summation_potential(STACK, LAM, H, p)
             assert abs(closed - direct) <= 1e-10 * max(1.0, abs(closed))
 
     def test_continuity_across_interfaces(self, rng):
         H = BackgroundField(terms=((3, 1.0, 0.7),))
-        sol = solve_densities(STACK, LAM, H)
         for k in range(1, STACK.N + 1):
             for eta in rng.uniform(0, 2 * math.pi, 16):
                 p = EllipticPoint(xi=STACK.xi[k - 1], eta=float(eta))
-                outer = perturbed_potential(STACK, LAM, H, p, region=k - 1, densities=sol)
-                inner = perturbed_potential(STACK, LAM, H, p, region=k, densities=sol)
+                outer = perturbed_potential(STACK, LAM, H, p, region=k - 1)
+                inner = perturbed_potential(STACK, LAM, H, p, region=k)
                 assert abs(outer - inner) <= 1e-8 * max(abs(outer), 1e-12)
 
     def test_exterior_decay_rate(self):
         H = BackgroundField(terms=((2, 1.0, 0.0), (5, 0.0, 0.6)))
-        sol = solve_densities(STACK, LAM, H)
         xi_samples = np.linspace(STACK.xi[0] + 2, STACK.xi[0] + 6, 24)
         vals = [
-            abs(perturbed_potential(STACK, LAM, H, EllipticPoint(xi=float(x), eta=0.4), densities=sol))
+            abs(perturbed_potential(STACK, LAM, H, EllipticPoint(xi=float(x), eta=0.4)))
             for x in xi_samples
         ]
         slope = np.polyfit(xi_samples, np.log(vals), 1)[0]
@@ -178,7 +174,6 @@ class TestPerturbedGradient:
 
     def test_finite_difference_cross_check(self, rng):
         H = BackgroundField(terms=((2, 1.0, -0.3), (4, 0.4, 0.5)))
-        sol = solve_densities(STACK, LAM, H)
         R = STACK.R
         checked = 0
         while checked < 200:
@@ -186,15 +181,15 @@ class TestPerturbedGradient:
             if min(abs(p.xi - x) for x in STACK.xi) < 5e-3 or p.xi < 0.05:
                 continue
             x1, x2 = elliptic_to_cartesian(p.xi, p.eta, R)
-            g = perturbed_gradient(STACK, LAM, H, p, densities=sol)
+            g = perturbed_gradient(STACK, LAM, H, p)
             h = 1e-6
             fd = []
             for dx, dy in ((h, 0.0), (0.0, h)):
                 pp = EllipticPoint(*cartesian_to_elliptic(x1 + dx, x2 + dy, R))
                 pm = EllipticPoint(*cartesian_to_elliptic(x1 - dx, x2 - dy, R))
                 fd.append(
-                    (perturbed_potential(STACK, LAM, H, pp, densities=sol)
-                     - perturbed_potential(STACK, LAM, H, pm, densities=sol)) / (2 * h)
+                    (perturbed_potential(STACK, LAM, H, pp)
+                     - perturbed_potential(STACK, LAM, H, pm)) / (2 * h)
                 )
             rel = np.linalg.norm(g - np.array(fd)) / max(np.linalg.norm(g), 1e-12)
             assert rel < 1e-5
@@ -204,7 +199,6 @@ class TestPerturbedGradient:
         # sigma_out * normal derivative (outside) == sigma_in * (inside) on
         # every interface, with the conductivity matched to the contrast
         H = BackgroundField.single(3, EVEN, 1.0)
-        sol = solve_densities(STACK, LAM, H)
         sigma0 = 1.0
         sigma1 = sigma_from_lambda(LAM, sigma0)
         for k in range(1, STACK.N + 1):
@@ -213,25 +207,67 @@ class TestPerturbedGradient:
             for eta in rng.uniform(0, 2 * math.pi, 64):
                 p = EllipticPoint(xi=STACK.xi[k - 1], eta=float(eta))
                 normal = _unit_normal(p, STACK.R)
-                g_out = total_gradient(STACK, LAM, H, p, region=k - 1, densities=sol)
-                g_in = total_gradient(STACK, LAM, H, p, region=k, densities=sol)
+                g_out = total_gradient(STACK, LAM, H, p, region=k - 1)
+                g_in = total_gradient(STACK, LAM, H, p, region=k)
                 flux_out = sig_out * (g_out @ normal)
                 flux_in = sig_in * (g_in @ normal)
                 assert abs(flux_out - flux_in) <= 1e-6 * max(abs(flux_out), 1e-12)
 
     def test_focal_point_rejected(self):
+        """Only the core region's formula has a limit at a focus."""
         H = BackgroundField.single(1, EVEN, 1.0)
-        with pytest.raises(GeometryError):
-            perturbed_gradient(STACK, LAM, H, EllipticPoint(xi=0.0, eta=0.0))
+        for eta in (0.0, math.pi):
+            with pytest.raises(GeometryError, match="core region"):
+                perturbed_gradient(STACK, LAM, H, EllipticPoint(xi=0.0, eta=eta), region=STACK.N - 1)
+
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_focal_limit(self, n, parity):
+        """At both foci (+-R, 0) the point and grid gradients are the core
+        formula's limit, -prefix[N] (+-1)^(n-1) n^2 / R along x (even) or y
+        (odd), and agree with central differences of the potential."""
+        H = BackgroundField.single(n, parity, 1.0)
+        phi = solve_densities(STACK, LAM, H)[(n, parity)]
+        prefix_core = np.sum(np.exp(-n * STACK.xi_array) * phi / n)
+        R, h = STACK.R, 1e-6
+        [grid] = field_grid(STACK, [(LAM, H)], (-R, R, -1.0, 1.0), (2, 3), quantity="gradient")
+        for side, eta, i in ((1.0, 0.0, 1), (-1.0, math.pi, 0)):
+            limit = -prefix_core * side ** (n - 1) * n**2 / R
+            expected = np.array([limit, 0.0] if parity == EVEN else [0.0, limit])
+            g = perturbed_gradient(STACK, LAM, H, EllipticPoint(xi=0.0, eta=eta))
+            assert_allclose(g, expected, rtol=1e-12, atol=0.0)
+            if side > 0:  # gamma underflows to 0 here too: the same point in floating point
+                assert_allclose(perturbed_gradient(STACK, LAM, H, EllipticPoint(xi=1e-170, eta=0.0)), g, rtol=0.0)
+            assert_allclose(grid.values[i, 1], abs(limit), rtol=1e-12)
+            fd = [
+                (perturbed_potential(STACK, LAM, H, EllipticPoint(*cartesian_to_elliptic(side * R + dx, dy, R)))
+                 - perturbed_potential(STACK, LAM, H, EllipticPoint(*cartesian_to_elliptic(side * R - dx, -dy, R))))
+                / (2 * h)
+                for dx, dy in ((h, 0.0), (0.0, h))
+            ]
+            assert np.abs(g - fd).max() <= 1e-6 * abs(limit)
 
     @pytest.mark.parametrize("evaluate", [perturbed_potential, perturbed_gradient])
     def test_overflow_rejected(self, evaluate):
-        # outside the stack u - H is exp(-n xi) times a weight, but the
-        # evaluator also forms sinh(n xi) * 0, which is nan at n xi = 720;
-        # the point is refused rather than given a nan value
-        H = BackgroundField.single(120, ODD, 1.0)
+        """Outside the stack u - H is exp(-n xi) suffix[0] times an angular
+        factor: at n xi = 720, where cosh and sinh overflow, it is still a
+        number.  A stack whose own radii reach n xi = 720 is refused."""
+        n, xi, eta = 120, 6.0, 0.3
+        H = BackgroundField.single(n, ODD, 1.0)
+        v = solve_densities(STACK, LAM, H)[(n, ODD)] / n
+        decay = math.exp(-n * xi) * np.sum(np.sinh(n * STACK.xi_array) * v)
+        point = EllipticPoint(xi=xi, eta=eta)
+        if evaluate is perturbed_potential:
+            expected = -math.sin(n * eta) * decay
+        else:
+            d_xi, d_eta = n * math.sin(n * eta) * decay, -n * math.cos(n * eta) * decay
+            p = (math.sinh(xi) * math.cos(eta), math.cosh(xi) * math.sin(eta))
+            expected = np.array([d_xi * p[0] - d_eta * p[1], d_xi * p[1] + d_eta * p[0]]) / (p[0] ** 2 + p[1] ** 2)
+        value = evaluate(STACK, LAM, H, point)
+        assert np.all(value != 0)
+        assert_allclose(value, expected, rtol=1e-12)
         with pytest.raises(FieldOverflowError, match=r"order-120 odd field .* n\*xi reaches 720 "):
-            evaluate(STACK, LAM, H, EllipticPoint(xi=6.0, eta=0.3))
+            evaluate(LayerStack(R=1.0, xi=(6.0, 5.0, 4.0)), LAM, H, point)
 
 
 def _unit_normal(p, R):
@@ -292,13 +328,10 @@ class TestFieldGrid:
             for rank in range(1, 5):
                 lam = complex(ms.lambdas(parity)[rank - 1], 1e-5)
                 H = BackgroundField.single(n, parity, 1.0)
-                sol = solve_densities(stack, lam, H)
                 xi_c = stack.xi[0] + 0.5
                 vals = np.array(
                     [
-                        perturbed_potential(
-                            stack, lam, H, EllipticPoint(xi=xi_c, eta=float(e)), densities=sol
-                        ).real
+                        perturbed_potential(stack, lam, H, EllipticPoint(xi=xi_c, eta=float(e))).real
                         for e in eta
                     ]
                 )
@@ -318,7 +351,6 @@ class TestFieldGrid:
     def test_grid_matches_point_evaluation(self, H):
         # 20 x 16 nodes: no node lands on a focal point (x2 = 0 is not sampled)
         bbox, resolution = (-2.5, 2.5, -2.0, 2.0), (20, 16)
-        sol = solve_densities(STACK, LAM, H)
         x1 = np.linspace(bbox[0], bbox[1], resolution[0])
         x2 = np.linspace(bbox[2], bbox[3], resolution[1])
         XI, ETA = cartesian_to_elliptic(*np.meshgrid(x1, x2, indexing="ij"), STACK.R)
@@ -329,8 +361,8 @@ class TestFieldGrid:
         [potential] = field_grid(STACK, [(LAM, H)], bbox, resolution)
         [gradient] = field_grid(STACK, [(LAM, H)], bbox, resolution, quantity="gradient")
         for grid, at_point in (
-            (potential, lambda p: perturbed_potential(STACK, LAM, H, p, densities=sol)),
-            (gradient, lambda p: np.linalg.norm(perturbed_gradient(STACK, LAM, H, p, densities=sol))),
+            (potential, lambda p: perturbed_potential(STACK, LAM, H, p)),
+            (gradient, lambda p: np.linalg.norm(perturbed_gradient(STACK, LAM, H, p))),
         ):
             tol = 1e-13 * np.abs(grid.values).max()
             worst = max(abs(grid.values[i, j] - at_point(p)) for i, j, p in points)

@@ -152,21 +152,6 @@ class TestLayerStack:
         with pytest.raises(GeometryError):
             LayerStack(R=1.0, xi=(1.0, -0.5))
 
-    def test_from_dict_variants(self):
-        s1 = LayerStack.from_dict({"R": 0.9, "xi": [0.5, 0.25]})
-        assert s1.N == 2 and s1.xi == (0.5, 0.25)
-        s2 = LayerStack.from_dict({"R": 0.9, "semimajor": [1.6, 1.4, 1.2, 1.0]})
-        assert s2.N == 4
-        assert_allclose(0.9 * np.cosh(s2.xi_array), [1.6, 1.4, 1.2, 1.0], rtol=1e-15)
-
-    def test_from_dict_rejects_bad_keys(self):
-        with pytest.raises(GeometryError):
-            LayerStack.from_dict({"R": 1.0, "xi": [1.0], "semimajor": [2.0]})
-        with pytest.raises(GeometryError):
-            LayerStack.from_dict({"R": 1.0, "xi": [1.0], "foo": 2})
-        with pytest.raises(GeometryError):
-            LayerStack.from_dict({"xi": [1.0]})
-
     def test_interface_polyline_closes(self):
         stack = LayerStack(R=1.0, xi=(0.8, 0.4))
         x1, x2 = stack.interface_polyline(1)

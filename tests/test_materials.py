@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from plasmonstack.errors import ContrastError
-from plasmonstack.materials import DrudeParams, resonant_frequency, sigma_from_lambda
+from plasmonstack.errors import ConfigError, ContrastError
+from plasmonstack.materials import resonant_frequency, sigma_from_lambda
+from plasmonstack.runconfig import normalize_drude
 
-from oracles import DEFAULT_SIGMA0, MaterialConfig, drude_sigma, lambda_from_sigma, lossless_limit_lambda
+from oracles import DEFAULT_SIGMA0, PAPER_DRUDE, MaterialConfig, drude_sigma, lambda_from_sigma, lossless_limit_lambda
 
 # published reference values are printed to 4 decimals; the implied slack on
 # a contrast derived from them is a few 1e-4
@@ -86,51 +87,46 @@ class TestMaterialConfig:
 
 class TestDrude:
     def test_high_frequency_limit(self):
-        p = DrudeParams()
-        assert_allclose(drude_sigma(1e22, p, tau=1e14), p.sigma_prime, rtol=1e-10)
+        assert_allclose(drude_sigma(1e22, **PAPER_DRUDE, tau=1e14), PAPER_DRUDE["sigma_prime"], rtol=1e-10)
 
     def test_lossless_plasma_frequency_zero(self):
-        p = DrudeParams()
-        assert_allclose(abs(drude_sigma(p.omega_p, p, tau=0.0)), 0.0, atol=1e-30)
+        assert_allclose(abs(drude_sigma(PAPER_DRUDE["omega_p"], **PAPER_DRUDE, tau=0.0)), 0.0, atol=1e-30)
 
     def test_defaults(self):
-        p = DrudeParams()
-        assert p.sigma_prime == 9e-12
-        assert p.omega_p == 2e15
-        assert_allclose(DEFAULT_SIGMA0, 1.33**2 * p.sigma_prime, rtol=1e-15)
+        assert PAPER_DRUDE == {"sigma_prime": 9e-12, "omega_p": 2e15}
+        assert_allclose(DEFAULT_SIGMA0, 1.33**2 * PAPER_DRUDE["sigma_prime"], rtol=1e-15)
 
     def test_rejects_nonpositive(self):
+        """The drude block's normalizer is the one positivity check."""
+        for key in PAPER_DRUDE:
+            with pytest.raises(ConfigError, match=f"drude: {key} must be a number > 0"):
+                normalize_drude(PAPER_DRUDE | {key: 0.0})
         with pytest.raises(ContrastError):
-            DrudeParams(sigma_prime=0.0)
-        with pytest.raises(ContrastError):
-            drude_sigma(0.0, DrudeParams(), tau=1e14)
+            drude_sigma(0.0, **PAPER_DRUDE, tau=1e14)
 
 
 class TestResonantFrequency:
     def test_zero_contrast_closed_form(self):
-        p = DrudeParams()
+        sigma_prime, omega_p = PAPER_DRUDE["sigma_prime"], PAPER_DRUDE["omega_p"]
         sigma0 = DEFAULT_SIGMA0
-        expected = p.omega_p * math.sqrt(p.sigma_prime / (p.sigma_prime + sigma0))
-        assert_allclose(resonant_frequency(0.0, p, sigma0), expected, rtol=1e-15)
+        expected = omega_p * math.sqrt(sigma_prime / (sigma_prime + sigma0))
+        assert_allclose(resonant_frequency(0.0, sigma0, **PAPER_DRUDE), expected, rtol=1e-15)
 
     def test_round_trip_lossless(self, rng):
-        p = DrudeParams()
         sigma0 = DEFAULT_SIGMA0
         for lam in rng.uniform(-0.49, 0.49, 50):
-            omega = resonant_frequency(float(lam), p, sigma0)
+            omega = resonant_frequency(float(lam), sigma0, **PAPER_DRUDE)
             sigma_t = sigma_from_lambda(float(lam), sigma0)
-            assert_allclose(drude_sigma(omega, p, tau=0.0).real, sigma_t, rtol=1e-12)
-            assert abs(drude_sigma(omega, p, tau=0.0).imag) < 1e-25
+            assert_allclose(drude_sigma(omega, **PAPER_DRUDE, tau=0.0).real, sigma_t, rtol=1e-12)
+            assert abs(drude_sigma(omega, **PAPER_DRUDE, tau=0.0).imag) < 1e-25
 
     def test_reference_mode_round_trip(self):
-        p = DrudeParams()
         sigma0 = DEFAULT_SIGMA0
-        omega = resonant_frequency(0.3205, p, sigma0)
-        back = lambda_from_sigma(drude_sigma(omega, p, tau=0.0), sigma0)
+        omega = resonant_frequency(0.3205, sigma0, **PAPER_DRUDE)
+        back = lambda_from_sigma(drude_sigma(omega, **PAPER_DRUDE, tau=0.0), sigma0)
         assert abs(back - 0.3205) < 1e-10
 
     def test_no_real_frequency(self):
-        p = DrudeParams()
         # lambda = 2 targets sigma_t = (5/3) sigma0 >= sigma_prime: no real root
         with pytest.raises(ContrastError):
-            resonant_frequency(2.0, p, sigma0=9e-12)
+            resonant_frequency(2.0, 9e-12, **PAPER_DRUDE)

@@ -7,12 +7,10 @@ from numpy.testing import assert_allclose
 from plasmonstack.charpoly import build_charpoly
 from plasmonstack.errors import CrossValidationError
 from plasmonstack.geometry import LayerStack
-from plasmonstack.materials import DrudeParams, sigma_from_lambda
+from plasmonstack.materials import sigma_from_lambda
 from plasmonstack.npcore import EVEN, ODD, PARITIES
 from plasmonstack.spectrum import (
-    BOUND_SLACK,
-    CROSS_ROUTE_TOL,
-    IMAG_TOL,
+    TOLERANCES,
     _certify,
     disk_degeneration_sweep,
     geometric_stack,
@@ -22,7 +20,15 @@ from plasmonstack.spectrum import (
 from table_data import TABLE1_LAMBDA_EVEN, TABLE1_SIGMA_ODD
 
 from conftest import geometric_random_stack, random_stack
-from oracles import DEFAULT_SIGMA0, drude_sigma, lambda_from_sigma, mode_to_material, per_parity_modes, precise_roots
+from oracles import (
+    DEFAULT_SIGMA0,
+    PAPER_DRUDE,
+    drude_sigma,
+    lambda_from_sigma,
+    mode_to_material,
+    per_parity_modes,
+    precise_roots,
+)
 
 TABLE1_STACK = LayerStack(R=1.0, xi=tuple(float(16 - i) for i in range(1, 16)))
 
@@ -72,7 +78,7 @@ class TestModes:
     def test_cross_validation_gate(self):
         stack = LayerStack(R=1.0, xi=(2.0, 1.0))
         with pytest.raises(CrossValidationError):
-            modes(stack, 1, cross_tol=1e-18)
+            modes(stack, 1, cross=1e-18)
 
     def test_spectral_bound_enforced(self, rng):
         stack = random_stack(rng, max_layers=60)
@@ -107,27 +113,27 @@ class TestFusedRoute:
     the oracle."""
 
     @staticmethod
-    def outcome(route, stack, n, cross_tol):
+    def outcome(route, stack, n, cross):
         """The two mode tuples, or the refusal's message."""
         try:
-            ms = route(stack, n, 1.7, cross_tol=cross_tol)
+            ms = route(stack, n, 1.7, cross=cross)
         except CrossValidationError as exc:
             return str(exc)
         return ms.even_modes, ms.odd_modes
 
-    @pytest.mark.parametrize("cross_tol", [CROSS_ROUTE_TOL, 1e-15], ids=["default", "refusing"])
-    def test_matches_per_parity_route(self, cross_tol):
-        """Equal modes bit for bit, or the same refusal; a cross_tol of 1e-15
+    @pytest.mark.parametrize("cross", [TOLERANCES["cross"], 1e-15], ids=["default", "refusing"])
+    def test_matches_per_parity_route(self, cross):
+        """Equal modes bit for bit, or the same refusal; a cross of 1e-15
         is below the eigensolver's error, so most stacks are refused."""
         rng = np.random.default_rng(71)
         refused = 0
         for N in range(1, 13):
             for _ in range(8):
                 stack, n = geometric_random_stack(rng, N), int(rng.integers(1, 9))
-                expected = self.outcome(per_parity_modes, stack, n, cross_tol)
-                assert self.outcome(modes, stack, n, cross_tol) == expected
+                expected = self.outcome(per_parity_modes, stack, n, cross)
+                assert self.outcome(modes, stack, n, cross) == expected
                 refused += isinstance(expected, str)
-        assert (refused > 0) == (cross_tol < CROSS_ROUTE_TOL)
+        assert (refused > 0) == (cross < TOLERANCES["cross"])
 
 
 class TestCertificate:
@@ -144,7 +150,7 @@ class TestCertificate:
 
     @staticmethod
     def certify(values):
-        return _certify(TABLE1_STACK, 1, values, CROSS_ROUTE_TOL, IMAG_TOL, BOUND_SLACK)
+        return _certify(TABLE1_STACK, 1, values, **TOLERANCES)
 
     @pytest.mark.parametrize("parity", [EVEN, ODD])
     def test_accepts_eigenvalues(self, parity):
@@ -156,7 +162,7 @@ class TestCertificate:
     @pytest.mark.parametrize("index", [0, 7, 14])
     def test_moved_value(self, parity, index):
         values, row = self.values(parity)
-        row[index] += 10 * CROSS_ROUTE_TOL
+        row[index] += 10 * TOLERANCES["cross"]
         with pytest.raises(CrossValidationError, match=f"^{parity} route disagreement"):
             self.certify(values)
 
@@ -172,11 +178,11 @@ class TestCertificate:
     @pytest.mark.parametrize("parity", [EVEN, ODD])
     def test_value_outside_bound(self, parity):
         values, row = self.values(parity)
-        row[0] = 0.5 + 2 * BOUND_SLACK
+        row[0] = 0.5 + 2 * TOLERANCES["bound"]
         with pytest.raises(CrossValidationError, match=f"^{parity} mode leaves the spectral interval"):
             self.certify(values)
         values, row = self.values(parity)
-        row[-1] = -0.5 - 2 * BOUND_SLACK
+        row[-1] = -0.5 - 2 * TOLERANCES["bound"]
         with pytest.raises(CrossValidationError, match=f"^{parity} mode leaves the spectral interval"):
             self.certify(values)
 
@@ -184,7 +190,7 @@ class TestCertificate:
     def test_complex_value(self, parity):
         values, row = self.values(parity)
         values = values.astype(complex)
-        values[PARITIES.index(parity), 3] += 2j * IMAG_TOL
+        values[PARITIES.index(parity), 3] += 2j * TOLERANCES["imag"]
         with pytest.raises(CrossValidationError, match=f"^{parity} eigenvalues: imaginary part"):
             self.certify(values)
 
@@ -206,9 +212,9 @@ class TestCertificate:
         its gate: the gates run parity by parity, as they did one parity at
         a time."""
         values, even = self.values(EVEN)
-        even[7] += 10 * CROSS_ROUTE_TOL
+        even[7] += 10 * TOLERANCES["cross"]
         values = values.astype(complex)
-        values[1, 3] += 2j * IMAG_TOL
+        values[1, 3] += 2j * TOLERANCES["imag"]
         with pytest.raises(CrossValidationError, match="^even route disagreement"):
             self.certify(values)
 
@@ -277,11 +283,10 @@ class TestModeToMaterial:
     def test_with_drude(self):
         stack = LayerStack(R=1.0, xi=(1.0, 0.5))
         ms = modes(stack, 1)
-        drude = DrudeParams()
         sigma0 = DEFAULT_SIGMA0
         mode = ms.even_modes[0]
-        sigma1, omega = mode_to_material(mode, sigma0=sigma0, drude=drude)
+        sigma1, omega = mode_to_material(mode, sigma0=sigma0, drude=PAPER_DRUDE)
         assert omega > 0
         # lossless consistency: the frequency reproduces the mode's contrast
-        back = lambda_from_sigma(drude_sigma(omega, drude, tau=0.0), sigma0)
+        back = lambda_from_sigma(drude_sigma(omega, **PAPER_DRUDE, tau=0.0), sigma0)
         assert abs(back - mode.lambda_root) < 1e-10
