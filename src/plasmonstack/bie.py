@@ -14,11 +14,13 @@ Single-curve pieces, for a closed analytic curve x(t), t_j = 2 pi j / M:
   (spectrally accurate product quadrature), the smooth remainder by
   trapezoid with diagonal ln|x'(t)| / (2 pi).
 
-Block operators stack per-curve blocks with the alternating row signs of
+Block operators on N nested curves of M nodes each have one layout: curve k
+owns rows and columns kM ... (k+1)M - 1, so every per-curve quantity is a
+reshape of the (N M, N M) matrix.  Block rows carry the alternating signs of
 the layered transmission problem; off-diagonal (curve-to-curve) kernels are
 smooth because the curves are disjoint.  Densities are mean-zero per curve
 in the quadrature-weighted sense; deflation projects out the per-curve
-constants before spectral checks.
+constants, one rank-one update per curve on each side, before spectral checks.
 """
 
 from __future__ import annotations
@@ -70,20 +72,13 @@ class DiscretizedCurve:
         return self.x.shape[0]
 
     @classmethod
-    def from_parametrization(cls, fx, fdx, fddx, M):
-        t = np.arange(M) * (2 * np.pi / M)
-        return cls(t=t, x=fx(t), dx=fdx(t), ddx=fddx(t))
-
-    @classmethod
     def ellipse(cls, R, xi, M):
         """Confocal ellipse of elliptic radius xi for focal half-distance R."""
         a, b = R * np.cosh(xi), R * np.sinh(xi)
-        return cls.from_parametrization(
-            lambda t: np.column_stack([a * np.cos(t), b * np.sin(t)]),
-            lambda t: np.column_stack([-a * np.sin(t), b * np.cos(t)]),
-            lambda t: np.column_stack([-a * np.cos(t), -b * np.sin(t)]),
-            M,
-        )
+        t = np.arange(M) * (2 * np.pi / M)
+        x = np.column_stack([a * np.cos(t), b * np.sin(t)])
+        dx = np.column_stack([-a * np.sin(t), b * np.cos(t)])
+        return cls(t=t, x=x, dx=dx, ddx=-x)
 
     @classmethod
     def polar(cls, coeffs, scale, M):
@@ -150,11 +145,10 @@ def _pairwise(target: DiscretizedCurve, source: DiscretizedCurve):
 def assemble_kstar_block(curve: DiscretizedCurve):
     """Nystrom matrix of the adjoint-double-layer operator on one curve."""
     diff, r2 = _pairwise(curve, curve)
-    off = ~np.eye(curve.M, dtype=bool)
-    if np.any(r2[off] == 0.0):
+    np.fill_diagonal(r2, 1.0)
+    if np.any(r2 == 0.0):
         raise CurveError("node coincidence: distinct parameter nodes map to one point")
     num = np.einsum("ijk,ik->ij", diff, curve.normal)
-    np.fill_diagonal(r2, 1.0)
     K = num / (2 * np.pi * r2)
     np.fill_diagonal(K, curve.curvature / (4 * np.pi))
     return K * curve.weights[None, :]
@@ -214,47 +208,43 @@ def _validate_nesting(curves):
 
 @dataclass(frozen=True, eq=False)
 class BlockOperator:
-    """Assembled block matrix with per-curve layout and quadrature weights."""
+    """Block matrix in the (curve, node) layout: ``entries`` is (N M, N M),
+    ``weights`` the N M trapezoid weights and ``layers`` the curve count N."""
 
     entries: np.ndarray
     weights: np.ndarray
-    offsets: tuple
-    curves: tuple
+    layers: int
 
 
-def _offsets(curves):
-    return tuple(np.cumsum([0] + [c.M for c in curves]).tolist())
-
-
-def _assemble_block(curves, diagonal, cross, row_sign) -> BlockOperator:
-    """Block k, l is diagonal(curve k) if k == l else cross(curve k, curve l),
-    and block row k is scaled by row_sign(k).  Curves must be strictly nested,
-    outermost first."""
+def _assemble_block(curves, diagonal, cross) -> BlockOperator:
+    """Fills the (N, M, N, M) array whose [k, :, l, :] is diagonal(curve k) if
+    k == l else cross(curve k, curve l).  Curves must be strictly nested,
+    outermost first, with one node count."""
     _validate_nesting(curves)
-    offs = _offsets(curves)
-    A = np.zeros((offs[-1], offs[-1]))
+    counts = sorted({c.M for c in curves})
+    if len(counts) > 1:
+        raise CurveError(f"curves must share one node count, got {counts}")
+    N, M = len(curves), counts[0]
+    A = np.empty((N, M, N, M))
     for k, ck in enumerate(curves):
         for l, cl in enumerate(curves):
-            block = diagonal(ck) if k == l else cross(ck, cl)
-            A[offs[k]:offs[k + 1], offs[l]:offs[l + 1]] = row_sign(k) * block
-    return BlockOperator(entries=A, weights=_block_weights(curves), offsets=offs, curves=tuple(curves))
+            A[k, :, l, :] = diagonal(ck) if k == l else cross(ck, cl)
+    return BlockOperator(entries=A.reshape(N * M, N * M), weights=np.concatenate([c.weights for c in curves]), layers=N)
 
 
 def assemble_block_np(curves) -> BlockOperator:
     """Block interface operator: row k carries sign (-1)^k (1-indexed), with
     the single-curve adjoint-double-layer matrix on the diagonal and smooth
     curve-to-curve kernels off it."""
-    return _assemble_block(curves, assemble_kstar_block, _kstar_cross, lambda k: -1.0 if k % 2 == 0 else 1.0)
+    block = _assemble_block(curves, assemble_kstar_block, _kstar_cross)
+    block.entries.reshape(block.layers, -1)[0::2] *= -1.0  # block rows 1, 3, ...
+    return block
 
 
 def assemble_block_s(curves) -> BlockOperator:
     """Block single-layer operator: every block row repeats the same column
     operators (single-layer of curve l evaluated on curve k)."""
-    return _assemble_block(curves, assemble_single_layer, _single_layer_cross, lambda k: 1.0)
-
-
-def _block_weights(curves):
-    return np.concatenate([c.weights for c in curves])
+    return _assemble_block(curves, assemble_single_layer, _single_layer_cross)
 
 
 def discrete_adjoint(entries, weights):
@@ -265,16 +255,18 @@ def discrete_adjoint(entries, weights):
 def deflate_constants(block: BlockOperator):
     """Project out the per-curve constant densities (weighted mean-zero sense).
 
-    Returns P A P with P the w-orthogonal projector onto per-curve mean-zero
-    densities; the removed directions show up as exact zero eigenvalues.
+    Returns P A P with P = I - sum_k 1_k u_k^T, u_k = w_k / sum(w_k): one
+    rank-one update per curve on the rows of the (N, M, n) view, then on the
+    columns of the (n, N, M) view.  The constants become exact zero modes.
     """
-    A = block.entries
-    P = np.eye(A.shape[0])
-    for k in range(len(block.curves)):
-        sl = slice(block.offsets[k], block.offsets[k + 1])
-        wk = block.weights[sl]
-        P[sl, sl] -= np.outer(np.ones(wk.size), wk) / wk.sum()
-    return P @ A @ P
+    n, N = block.entries.shape[0], block.layers
+    u = block.weights.reshape(N, -1)
+    u = u / u.sum(axis=1, keepdims=True)
+    rows = block.entries.reshape(N, -1, n)
+    A = rows - u[:, None, :] @ rows
+    cols = A.reshape(n, N, -1)
+    cols -= cols.sum(axis=2, keepdims=True) * u
+    return A.reshape(n, n)
 
 
 def calderon_residual(Kst: BlockOperator, S: BlockOperator) -> float:

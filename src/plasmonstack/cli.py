@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import runconfig, runners
-from .errors import ConfigError, CrossValidationError, FieldOverflowError, PlasmonstackError, ResonanceError
+from .errors import ConfigError, PlasmonstackError
 from .fixtures_io import compare_fixture, fixture_tolerances, load_fixture, save_fixture
 from .presets import PRESETS, get_preset
 
@@ -145,21 +145,10 @@ def main(argv=None):
         if not cfg:
             raise ConfigError("empty configuration: pass --preset, --config, or flags")
         cfg, result, grids = _run_command(args.command, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ResonanceError as exc:
-        print(f"resonance-singular solve: {exc}", file=sys.stderr)
-        return 3
-    except CrossValidationError as exc:
-        print(f"cross-validation failure: {exc}", file=sys.stderr)
-        return 2
-    except FieldOverflowError as exc:
-        print(f"unrepresentable field: {exc}", file=sys.stderr)
-        return 2
     except PlasmonstackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # each error class declares its exit code and prefix (see errors)
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
     if args.check:
         mismatches = _check_fixture(preset.name, result)

@@ -1,13 +1,17 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: configuration and geometry problems
-exit 1, cross-validation failures and fields that overflow floating point
-exit 2, singular resonance solves exit 3.
+Each class declares the CLI's exit code and stderr prefix for it:
+configuration and geometry problems exit 1, cross-validation failures and
+fields that overflow floating point exit 2, singular resonance solves
+exit 3.
 """
 
 
 class PlasmonstackError(Exception):
     """Base class for all package errors."""
+
+    #: CLI exit code and stderr prefix; subclasses that fail otherwise override them
+    exit_code, prefix = 1, "error"
 
 
 class GeometryError(PlasmonstackError, ValueError):
@@ -31,10 +35,14 @@ class CrossValidationError(PlasmonstackError, RuntimeError):
     """Two independent computation routes disagree beyond tolerance, or a
     quantity that must be real carries a too-large imaginary part."""
 
+    exit_code, prefix = 2, "cross-validation failure"
+
 
 class ResonanceError(PlasmonstackError, RuntimeError):
     """Density solve requested at (or numerically indistinguishable from) a
     resonance; the message names the offending Fourier order and parity."""
+
+    exit_code, prefix = 3, "resonance-singular solve"
 
 
 class RegionError(PlasmonstackError, ValueError):
@@ -48,6 +56,10 @@ class CurveError(PlasmonstackError, ValueError):
 class ConfigError(PlasmonstackError, ValueError):
     """Malformed run configuration (unknown keys, wrong types, bad values)."""
 
+    exit_code, prefix = 1, "config error"
+
 
 class FieldOverflowError(PlasmonstackError, ArithmeticError):
     """A field value overflows floating point (cosh(n xi) does above n xi ~ 710)."""
+
+    exit_code, prefix = 2, "unrepresentable field"

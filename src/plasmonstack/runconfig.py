@@ -19,8 +19,8 @@ from .npcore import EVEN, ODD
 from .spectrum import TOLERANCES
 
 #: value kinds, named by what they need; a kind in a one-item list, such as
-#: [NUMBER], reads a list of such values, and a tuple of strings reads one
-#: of those strings
+#: [NUMBER], reads a non-empty list of such values, and a tuple of strings
+#: reads one of those strings
 INTEGER, NUMBER, BOOLEAN = "an integer", "a number", "true or false"
 
 #: allowed ranges of one value: (test, what it needs)
@@ -47,11 +47,11 @@ def _typed(value, kind):
     return None
 
 
-def _read(cfg, key, kind, default=None, allowed=ANY, where="config"):
+def _read(cfg, key, kind, default=None, allowed=ANY, where="config", empty=False):
     """``cfg[key]``, or ``default`` when the key is absent, checked against
-    its kind and allowed range (each item of a list kind is).  Any other
-    value raises a ConfigError that names the key, what it needs and what
-    it got."""
+    its kind and allowed range (each item of a list kind is; a list must
+    hold at least one item unless ``empty``).  Any other value raises a
+    ConfigError that names the key, what it needs and what it got."""
     if key not in cfg:
         return default
     value = cfg[key]
@@ -59,9 +59,10 @@ def _read(cfg, key, kind, default=None, allowed=ANY, where="config"):
     item_kind = kind[0] if many else kind
     typed = [_typed(v, item_kind) for v in (value if isinstance(value, list) else [value])]
     test, range_text = allowed
-    if isinstance(value, list) != many or None in typed or not all(map(test, typed)):
+    if isinstance(value, list) != many or None in typed or not all(map(test, typed)) or not (typed or empty):
         name = item_kind if isinstance(item_kind, str) else "one of " + ", ".join(map(repr, item_kind))
-        need = f"{'a list, each item ' if many else ''}{name} {range_text}".rstrip()
+        listed = ("a list" if empty else "a non-empty list") + ", each item " if many else ""
+        need = f"{listed}{name} {range_text}".rstrip()
         raise ConfigError(f"{where}: {key} must be {need}, got {json.dumps(value, default=repr)}")
     return typed if many else typed[0]
 
@@ -167,21 +168,19 @@ def normalize_field_config(cfg):
 def normalize_sweep_config(cfg):
     where = "sweep config"
     _check_keys(cfg, {"layers", "ratio", "n", "L", "tolerances"}, {"layers", "ratio", "n", "L"}, where)
-    L = _read(cfg, "L", [NUMBER], allowed=POSITIVE, where=where)
-    if not L:
-        raise ConfigError(f"{where}: L must hold at least one scale, got []")
     return {
         "layers": _read(cfg, "layers", INTEGER, allowed=COUNT, where=where),
         "ratio": _read(cfg, "ratio", NUMBER, allowed=(lambda v: 0 < v < 1, "in (0, 1)"), where=where),
         "n": _read(cfg, "n", INTEGER, allowed=COUNT, where=where),
-        "L": L,
+        "L": _read(cfg, "L", [NUMBER], allowed=POSITIVE, where=where),
         "tolerances": normalize_tolerances(cfg.get("tolerances", {})),
     }
 
 
 def normalize_curves(curves):
     """A confocal curve spec is a geometry with xi radii; a polar one is a
-    scale (a number or a list of them) and optional cosine coefficients."""
+    scale (a number or a strictly decreasing list of them, outermost curve
+    first) and optional cosine coefficients."""
     where = "bie curves"
     kind = curves.get("type") if isinstance(curves, dict) else None
     if kind == "confocal":
@@ -192,9 +191,12 @@ def normalize_curves(curves):
         _check_keys(curves, {"type", "coeffs", "scale"}, {"type", "scale"}, where)
         spec = {"type": kind}
         if "coeffs" in curves:
-            spec["coeffs"] = _read(curves, "coeffs", [NUMBER], where=where)
+            spec["coeffs"] = _read(curves, "coeffs", [NUMBER], where=where, empty=True)
         scale_kind = [NUMBER] if isinstance(curves["scale"], list) else NUMBER
-        spec["scale"] = _read(curves, "scale", scale_kind, allowed=POSITIVE, where=where)
+        scale = spec["scale"] = _read(curves, "scale", scale_kind, allowed=POSITIVE, where=where)
+        # scaled copies of one star-shaped curve nest exactly when the scales decrease
+        if isinstance(scale, list) and any(a <= b for a, b in zip(scale, scale[1:])):
+            raise ConfigError(f"{where}: scale must strictly decrease, outermost curve first, got {json.dumps(scale)}")
         return spec
     raise ConfigError(f"{where}: expected a mapping with type 'confocal' or 'polar', got {curves!r}")
 
@@ -204,8 +206,6 @@ def normalize_bie_config(cfg):
     _check_keys(cfg, {"curves", "nodes", "match_orders", "match_nodes"}, {"curves", "nodes"}, where)
     curves = normalize_curves(cfg["curves"])
     nodes = _read(cfg, "nodes", [INTEGER], allowed=NODE_COUNT, where=where)
-    if not nodes:
-        raise ConfigError(f"{where}: nodes must hold at least one node count, got []")
     out = {"curves": curves, "nodes": nodes}
     matching = [key for key in ("match_orders", "match_nodes") if key in cfg]
     if matching and curves["type"] != "confocal":

@@ -189,15 +189,12 @@ def run_bie(cfg):
     report["monotone_calderon"] = _monotone_decreasing(calderon)
     report["monotone_self_adjointness"] = _monotone_decreasing(selfadj)
 
-    if spec["type"] == "polar" and not spec.get("coeffs") and np.ndim(spec["scale"]) == 0:
-        # single circle: closed-form spectra
-        M = max(nodes)
-        curve = bie_mod.curves_from_spec(spec, M)[0]
-        K = bie_mod.assemble_kstar_block(curve)
-        ev = np.sort(np.linalg.eigvals(K).real)
-        r = float(spec["scale"])
-        S = bie_mod.assemble_single_layer(curve)
-        evs = np.linalg.eigvals(S).real
+    if spec["type"] == "polar" and not spec.get("coeffs") and np.size(spec["scale"]) == 1:
+        # single circle: closed-form spectra; one curve's block operator is -K*
+        curves = bie_mod.curves_from_spec(spec, max(nodes))
+        ev = np.sort(-bie_mod.block_np_eigenvalues(bie_mod.assemble_block_np(curves), deflated=False).real)
+        r = float(np.ravel(spec["scale"])[0])
+        evs = np.linalg.eigvals(bie_mod.assemble_block_s(curves).entries).real
         report["circle"] = {
             "radius": r,
             "eig_half_err": float(abs(ev[-1] - 0.5)),

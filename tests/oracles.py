@@ -11,6 +11,7 @@ each one checks:
 * the materials: the contrast map, the lossy Drude conductivity, the
   material configuration and the mode-to-material helper;
 * the geometry: the metric factor and the analytic ellipse curvature;
+* the Nystrom block operators: constant deflation by a dense projector;
 * high-precision mode values.
 """
 
@@ -413,6 +414,23 @@ def curvature(xi, eta, R):
     vertices eta in {0, pi} on the semi-major axis.
     """
     return np.cosh(xi) * np.sinh(xi) / (R * (np.sinh(xi) ** 2 + np.sin(eta) ** 2) ** 1.5)
+
+
+# --- Nystrom block operators -------------------------------------------------
+
+
+def dense_deflation(block):
+    """P A P of a :class:`plasmonstack.bie.BlockOperator`, with the dense
+    projector P = I - sum_k 1_k u_k^T and u_k = w_k / sum w_k on the nodes
+    kM ... (k+1)M - 1 of curve k; the reference for ``deflate_constants``."""
+    A = block.entries
+    P = np.eye(A.shape[0])
+    M = A.shape[0] // block.layers
+    for k in range(block.layers):
+        sl = slice(k * M, (k + 1) * M)
+        wk = block.weights[sl]
+        P[sl, sl] -= np.outer(np.ones(M), wk) / wk.sum()
+    return P @ A @ P
 
 
 # --- high precision ----------------------------------------------------------

@@ -23,7 +23,7 @@ from plasmonstack.geometry import LayerStack, elliptic_to_cartesian
 from plasmonstack.npcore import EVEN, ODD
 from plasmonstack.spectrum import modes
 
-from oracles import metric_factor, single_layer_action
+from oracles import dense_deflation, metric_factor, single_layer_action
 
 
 class TestDiscretizedCurve:
@@ -39,14 +39,10 @@ class TestDiscretizedCurve:
         assert_allclose(c.speed, metric_factor(xi, c.t, R), rtol=1e-13)
 
     def test_orientation_enforced(self):
-        M = 32
+        t = np.arange(32) * (2 * np.pi / 32)
+        x = np.column_stack([np.cos(t), -np.sin(t)])  # clockwise unit circle
         with pytest.raises(CurveError):
-            DiscretizedCurve.from_parametrization(
-                lambda t: np.column_stack([np.cos(t), -np.sin(t)]),
-                lambda t: np.column_stack([-np.sin(t), -np.cos(t)]),
-                lambda t: np.column_stack([-np.cos(t), np.sin(t)]),
-                M,
-            )
+            DiscretizedCurve(t=t, x=x, dx=np.column_stack([-np.sin(t), -np.cos(t)]), ddx=-x)
 
     def test_odd_node_count_rejected(self):
         with pytest.raises(CurveError):
@@ -156,6 +152,13 @@ class TestBlockOperators:
         block = assemble_block_np([c])
         assert_allclose(block.entries, -assemble_kstar_block(c), rtol=1e-15)
 
+    def test_block_layout(self):
+        curves = curves_from_spec({"type": "confocal", "R": 1.0, "xi": [0.9, 0.7, 0.5]}, 32)
+        blocks = assemble_block_np(curves).entries.reshape(3, 32, 3, 32)
+        # curve k owns rows and columns 32k ... 32k + 31; block row k carries (-1)^(k+1)
+        for k, curve in enumerate(curves):
+            assert_allclose(blocks[k, :, k, :], (-1) ** (k + 1) * assemble_kstar_block(curve), rtol=1e-15)
+
     def test_adjoint_is_quadrature_adjoint(self, rng):
         curves = curves_from_spec({"type": "confocal", "R": 1.0, "xi": [0.9, 0.5]}, 48)
         block = assemble_block_np(curves)
@@ -226,9 +229,25 @@ class TestBlockOperators:
         block = assemble_block_np(curves)
         A = deflate_constants(block)
         for k in range(2):
-            vec = np.zeros(A.shape[0])
-            vec[block.offsets[k]:block.offsets[k + 1]] = 1.0
-            assert np.abs(A @ vec).max() < 1e-13
+            vec = np.zeros((block.layers, 48))
+            vec[k] = 1.0  # the constant density on curve k, zero on the others
+            assert np.abs(A @ vec.reshape(-1)).max() < 1e-13
+
+    @pytest.mark.parametrize("curves", [
+        curves_from_spec({"type": "confocal", "R": 1.0, "xi": [0.9, 0.5]}, 48),
+        curves_from_spec({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 64),
+        curves_from_spec({"type": "polar", "coeffs": [0.0, 0.0, 0.1], "scale": [1.5, 1.0, 0.6]}, 64),
+    ], ids=["confocal-2", "confocal-3", "polar-3"])
+    def test_deflation_matches_dense_projector(self, curves):
+        block = assemble_block_np(curves)
+        expected = dense_deflation(block)
+        assert np.abs(deflate_constants(block) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_mixed_node_counts_rejected(self):
+        curves = [DiscretizedCurve.polar((), 2.0, 32), DiscretizedCurve.polar((), 1.0, 64)]
+        for assemble in (assemble_block_np, assemble_block_s):
+            with pytest.raises(CurveError, match="one node count"):
+                assemble(curves)
 
     def test_spectral_bound_perturbed_curves(self):
         curves = [

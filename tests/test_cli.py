@@ -71,6 +71,16 @@ REJECTED_CONFIGS = [
     pytest.param("field", {**_FIELD, "geometry": {"R": 1.0, "xi": [1.0, 0.5]}, "ranks": [1, 1],
                            "parities": ["even", "even"]}, "ranks must", id="repeated-ranks"),
     pytest.param("field", {**_FIELD, "parities": ["odd", "odd"]}, "parities must", id="repeated-parities"),
+    pytest.param("field", {**_FIELD, "geometry": {"R": 1.0, "xi": [1.0, 0.6]}, "n": 2, "ranks": []}, "ranks must",
+                 id="empty-ranks"),
+    pytest.param("field", {**_FIELD, "parities": []}, "parities must", id="empty-parities"),
+    pytest.param("sweep-disk", {"layers": 2, "ratio": 0.8, "n": 1, "L": []}, "L must", id="empty-L"),
+    pytest.param("bie-validate", {"curves": {"type": "polar", "scale": []}, "nodes": [64]}, "scale must",
+                 id="empty-scale"),
+    pytest.param("bie-validate", {"curves": {"type": "polar", "scale": [1.0, 1.0]}, "nodes": [64]}, "scale must",
+                 id="repeated-scale"),
+    pytest.param("bie-validate", {"curves": {"type": "polar", "coeffs": [0.1], "scale": [1.0, 1.5]}, "nodes": [64]},
+                 "scale must", id="increasing-scale"),
     pytest.param("modes", {**_MODES, "geometry": {"R": 1.0, "xi": [1.0], "semimajor": [2.0]}},
                  "give exactly one of xi and semimajor", id="geometry-xi-and-semimajor"),
     pytest.param("modes", {**_MODES, "geometry": {"R": 1.0, "xi": [1.0], "foo": 2}},
@@ -161,11 +171,12 @@ class TestModesCommand:
         assert "config error:" in err
         assert key in err
 
-    def test_cross_validation_exit_code(self, tmp_path):
+    def test_cross_validation_exit_code(self, tmp_path, capsys):
         code = main(
             ["modes", "--preset", "table1", "--tol-cross", "1e-18", "--out", str(tmp_path)]
         )
         assert code == 2
+        assert capsys.readouterr().err.startswith("cross-validation failure: ")
 
     def test_config_file_and_unknown_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -407,12 +418,13 @@ class TestFieldCommand:
         _, header, _ = read_csv(out / "field_odd_r1.csv")
         assert header == ["x1", "x2", "gradmag"]
 
-    def test_resonance_singular_exit_code(self, tmp_path):
+    def test_resonance_singular_exit_code(self, tmp_path, capsys):
         code = main(
             ["field", "--preset", "fig12", "--mode-rank", "1", "--parity", "even",
              "--delta", "0", "--out", str(tmp_path)]
         )
         assert code == 3
+        assert capsys.readouterr().err.startswith("resonance-singular solve: ")
 
     @pytest.mark.parametrize("quantity", ["potential", "gradient"])
     @pytest.mark.parametrize("xi,n,n_xi", [([6, 5, 4], 120, "720"), ([13, 12.5, 12], 60, "780")])
@@ -439,6 +451,15 @@ class TestBieCommand:
         payload = doc["payload"]
         assert payload["circle"]["eig_half_err"] < 1e-12
         assert payload["monotone_calderon"] in (True, False)
+
+    def test_one_scale_list_is_a_circle(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"curves": {"type": "polar", "scale": [1.3]}, "nodes": [32]}))
+        out = tmp_path / "bie"
+        assert main(["bie-validate", "--config", str(path), "--out", str(out)]) == 0
+        circle = json.loads((out / "bie_report.json").read_text())["payload"]["circle"]
+        assert circle["radius"] == 1.3
+        assert circle["eig_half_err"] < 1e-12
 
     def test_bad_nodes(self, tmp_path):
         code = main(
@@ -710,6 +731,14 @@ class TestWorkCounts:
         # one K* and one S per node count, plus the K* of the containment check
         assert len(np_calls) == len(cfg["nodes"]) + 1
         assert len(s_calls) == len(cfg["nodes"])
+
+    @pytest.mark.parametrize("name", ["bie-circle", "bie-confocal"])
+    def test_bie_spectra_take_one_route(self, monkeypatch, name):
+        calls = _count_calls(monkeypatch, bie, "block_np_eigenvalues")
+        cfg = runconfig.normalize("bie-validate", PRESETS[name].config)
+        runners.run_bie(cfg)
+        # the bound excess per node count, plus the circle or containment check
+        assert len(calls) == len(cfg["nodes"]) + 1
 
     def test_field_maps_coordinates_once(self, monkeypatch):
         calls = _count_calls(monkeypatch, field, "cartesian_to_elliptic")
