@@ -2,17 +2,20 @@
 nested curves: an independent cross-validation route for the analytic
 confocal results, the spectral bound, and the symmetrization identity.
 
-Single-curve pieces, for a closed analytic curve x(t), t_j = 2 pi j / M:
+Each operator has one row kernel, which evaluates all M nodes x of one
+curve x(t), t_j = 2 pi j / M, against all N M source nodes y of the stack:
 
-* adjoint-double-layer kernel <x(t) - x(s), nu(t)> / (2 pi |x(t) - x(s)|^2);
-  smooth in 2D, plain trapezoid, with the diagonal set to the continuous
-  limit kappa(t)/(4 pi).  The sign convention (outward normal = tangent
-  rotated by -pi/2 on a counterclockwise curve, positive curvature on a
-  circle) is pinned by the circle test: discrete eigenvalues {1/2, 0,...}.
-* single-layer kernel ln|x - y| / (2 pi); the periodic log singularity is
-  split off and integrated exactly against trigonometric interpolants
-  (spectrally accurate product quadrature), the smooth remainder by
-  trapezoid with diagonal ln|x'(t)| / (2 pi).
+* adjoint double layer <x - y, nu(x)> / (2 pi |x - y|^2) with the weight of
+  y; smooth in 2D, plain trapezoid, with the curve's own diagonal set to the
+  continuous limit kappa(t)/(4 pi).  The sign convention (outward normal =
+  tangent rotated by -pi/2 on a counterclockwise curve, positive curvature
+  on a circle) is pinned by the circle test: discrete eigenvalues
+  {1/2, 0,...}.
+* single layer ln|x - y| / (2 pi) with the weight of y; on the curve's own
+  block the periodic log singularity is split off and integrated exactly
+  against trigonometric interpolants (spectrally accurate product
+  quadrature), the smooth remainder by trapezoid with diagonal
+  ln|x'(t)| / (2 pi).
 
 Block operators on N nested curves of M nodes each have one layout: curve k
 owns rows and columns kM ... (k+1)M - 1, so every per-curve quantity is a
@@ -127,58 +130,32 @@ def kress_log_weights(M):
     degree <= M/2, which gives spectral accuracy on analytic curves.
     """
     p = M // 2
-    ang = 2 * np.pi * np.arange(M) / M
+    idx = np.arange(M)
+    ang = 2 * np.pi * idx / M
     first = np.zeros(M)
     for m in range(1, p):
         first += np.cos(m * ang) / m
     first = -(4 * np.pi / M) * first - (2 * np.pi / (M * p)) * np.cos(p * ang)
-    idx = np.arange(M)
     return first[np.abs(idx[:, None] - idx[None, :])]
 
 
-def _pairwise(target: DiscretizedCurve, source: DiscretizedCurve):
-    diff = target.x[:, None, :] - source.x[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    return diff, r2
+def _kstar_rows(curve, dx, dy, r2, own, weights):
+    """K* rows of one curve: <x - y, nu(x)> w_y / (2 pi r2), and kappa / (4 pi) on its own diagonal."""
+    K = (dx * curve.normal[:, 0:1] + dy * curve.normal[:, 1:2]) / (2 * np.pi * r2)
+    np.fill_diagonal(K[:, own], curve.curvature / (4 * np.pi))
+    return K * weights
 
 
-def assemble_kstar_block(curve: DiscretizedCurve):
-    """Nystrom matrix of the adjoint-double-layer operator on one curve."""
-    diff, r2 = _pairwise(curve, curve)
-    np.fill_diagonal(r2, 1.0)
-    if np.any(r2 == 0.0):
-        raise CurveError("node coincidence: distinct parameter nodes map to one point")
-    num = np.einsum("ijk,ik->ij", diff, curve.normal)
-    K = num / (2 * np.pi * r2)
-    np.fill_diagonal(K, curve.curvature / (4 * np.pi))
-    return K * curve.weights[None, :]
-
-
-def _kstar_cross(target, source):
-    diff, r2 = _pairwise(target, source)
-    if np.any(r2 == 0.0):
-        raise CurveError("curves touch: zero distance between nodes of distinct curves")
-    num = np.einsum("ijk,ik->ij", diff, target.normal)
-    return num / (2 * np.pi * r2) * source.weights[None, :]
-
-
-def assemble_single_layer(curve: DiscretizedCurve):
-    """Nystrom matrix of the single-layer operator on one curve (log-split rule)."""
-    diff, r2 = _pairwise(curve, curve)
+def _single_layer_rows(curve, dx, dy, r2, own, weights):
+    """S rows of one curve: ln(r2) w_y / (4 pi), and the log-split rule on its own block."""
+    S = np.log(r2) / (4 * np.pi) * weights
     tt = curve.t[:, None] - curve.t[None, :]
     s2 = 4 * np.sin(tt / 2) ** 2
-    np.fill_diagonal(r2, 1.0)
     np.fill_diagonal(s2, 1.0)
-    smooth = np.log(r2 / s2) / (4 * np.pi)
+    smooth = np.log(r2[:, own] / s2) / (4 * np.pi)
     np.fill_diagonal(smooth, np.log(curve.speed) / (2 * np.pi))
-    return (kress_log_weights(curve.M) / (4 * np.pi) + curve.h * smooth) * curve.speed[None, :]
-
-
-def _single_layer_cross(target, source):
-    _, r2 = _pairwise(target, source)
-    if np.any(r2 == 0.0):
-        raise CurveError("curves touch: zero distance between nodes of distinct curves")
-    return np.log(r2) / (4 * np.pi) * source.weights[None, :]
+    S[:, own] = (kress_log_weights(curve.M) / (4 * np.pi) + curve.h * smooth) * curve.speed
+    return S
 
 
 def _contains(outer: DiscretizedCurve, points):
@@ -196,12 +173,7 @@ def _contains(outer: DiscretizedCurve, points):
 def _validate_nesting(curves):
     if not curves:
         raise CurveError("need at least one curve")
-    for k in range(len(curves) - 1):
-        outer, inner = curves[k], curves[k + 1]
-        lo_o, hi_o = outer.x.min(axis=0), outer.x.max(axis=0)
-        lo_i, hi_i = inner.x.min(axis=0), inner.x.max(axis=0)
-        if np.any(lo_i < lo_o) or np.any(hi_i > hi_o):
-            raise CurveError(f"curve {k + 2} is not bounding-box nested inside curve {k + 1}")
+    for k, (outer, inner) in enumerate(zip(curves, curves[1:])):
         if not np.all(_contains(outer, inner.x)):
             raise CurveError(f"curve {k + 2} is not strictly inside curve {k + 1}")
 
@@ -216,35 +188,43 @@ class BlockOperator:
     layers: int
 
 
-def _assemble_block(curves, diagonal, cross) -> BlockOperator:
-    """Fills the (N, M, N, M) array whose [k, :, l, :] is diagonal(curve k) if
-    k == l else cross(curve k, curve l).  Curves must be strictly nested,
-    outermost first, with one node count."""
+def _assemble_block(curves, rows) -> BlockOperator:
+    """Fills rows kM ... (k+1)M - 1 with rows(curve k, dx, dy, r2, own, weights):
+    the differences x - y and r2 = dx^2 + dy^2 (1 on the curve's own diagonal)
+    from its M nodes x to all N M source nodes y, its own block's column slice
+    and the source weights.  Curves must be nested, outermost first, with one M."""
     _validate_nesting(curves)
     counts = sorted({c.M for c in curves})
     if len(counts) > 1:
         raise CurveError(f"curves must share one node count, got {counts}")
     N, M = len(curves), counts[0]
-    A = np.empty((N, M, N, M))
-    for k, ck in enumerate(curves):
-        for l, cl in enumerate(curves):
-            A[k, :, l, :] = diagonal(ck) if k == l else cross(ck, cl)
-    return BlockOperator(entries=A.reshape(N * M, N * M), weights=np.concatenate([c.weights for c in curves]), layers=N)
+    x = np.concatenate([c.x for c in curves])
+    weights = np.concatenate([c.weights for c in curves])
+    A = np.empty((N * M, N * M))
+    for k, curve in enumerate(curves):
+        own = slice(k * M, (k + 1) * M)
+        dx = curve.x[:, 0:1] - x[:, 0]
+        dy = curve.x[:, 1:2] - x[:, 1]
+        r2 = dx * dx + dy * dy
+        np.fill_diagonal(r2[:, own], 1.0)
+        if np.any(r2 == 0.0):
+            raise CurveError("node coincidence: two distinct nodes map to one point")
+        A[own] = rows(curve, dx, dy, r2, own, weights)
+    return BlockOperator(entries=A, weights=weights, layers=N)
 
 
 def assemble_block_np(curves) -> BlockOperator:
-    """Block interface operator: row k carries sign (-1)^k (1-indexed), with
-    the single-curve adjoint-double-layer matrix on the diagonal and smooth
-    curve-to-curve kernels off it."""
-    block = _assemble_block(curves, assemble_kstar_block, _kstar_cross)
+    """Block interface operator: row k carries sign (-1)^k (1-indexed) times
+    the adjoint-double-layer rows of curve k.  On one curve it is -K*."""
+    block = _assemble_block(curves, _kstar_rows)
     block.entries.reshape(block.layers, -1)[0::2] *= -1.0  # block rows 1, 3, ...
     return block
 
 
 def assemble_block_s(curves) -> BlockOperator:
-    """Block single-layer operator: every block row repeats the same column
-    operators (single-layer of curve l evaluated on curve k)."""
-    return _assemble_block(curves, assemble_single_layer, _single_layer_cross)
+    """Block single-layer operator: row k holds the single-layer rows of
+    curve k (every source curve evaluated on curve k).  On one curve it is S."""
+    return _assemble_block(curves, _single_layer_rows)
 
 
 def discrete_adjoint(entries, weights):

@@ -54,9 +54,13 @@ def _merge_config(command, args, preset_cfg):
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                cfg.update(json.load(fh))
+                loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            kind = {list: "array", str: "string", bool: "boolean", type(None): "null"}.get(type(loaded), "number")
+            raise ConfigError(f"config file {args.config} holds a JSON {kind}, not an object")
+        cfg.update(loaded)
 
     xi, semimajor, R = (getattr(args, name, None) for name in ("xi", "semimajor", "R"))
     if xi and semimajor:

@@ -67,6 +67,14 @@ def _read(cfg, key, kind, default=None, allowed=ANY, where="config", empty=False
     return typed if many else typed[0]
 
 
+def _distinct(cfg, key, kind, default=None, allowed=ANY, where="config"):
+    """The list :func:`_read` reads, refused with a ConfigError if a value repeats."""
+    values = _read(cfg, key, kind, default, allowed, where)
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{where}: {key} must not repeat a value, got {json.dumps(values)}")
+    return values
+
+
 def _check_keys(cfg, allowed, required, where):
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(cfg).__name__}")
@@ -145,12 +153,9 @@ def normalize_field_config(cfg):
     resolution = _read(cfg, "resolution", [INTEGER], allowed=GRID_SIZE, where=where)
     if len(resolution) != 2:
         raise ConfigError(f"{where}: resolution must be two integers >= 2, got {resolution}")
-    ranks = _read(cfg, "ranks", [INTEGER], [1], (lambda r: 1 <= r <= stack.N, f"in 1..{stack.N}"), where)
-    parities = _read(cfg, "parities", [(EVEN, ODD)], [EVEN, ODD], where=where)
-    for key, values in (("ranks", ranks), ("parities", parities)):
-        # each (parity, rank) grid is written to its own file
-        if len(set(values)) < len(values):
-            raise ConfigError(f"{where}: {key} must not repeat a value, got {json.dumps(values)}")
+    # each (parity, rank) grid is written to its own file
+    ranks = _distinct(cfg, "ranks", [INTEGER], [1], (lambda r: 1 <= r <= stack.N, f"in 1..{stack.N}"), where)
+    parities = _distinct(cfg, "parities", [(EVEN, ODD)], [EVEN, ODD], where=where)
     return {
         "geometry": geo,
         "n": _read(cfg, "n", INTEGER, allowed=COUNT, where=where),
@@ -172,7 +177,8 @@ def normalize_sweep_config(cfg):
         "layers": _read(cfg, "layers", INTEGER, allowed=COUNT, where=where),
         "ratio": _read(cfg, "ratio", NUMBER, allowed=(lambda v: 0 < v < 1, "in (0, 1)"), where=where),
         "n": _read(cfg, "n", INTEGER, allowed=COUNT, where=where),
-        "L": _read(cfg, "L", [NUMBER], allowed=POSITIVE, where=where),
+        # a repeated scale adds no abscissa to the gap slope's fit
+        "L": _distinct(cfg, "L", [NUMBER], allowed=POSITIVE, where=where),
         "tolerances": normalize_tolerances(cfg.get("tolerances", {})),
     }
 

@@ -166,15 +166,18 @@ def _monotone_decreasing(values, floor=1e-13):
     return bool(ok)
 
 
-def _refinement_step(spec, M):
-    """(Calderon residual, self-adjointness residual, spectral bound excess) at
-    M nodes per curve.  K* and S are assembled once here and released on
-    return, before the next node count is assembled."""
-    curves = bie_mod.curves_from_spec(spec, M)
-    Kst = bie_mod.assemble_block_np(curves)
-    bound_excess = float(np.abs(bie_mod.block_np_eigenvalues(Kst, deflated=True).real).max() - 0.5)
-    S = bie_mod.assemble_block_s(curves)
-    return bie_mod.calderon_residual(Kst, S), bie_mod.self_adjointness_check(Kst, S), bound_excess
+def _circle_section(radius, Kst, S):
+    """Errors of one circle's K* and S spectra against the closed forms {1/2, 0}
+    and {r ln r, -r/(2m)}; one curve's block operator is -K*."""
+    ev = np.sort(-bie_mod.block_np_eigenvalues(Kst, deflated=False).real)
+    evs = np.linalg.eigvals(S.entries).real
+    return {
+        "radius": radius,
+        "eig_half_err": float(abs(ev[-1] - 0.5)),
+        "eig_rest_max": float(np.abs(ev[:-1]).max()),
+        "s_const_err": float(np.abs(evs - radius * np.log(radius)).min()),
+        "s_mode1_err": float(np.abs(evs + radius / 2.0).min()),
+    }
 
 
 def run_bie(cfg):
@@ -182,26 +185,23 @@ def run_bie(cfg):
     spec = cfg["curves"]
     nodes = cfg["nodes"]
     report = {"curves": cfg["curves"], "nodes": nodes}
-    steps = [_refinement_step(spec, M) for M in nodes]
-    calderon = report["calderon_residual"] = [c for c, _s, _b in steps]
-    selfadj = report["self_adjointness_residual"] = [s for _c, s, _b in steps]
-    report["spectral_bound_excess"] = [b for _c, _s, b in steps]
+    one_circle = spec["type"] == "polar" and not spec.get("coeffs") and np.size(spec["scale"]) == 1
+    calderon = report["calderon_residual"] = []
+    selfadj = report["self_adjointness_residual"] = []
+    excess = report["spectral_bound_excess"] = []
+    # K* and S are assembled once per node count, and released before the next
+    for M in nodes:
+        curves = bie_mod.curves_from_spec(spec, M)
+        Kst = bie_mod.assemble_block_np(curves)
+        excess.append(float(np.abs(bie_mod.block_np_eigenvalues(Kst, deflated=True).real).max() - 0.5))
+        S = bie_mod.assemble_block_s(curves)
+        calderon.append(bie_mod.calderon_residual(Kst, S))
+        selfadj.append(bie_mod.self_adjointness_check(Kst, S))
+        if one_circle and M == max(nodes):
+            report["circle"] = _circle_section(float(np.ravel(spec["scale"])[0]), Kst, S)
+        del Kst, S
     report["monotone_calderon"] = _monotone_decreasing(calderon)
     report["monotone_self_adjointness"] = _monotone_decreasing(selfadj)
-
-    if spec["type"] == "polar" and not spec.get("coeffs") and np.size(spec["scale"]) == 1:
-        # single circle: closed-form spectra; one curve's block operator is -K*
-        curves = bie_mod.curves_from_spec(spec, max(nodes))
-        ev = np.sort(-bie_mod.block_np_eigenvalues(bie_mod.assemble_block_np(curves), deflated=False).real)
-        r = float(np.ravel(spec["scale"])[0])
-        evs = np.linalg.eigvals(bie_mod.assemble_block_s(curves).entries).real
-        report["circle"] = {
-            "radius": r,
-            "eig_half_err": float(abs(ev[-1] - 0.5)),
-            "eig_rest_max": float(np.abs(ev[:-1]).max()),
-            "s_const_err": float(np.abs(evs - r * np.log(r)).min()),
-            "s_mode1_err": float(np.abs(evs + r / 2.0).min()),
-        }
 
     if "match_orders" in cfg:
         M = cfg["match_nodes"]

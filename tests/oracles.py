@@ -11,7 +11,9 @@ each one checks:
 * the materials: the contrast map, the lossy Drude conductivity, the
   material configuration and the mode-to-material helper;
 * the geometry: the metric factor and the analytic ellipse curvature;
-* the Nystrom block operators: constant deflation by a dense projector;
+* the Nystrom block operators: block-by-block assembly with one kernel
+  per curve and one per pair of curves, and constant deflation by a dense
+  projector;
 * high-precision mode values.
 """
 
@@ -21,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from plasmonstack.bie import kress_log_weights
 from plasmonstack.charpoly import _TINY, CharPoly, build_charpoly
 from plasmonstack.errors import ContrastError, CrossValidationError
 from plasmonstack.field import _HARMONIC, BackgroundField, perturbed_gradient, perturbed_potential, solve_densities
@@ -417,6 +420,61 @@ def curvature(xi, eta, R):
 
 
 # --- Nystrom block operators -------------------------------------------------
+
+
+def _pairwise(target, source):
+    diff = target.x[:, None, :] - source.x[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    return diff, r2
+
+
+def kstar_block(curve):
+    """Adjoint-double-layer matrix of one curve, kappa/(4 pi) on the diagonal."""
+    diff, r2 = _pairwise(curve, curve)
+    np.fill_diagonal(r2, 1.0)
+    num = np.einsum("ijk,ik->ij", diff, curve.normal)
+    K = num / (2 * np.pi * r2)
+    np.fill_diagonal(K, curve.curvature / (4 * np.pi))
+    return K * curve.weights[None, :]
+
+
+def kstar_cross(target, source):
+    diff, r2 = _pairwise(target, source)
+    num = np.einsum("ijk,ik->ij", diff, target.normal)
+    return num / (2 * np.pi * r2) * source.weights[None, :]
+
+
+def single_layer_block(curve):
+    """Single-layer matrix of one curve by the log-split rule."""
+    diff, r2 = _pairwise(curve, curve)
+    tt = curve.t[:, None] - curve.t[None, :]
+    s2 = 4 * np.sin(tt / 2) ** 2
+    np.fill_diagonal(r2, 1.0)
+    np.fill_diagonal(s2, 1.0)
+    smooth = np.log(r2 / s2) / (4 * np.pi)
+    np.fill_diagonal(smooth, np.log(curve.speed) / (2 * np.pi))
+    return (kress_log_weights(curve.M) / (4 * np.pi) + curve.h * smooth) * curve.speed[None, :]
+
+
+def single_layer_cross(target, source):
+    _, r2 = _pairwise(target, source)
+    return np.log(r2) / (4 * np.pi) * source.weights[None, :]
+
+
+def blockwise_operators(curves):
+    """(K* block operator entries, S block operator entries, weights) of nested
+    curves with one node count, assembled block by block: the single-curve
+    kernel on each diagonal block, the curve-to-curve kernel off it, and block
+    rows 1, 3, ... of the K* operator negated; the reference for
+    ``assemble_block_np`` and ``assemble_block_s``."""
+    K = np.block([[kstar_block(ck) if k == l else kstar_cross(ck, cl) for l, cl in enumerate(curves)]
+                  for k, ck in enumerate(curves)])
+    S = np.block([[single_layer_block(ck) if k == l else single_layer_cross(ck, cl) for l, cl in enumerate(curves)]
+                  for k, ck in enumerate(curves)])
+    M = curves[0].M
+    for k in range(0, len(curves), 2):
+        K[k * M:(k + 1) * M] *= -1.0
+    return K, S, np.concatenate([c.weights for c in curves])
 
 
 def dense_deflation(block):

@@ -8,8 +8,6 @@ from plasmonstack.bie import (
     DiscretizedCurve,
     assemble_block_np,
     assemble_block_s,
-    assemble_kstar_block,
-    assemble_single_layer,
     block_np_eigenvalues,
     calderon_residual,
     curves_from_spec,
@@ -23,7 +21,16 @@ from plasmonstack.geometry import LayerStack, elliptic_to_cartesian
 from plasmonstack.npcore import EVEN, ODD
 from plasmonstack.spectrum import modes
 
-from oracles import dense_deflation, metric_factor, single_layer_action
+from oracles import blockwise_operators, dense_deflation, kstar_block, metric_factor, single_layer_action
+
+
+def kstar(curve):
+    """K* of one curve: its block interface operator is -K*."""
+    return -assemble_block_np([curve]).entries
+
+
+def single_layer(curve):
+    return assemble_block_s([curve]).entries
 
 
 class TestDiscretizedCurve:
@@ -76,14 +83,14 @@ class TestKressRule:
 class TestSingleCurveOperators:
     def test_circle_kstar_spectrum(self):
         c = DiscretizedCurve.polar((), 1.3, 64)
-        ev = np.sort(np.linalg.eigvals(assemble_kstar_block(c)).real)
+        ev = np.sort(np.linalg.eigvals(kstar(c)).real)
         assert abs(ev[-1] - 0.5) < 1e-12
         assert np.abs(ev[:-1]).max() < 1e-12
 
     def test_circle_single_layer_spectrum(self):
         r = 1.7
         c = DiscretizedCurve.polar((), r, 64)
-        ev = np.sort(np.linalg.eigvals(assemble_single_layer(c)).real)
+        ev = np.sort(np.linalg.eigvals(single_layer(c)).real)
         assert np.abs(ev - r * math.log(r)).min() < 1e-12
         for m in (1, 2, 5):
             assert np.abs(ev + r / (2 * m)).min() < 1e-12
@@ -91,7 +98,7 @@ class TestSingleCurveOperators:
     def test_ellipse_kstar_eigenvalues(self):
         R, xi0, M = 1.0, 0.5, 256
         c = DiscretizedCurve.ellipse(R, xi0, M)
-        ev = np.linalg.eigvals(assemble_kstar_block(c))
+        ev = np.linalg.eigvals(kstar(c))
         assert np.abs(ev.imag).max() < 1e-10
         evr = ev.real
         for n in range(1, 9):
@@ -103,7 +110,7 @@ class TestSingleCurveOperators:
     def test_ellipse_eigenvector_profiles(self):
         R, xi0, M = 1.0, 0.6, 128
         c = DiscretizedCurve.ellipse(R, xi0, M)
-        ev, vecs = np.linalg.eig(assemble_kstar_block(c))
+        ev, vecs = np.linalg.eig(kstar(c))
         for n, parity in ((1, EVEN), (2, EVEN), (1, ODD), (3, ODD)):
             target = 0.5 * math.exp(-2 * n * xi0) * (1 if parity == EVEN else -1)
             idx = int(np.argmin(np.abs(ev - target)))
@@ -117,7 +124,7 @@ class TestSingleCurveOperators:
         # reproduces the closed-form coefficient
         R, xi0, M = 0.9, 0.8, 512
         c = DiscretizedCurve.ellipse(R, xi0, M)
-        S = assemble_single_layer(c)
+        S = single_layer(c)
         for n, parity in ((1, EVEN), (4, EVEN), (2, ODD), (6, ODD)):
             density = (np.cos if parity == EVEN else np.sin)(n * c.t) / c.speed
             vals = S @ density
@@ -141,7 +148,7 @@ class TestSingleCurveOperators:
 
     def test_single_layer_weighted_symmetry(self):
         c = DiscretizedCurve.ellipse(1.0, 0.7, 128)
-        S = assemble_single_layer(c)
+        S = single_layer(c)
         B = c.weights[:, None] * S
         assert np.abs(B - B.T).max() / np.abs(B).max() < 1e-10
 
@@ -149,15 +156,15 @@ class TestSingleCurveOperators:
 class TestBlockOperators:
     def test_single_curve_block_is_negated_kstar(self):
         c = DiscretizedCurve.ellipse(1.0, 0.7, 64)
-        block = assemble_block_np([c])
-        assert_allclose(block.entries, -assemble_kstar_block(c), rtol=1e-15)
+        assert np.array_equal(assemble_block_np([c]).entries, -kstar_block(c))
 
     def test_block_layout(self):
         curves = curves_from_spec({"type": "confocal", "R": 1.0, "xi": [0.9, 0.7, 0.5]}, 32)
         blocks = assemble_block_np(curves).entries.reshape(3, 32, 3, 32)
         # curve k owns rows and columns 32k ... 32k + 31; block row k carries (-1)^(k+1)
+        # and its own block is the curve's K*
         for k, curve in enumerate(curves):
-            assert_allclose(blocks[k, :, k, :], (-1) ** (k + 1) * assemble_kstar_block(curve), rtol=1e-15)
+            assert np.array_equal(blocks[k, :, k, :], (-1) ** (k + 1) * kstar(curve))
 
     def test_adjoint_is_quadrature_adjoint(self, rng):
         curves = curves_from_spec({"type": "confocal", "R": 1.0, "xi": [0.9, 0.5]}, 48)
@@ -181,6 +188,11 @@ class TestBlockOperators:
         ]
         with pytest.raises(CurveError):
             assemble_block_np(crossing)
+        # the inner circle leaves the outer ellipse's bounding box (b = sinh 0.5 < 0.6)
+        past_box = [DiscretizedCurve.ellipse(1.0, 0.5, 64), DiscretizedCurve.polar((), 0.6, 64)]
+        assert np.abs(past_box[1].x[:, 1]).max() > np.abs(past_box[0].x[:, 1]).max()
+        with pytest.raises(CurveError, match="curve 2 is not strictly inside curve 1"):
+            assemble_block_np(past_box)
 
     def test_mode_containment_medium_resolution(self):
         spec = {"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}
@@ -242,6 +254,29 @@ class TestBlockOperators:
         block = assemble_block_np(curves)
         expected = dense_deflation(block)
         assert np.abs(deflate_constants(block) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("spec,M", [
+        ({"type": "polar", "coeffs": [], "scale": 1.3}, 64),
+        ({"type": "polar", "coeffs": [], "scale": 1.3}, 128),
+        ({"type": "polar", "coeffs": [], "scale": 1.3}, 256),
+        ({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 128),
+        ({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 256),
+        ({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 384),
+        ({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 512),
+        ({"type": "confocal", "R": 1.0, "xi": [0.9, 0.5]}, 48),
+        ({"type": "polar", "coeffs": [0.0, 0.0, 0.1], "scale": [1.5, 1.0, 0.6]}, 64),
+        ({"type": "confocal", "R": 1.0, "xi": [math.acosh(a) for a in (1.0010, 1.00055, 1.0001)]}, 128),
+    ], ids=["circle-64", "circle-128", "circle-256", "confocal-128", "confocal-256", "confocal-384",
+            "confocal-512", "confocal-2-48", "polar-3-64", "fig12-128"])
+    def test_rows_match_blockwise_assembly(self, spec, M):
+        # the row kernels reproduce the block-by-block kernels bit for bit
+        curves = curves_from_spec(spec, M)
+        K, S, weights = blockwise_operators(curves)
+        block_np, block_s = assemble_block_np(curves), assemble_block_s(curves)
+        assert np.array_equal(block_np.entries, K)
+        assert np.array_equal(block_s.entries, S)
+        assert np.array_equal(block_np.weights, weights)
+        assert np.array_equal(block_s.weights, weights)
 
     def test_mixed_node_counts_rejected(self):
         curves = [DiscretizedCurve.polar((), 2.0, 32), DiscretizedCurve.polar((), 1.0, 64)]

@@ -75,6 +75,8 @@ REJECTED_CONFIGS = [
                  id="empty-ranks"),
     pytest.param("field", {**_FIELD, "parities": []}, "parities must", id="empty-parities"),
     pytest.param("sweep-disk", {"layers": 2, "ratio": 0.8, "n": 1, "L": []}, "L must", id="empty-L"),
+    pytest.param("sweep-disk", {"layers": 3, "ratio": 0.8, "n": 1, "L": [1, 1.0]}, "L must not repeat a value",
+                 id="repeated-L"),
     pytest.param("bie-validate", {"curves": {"type": "polar", "scale": []}, "nodes": [64]}, "scale must",
                  id="empty-scale"),
     pytest.param("bie-validate", {"curves": {"type": "polar", "scale": [1.0, 1.0]}, "nodes": [64]}, "scale must",
@@ -184,6 +186,16 @@ class TestModesCommand:
         assert main(["modes", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
         cfg.write_text(json.dumps({"geometry": {"R": 1.0, "xi": [1.0]}, "n": 2, "bogus": 1}))
         assert main(["modes", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
+
+    @pytest.mark.parametrize("text,kind", [("[1, 2]", "array"), ('"x"', "string"), ('[["n", 1]]', "array")],
+                             ids=["array", "string", "pair-list"])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, text, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["modes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: config file {cfg} holds a JSON {kind}, not an object\n"
+        assert not (tmp_path / "o").exists()
 
     def test_semimajor_flags(self, tmp_path):
         out = tmp_path / "sm"
@@ -723,13 +735,15 @@ class TestWorkCounts:
         spectrum.modes(runners._stack(cfg), cfg["n"])
         assert len(calls) == 1
 
-    def test_bie_assembles_once_per_node_count(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["bie-circle", "bie-confocal"])
+    def test_bie_assembles_once_per_node_count(self, monkeypatch, name):
         np_calls = _count_calls(monkeypatch, bie, "assemble_block_np")
         s_calls = _count_calls(monkeypatch, bie, "assemble_block_s")
-        cfg = runconfig.normalize("bie-validate", PRESETS["bie-confocal"].config)
+        cfg = runconfig.normalize("bie-validate", PRESETS[name].config)
         runners.run_bie(cfg)
-        # one K* and one S per node count, plus the K* of the containment check
-        assert len(np_calls) == len(cfg["nodes"]) + 1
+        # one K* and one S per node count, which the circle check reuses, plus
+        # the K* of the containment check
+        assert len(np_calls) == len(cfg["nodes"]) + ("match_orders" in cfg)
         assert len(s_calls) == len(cfg["nodes"])
 
     @pytest.mark.parametrize("name", ["bie-circle", "bie-confocal"])
