@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CombinatorialCapError
 from .geometry import LayerStack
-from .npcore import _BOTH_SIGNS, EVEN, ODD, _check_order
+from .npcore import _BOTH_SIGNS, PARITIES, _check_order
 
 #: Largest layer count whose 2^N coefficient terms are enumerated.
 ENUMERATION_CAP = 24
@@ -90,7 +90,7 @@ def build_charpoly(stack: LayerStack, n) -> dict:
         )
     sums = _alternating_exponent_sums(stack.xi, n)
     polys = {}
-    for parity, sign in ((EVEN, +1), (ODD, -1)):
+    for parity, sign in zip(PARITIES, _BOTH_SIGNS):
         coeffs = np.array([s_k / (sign * 2.0) ** k for k, s_k in enumerate(sums)])
         polys[parity] = CharPoly(coeffs=coeffs)
     return polys

@@ -19,9 +19,10 @@ import json
 import os
 import sys
 
-from . import runconfig, runners
+from . import output, runconfig, runners
 from .errors import ConfigError, PlasmonstackError
-from .fixtures_io import compare_fixture, fixture_tolerances, load_fixture, save_fixture
+from .fixtures_io import compare_fixture, load_fixture, save_fixture
+from .npcore import PARITIES
 from .presets import PRESETS, get_preset
 
 
@@ -93,7 +94,7 @@ def _merge_config(command, args, preset_cfg):
 
 
 def _print_mode_table(payload):
-    for parity, tag in (("even", "+"), ("odd", "-")):
+    for parity, tag in zip(PARITIES, "+-"):
         rows = payload[parity]
         print(f"f{tag}  (n={payload['n']})")
         print("lambda_" + tag + " : " + " ".join(f"{r['lambda']:8.4f}" for r in rows))
@@ -112,17 +113,12 @@ def _fixture_path(name):
     return os.path.join(os.path.dirname(__file__), "fixtures", f"{name}.json")
 
 
-def _check_fixture(preset_name, result):
-    fixture = load_fixture(_fixture_path(preset_name))
-    return compare_fixture(fixture, result)
-
-
 def _cmd_make_fixtures(args):
     presets = [get_preset(name) for name in args.names or sorted(PRESETS)]
     for preset in presets:
         cfg, result, _ = _run_command(preset.command, dict(preset.config))
         save_fixture(_fixture_path(preset.name), preset.name, preset.command, result,
-                     fixture_tolerances(preset.command))
+                     runners.get_command(preset.command).tolerances)
         print(f"wrote fixture {preset.name}")
     return 0
 
@@ -148,6 +144,10 @@ def main(argv=None):
         cfg = _merge_config(args.command, args, preset.config if preset else {})
         if not cfg:
             raise ConfigError("empty configuration: pass --preset, --config, or flags")
+        if args.check and cfg != preset.config:
+            raise ConfigError(
+                f"--check recomputes preset {preset.name!r} as committed; drop --config and the flags that change it"
+            )
         cfg, result, grids = _run_command(args.command, cfg)
     except PlasmonstackError as exc:
         # each error class declares its exit code and prefix (see errors)
@@ -155,7 +155,7 @@ def main(argv=None):
         return exc.exit_code
 
     if args.check:
-        mismatches = _check_fixture(preset.name, result)
+        mismatches = compare_fixture(load_fixture(_fixture_path(preset.name)), result)
         if mismatches:
             print(f"fixture drift for preset {preset.name!r}:", file=sys.stderr)
             for m in mismatches[:20]:
@@ -165,7 +165,10 @@ def main(argv=None):
         return 0
 
     os.makedirs(args.out, exist_ok=True)
-    runners.get_command(args.command).write(args.out, cfg, result, grids)
+    command = runners.get_command(args.command)
+    if command.write is not None:
+        command.write(args.out, cfg, result, grids)
+    output.write_json(os.path.join(args.out, command.payload_file), result, cfg)
     if getattr(args, "table", False):
         _print_mode_table(result)
     print(f"wrote {args.command} outputs to {args.out}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import FieldOverflowError, GeometryError, RegionError, ResonanceError
 from .geometry import EllipticPoint, LayerStack, cartesian_to_elliptic
-from .npcore import EVEN, ODD, PARITIES, gpm_entries
+from .npcore import EVEN, ODD, _sign, gpm_entries
 
 CONDITION_LIMIT = 1e14
 RESIDUAL_TOL = 1e-10
@@ -67,11 +67,7 @@ class BackgroundField:
     @classmethod
     def single(cls, n, parity, amplitude=1.0):
         """A single even (cos) or odd (sin) term of order n."""
-        if parity == EVEN:
-            return cls(terms=((n, amplitude, 0.0),))
-        if parity == ODD:
-            return cls(terms=((n, 0.0, amplitude),))
-        raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
+        return cls(terms=((n, amplitude, 0.0) if _sign(parity) > 0 else (n, 0.0, amplitude),))
 
     def components(self):
         """Yield (n, parity, amplitude) for every nonzero component."""

@@ -1,9 +1,10 @@
 """Committed preset fixtures: save, load, and tolerance-aware comparison.
 
 A fixture stores a runner payload verbatim plus the comparison tolerances
-used by ``--check``.  Comparison walks the payload recursively and reports
-every numeric leaf outside rtol/atol of the stored value, so drift is
-localized, not just detected.
+used by ``--check``, which its command's entry in
+:data:`plasmonstack.runners.COMMANDS` declares.  Comparison walks the
+payload recursively and reports every numeric leaf outside rtol/atol of
+the stored value, so drift is localized, not just detected.
 """
 
 from __future__ import annotations
@@ -14,24 +15,8 @@ import math
 from . import __version__
 from .output import jsonable
 
-#: Comparison tolerances per command: payloads are deterministic up to
-#: eigensolver/BLAS noise, so these are drift detectors, not oracles.
-FIXTURE_TOLERANCES = {
-    "modes": {"rtol": 1e-7, "atol": 1e-9},
-    "charpoly": {"rtol": 1e-9, "atol": 1e-13},
-    "sweep-disk": {"rtol": 1e-6, "atol": 1e-12},
-    # resonant grids amplify root noise by ~1/delta; residuals ride an
-    # exponential convergence curve, so both get looser relative bands
-    "field": {"rtol": 1e-3, "atol": 1e-3},
-    "bie-validate": {"rtol": 0.5, "atol": 1e-12},
-}
-
 #: span values cross zero; compare them absolutely at the span scale
 _CHARPOLY_SPAN_ATOL = 1e-9
-
-
-def fixture_tolerances(command):
-    return dict(FIXTURE_TOLERANCES[command])
 
 
 def save_fixture(path, name, command, payload, tolerances):

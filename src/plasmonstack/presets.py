@@ -48,94 +48,58 @@ def _fig11_geometry():
     }
 
 
-PRESETS = {
-    "table1": Preset(
-        name="table1",
-        command="modes",
-        config={"geometry": _table1_geometry(), "n": 1, "sigma0": 1.0},
-    ),
-    "table2": Preset(
-        name="table2",
-        command="modes",
-        config={"geometry": _table2_geometry(), "n": 2, "sigma0": 1.0},
-    ),
-    "fig5": Preset(
-        name="fig5",
-        command="charpoly",
-        config={"geometry": _table1_geometry(), "n": 1, "span_points": 1000},
-    ),
-    "fig8": Preset(
-        name="fig8",
-        command="charpoly",
-        config={"geometry": _table2_geometry(), "n": 2, "span_points": 1000},
-    ),
-    "fig9": Preset(
-        name="fig9",
-        command="sweep-disk",
-        config={"layers": 17, "ratio": 0.8, "n": 1, "L": [1.0, 2.0, 3.0, 4.0, 5.0]},
-    ),
-    "fig10": Preset(
-        name="fig10",
-        command="field",
-        config={
-            "geometry": {"R": 0.9, "semimajor": [1.6, 1.4, 1.2, 1.0]},
-            "n": 6,
-            "delta": 1e-5,
-            "quantity": "potential",
-            "normalize": True,
-            "bbox": [-2.0, 2.0, -1.7, 1.7],
-            "resolution": [201, 171],
-            "ranks": [1, 2, 3, 4],
-            "parities": ["even", "odd"],
-        },
-    ),
-    "fig11-analog": Preset(
-        name="fig11-analog",
-        command="field",
-        config={
-            "geometry": _fig11_geometry(),
-            "n": 6,
-            "delta": 1e-5,
-            "quantity": "potential",
-            "normalize": True,
-            "bbox": [-3.0, 3.0, -3.0, 3.0],
-            "resolution": [201, 201],
-            "ranks": [1, 2, 3, 4, 5, 6, 7, 8],
-            "parities": ["even"],
-        },
-    ),
-    "fig12": Preset(
-        name="fig12",
-        command="field",
-        config={
-            "geometry": {"R": 1.0, "semimajor": [1.0010, 1.00055, 1.0001]},
-            "n": 7,
-            "delta": 1e-5,
-            "quantity": "gradient",
-            "normalize": True,
-            # even vertical count keeps the focal segment (x2 = 0) off the grid
-            "bbox": [-1.05, 1.05, -0.05, 0.05],
-            "resolution": [1051, 100],
-            "ranks": [1, 2, 3],
-            "parities": ["even", "odd"],
-        },
-    ),
-    "bie-circle": Preset(
-        name="bie-circle",
-        command="bie-validate",
-        config={"curves": {"type": "polar", "coeffs": [], "scale": 1.3}, "nodes": [64, 128, 256]},
-    ),
-    "bie-confocal": Preset(
-        name="bie-confocal",
-        command="bie-validate",
-        config={
-            "curves": {"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]},
-            "nodes": [128, 256, 512],
-            "match_orders": 6,
-            "match_nodes": 384,
-        },
-    ),
-}
+#: presets by name, in the order the CLI help lists them
+PRESETS = {preset.name: preset for preset in (
+    Preset("table1", "modes", {"geometry": _table1_geometry(), "n": 1, "sigma0": 1.0}),
+    Preset("table2", "modes", {"geometry": _table2_geometry(), "n": 2, "sigma0": 1.0}),
+    Preset("fig5", "charpoly", {"geometry": _table1_geometry(), "n": 1, "span_points": 1000}),
+    Preset("fig8", "charpoly", {"geometry": _table2_geometry(), "n": 2, "span_points": 1000}),
+    Preset("fig9", "sweep-disk", {"layers": 17, "ratio": 0.8, "n": 1, "L": [1.0, 2.0, 3.0, 4.0, 5.0]}),
+    Preset("fig10", "field", {
+        "geometry": {"R": 0.9, "semimajor": [1.6, 1.4, 1.2, 1.0]},
+        "n": 6,
+        "delta": 1e-5,
+        "quantity": "potential",
+        "normalize": True,
+        "bbox": [-2.0, 2.0, -1.7, 1.7],
+        "resolution": [201, 171],
+        "ranks": [1, 2, 3, 4],
+        "parities": ["even", "odd"],
+    }),
+    Preset("fig11-analog", "field", {
+        "geometry": _fig11_geometry(),
+        "n": 6,
+        "delta": 1e-5,
+        "quantity": "potential",
+        "normalize": True,
+        "bbox": [-3.0, 3.0, -3.0, 3.0],
+        "resolution": [201, 201],
+        "ranks": [1, 2, 3, 4, 5, 6, 7, 8],
+        "parities": ["even"],
+    }),
+    Preset("fig12", "field", {
+        "geometry": {"R": 1.0, "semimajor": [1.0010, 1.00055, 1.0001]},
+        "n": 7,
+        "delta": 1e-5,
+        "quantity": "gradient",
+        "normalize": True,
+        # even vertical count keeps the focal segment (x2 = 0) off the grid
+        "bbox": [-1.05, 1.05, -0.05, 0.05],
+        "resolution": [1051, 100],
+        "ranks": [1, 2, 3],
+        "parities": ["even", "odd"],
+    }),
+    Preset("bie-circle", "bie-validate", {
+        "curves": {"type": "polar", "coeffs": [], "scale": 1.3},
+        "nodes": [64, 128, 256],
+    }),
+    Preset("bie-confocal", "bie-validate", {
+        "curves": {"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]},
+        "nodes": [128, 256, 512],
+        "match_orders": 6,
+        "match_nodes": 384,
+    }),
+)}
 
 
 def get_preset(name):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 
+from .bie import MIN_NODES
 from .errors import ConfigError, GeometryError
 from .geometry import LayerStack
 from .npcore import EVEN, ODD
@@ -29,7 +30,7 @@ POSITIVE = (lambda v: v > 0, "> 0")
 NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 COUNT = (lambda v: v >= 1, ">= 1")
 GRID_SIZE = (lambda v: v >= 2, ">= 2")
-NODE_COUNT = (lambda m: m >= 8 and m % 2 == 0, "even and >= 8")
+NODE_COUNT = (lambda m: m >= MIN_NODES and m % 2 == 0, f"even and >= {MIN_NODES}")
 
 
 def _typed(value, kind):
@@ -212,13 +213,16 @@ def normalize_bie_config(cfg):
     _check_keys(cfg, {"curves", "nodes", "match_orders", "match_nodes"}, {"curves", "nodes"}, where)
     curves = normalize_curves(cfg["curves"])
     nodes = _read(cfg, "nodes", [INTEGER], allowed=NODE_COUNT, where=where)
+    # a refinement study reads its residuals coarsest first, one per node count
+    if any(a >= b for a, b in zip(nodes, nodes[1:])):
+        raise ConfigError(f"{where}: nodes must strictly increase, coarsest first, got {json.dumps(nodes)}")
     out = {"curves": curves, "nodes": nodes}
     matching = [key for key in ("match_orders", "match_nodes") if key in cfg]
     if matching and curves["type"] != "confocal":
         raise ConfigError(f"{where}: {matching[0]} must come with confocal curves, got {curves['type']} curves")
     if "match_orders" in cfg:
         out["match_orders"] = _read(cfg, "match_orders", INTEGER, allowed=COUNT, where=where)
-        out["match_nodes"] = _read(cfg, "match_nodes", INTEGER, max(nodes), NODE_COUNT, where)
+        out["match_nodes"] = _read(cfg, "match_nodes", INTEGER, nodes[-1], NODE_COUNT, where)
     elif "match_nodes" in cfg:
         raise ConfigError(
             f"{where}: match_nodes must come with match_orders, got {json.dumps(cfg['match_nodes'])} without it"

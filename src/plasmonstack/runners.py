@@ -6,7 +6,8 @@ the sampled grids for CSV emission.  Payloads double as fixture content,
 so they contain only reproducible numbers.
 
 :data:`COMMANDS` declares every command in one entry: its CLI options, its
-normalizer, its runner and the files it writes.
+normalizer, its runner, its payload file, its fixture tolerances and the
+other files it writes.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def run_bie(cfg):
         S = bie_mod.assemble_block_s(curves)
         calderon.append(bie_mod.calderon_residual(Kst, S))
         selfadj.append(bie_mod.self_adjointness_check(Kst, S))
-        if one_circle and M == max(nodes):
+        if one_circle and M == nodes[-1]:
             report["circle"] = _circle_section(float(np.ravel(spec["scale"])[0]), Kst, S)
         del Kst, S
     report["monotone_calderon"] = _monotone_decreasing(calderon)
@@ -224,7 +225,6 @@ def _write_modes(out, cfg, payload, grids):
     rows = [dict(r, parity=parity) for parity in (EVEN, ODD) for r in payload[parity]]
     columns = {k: [r.get(k) for r in rows] for k in ("parity", "rank", "lambda", "sigma1", "omega")}
     output.write_csv(os.path.join(out, "modes.csv"), columns, cfg)
-    output.write_json(os.path.join(out, "modes.json"), payload, cfg)
 
 
 def _write_charpoly(out, cfg, payload, grids):
@@ -243,7 +243,6 @@ def _write_charpoly(out, cfg, payload, grids):
         extra={"span-max-abs-plus": span["plus"]["max_abs"],
                "span-max-abs-minus": span["minus"]["max_abs"]},
     )
-    output.write_json(os.path.join(out, "charpoly.json"), payload, cfg)
 
 
 def _write_sweep(out, cfg, payload, grids):
@@ -254,7 +253,6 @@ def _write_sweep(out, cfg, payload, grids):
         extra={"gap-norm": payload["gap_norm"],
                "log-gap-slope-vs-min-xi": payload["log_gap_slope_vs_min_xi"]},
     )
-    output.write_json(os.path.join(out, "sweep.json"), payload, cfg)
 
 
 def _write_field(out, cfg, payload, grids):
@@ -269,11 +267,6 @@ def _write_field(out, cfg, payload, grids):
         output.write_csv(stem + ".csv", columns, cfg)
         interfaces = [{"x1": list(px), "x2": list(py)} for px, py in grid.interfaces]
         output.write_json(stem + ".json", dict(meta, interfaces=interfaces), cfg)
-    output.write_json(os.path.join(out, "field_summary.json"), payload, cfg)
-
-
-def _write_bie(out, cfg, payload, grids):
-    output.write_json(os.path.join(out, "bie_report.json"), payload, cfg)
 
 
 class Command(NamedTuple):
@@ -289,8 +282,14 @@ class Command(NamedTuple):
     normalize: Callable
     #: canonical config -> (payload, [(meta, FieldGrid)])
     run: Callable
-    #: (out_dir, config, payload, grids) -> None
-    write: Callable
+    #: the JSON file in the output directory that holds the payload
+    payload_file: str
+    #: {"rtol", "atol"} of the preset fixtures' --check; payloads are
+    #: deterministic up to eigensolver/BLAS noise, so these are drift
+    #: detectors, not oracles
+    tolerances: dict
+    #: (out_dir, config, payload, grids) -> None: the files besides the payload
+    write: Callable | None = None
 
 
 _ORDER = ("--n", "n", {"type": int, "help": "Fourier order"})
@@ -328,6 +327,8 @@ COMMANDS = {
         ),
         runconfig.normalize_modes_config,
         lambda cfg: (run_modes(cfg), []),
+        "modes.json",
+        {"rtol": 1e-7, "atol": 1e-9},
         _write_modes,
     ),
     "charpoly": Command(
@@ -336,6 +337,8 @@ COMMANDS = {
          ("--span-points", "span_points", {"type": int, "help": "span grid size (default 1000)"})),
         runconfig.normalize_charpoly_config,
         lambda cfg: (run_charpoly(cfg), []),
+        "charpoly.json",
+        {"rtol": 1e-9, "atol": 1e-13},
         _write_charpoly,
     ),
     "field": Command(
@@ -352,6 +355,9 @@ COMMANDS = {
         runconfig.normalize_field_config,
         # run_field is looked up per call, so rebinding it reaches the CLI too
         lambda cfg: run_field(cfg),
+        "field_summary.json",
+        # resonant grids amplify root noise by ~1/delta
+        {"rtol": 1e-3, "atol": 1e-3},
         _write_field,
     ),
     "sweep-disk": Command(
@@ -365,6 +371,8 @@ COMMANDS = {
         ),
         runconfig.normalize_sweep_config,
         lambda cfg: (run_sweep(cfg), []),
+        "sweep.json",
+        {"rtol": 1e-6, "atol": 1e-12},
         _write_sweep,
     ),
     "bie-validate": Command(
@@ -373,7 +381,9 @@ COMMANDS = {
                                "help": "node counts for the refinement study"}),),
         runconfig.normalize_bie_config,
         lambda cfg: (run_bie(cfg), []),
-        _write_bie,
+        "bie_report.json",
+        # residuals ride an exponential convergence curve, hence the loose relative band
+        {"rtol": 0.5, "atol": 1e-12},
     ),
 }
 

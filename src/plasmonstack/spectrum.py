@@ -26,7 +26,7 @@ from . import charpoly as cp
 from .errors import ContrastError, CrossValidationError
 from .geometry import LayerStack
 from .materials import sigma_from_lambda
-from .npcore import EVEN, ODD, PARITIES, build_np
+from .npcore import EVEN, ODD, PARITIES, _sign, build_np
 
 #: Default gate tolerances of :func:`modes`, under the names its keywords,
 #: the config's ``tolerances`` block and the ``--tol-*`` flags share: the
@@ -57,11 +57,7 @@ class ModeSet:
     odd_modes: tuple
 
     def modes(self, parity):
-        if parity == EVEN:
-            return self.even_modes
-        if parity == ODD:
-            return self.odd_modes
-        raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
+        return self.even_modes if _sign(parity) > 0 else self.odd_modes
 
     def lambdas(self, parity):
         return np.array([m.lambda_root for m in self.modes(parity)])

@@ -12,6 +12,7 @@ import pytest
 from plasmonstack import bie, charpoly, field, output, runconfig, runners, spectrum
 from plasmonstack.cli import _merge_config, build_parser, main
 from plasmonstack.errors import ContrastError
+from plasmonstack.fixtures_io import load_fixture
 from plasmonstack.geometry import LayerStack
 from plasmonstack.presets import PRESETS, get_preset
 
@@ -77,6 +78,10 @@ REJECTED_CONFIGS = [
     pytest.param("sweep-disk", {"layers": 2, "ratio": 0.8, "n": 1, "L": []}, "L must", id="empty-L"),
     pytest.param("sweep-disk", {"layers": 3, "ratio": 0.8, "n": 1, "L": [1, 1.0]}, "L must not repeat a value",
                  id="repeated-L"),
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [64, 64]},
+                 "nodes must strictly increase, coarsest first, got [64, 64]", id="repeated-nodes"),
+    pytest.param("bie-validate", {"curves": {"type": "polar", "scale": 1.0}, "nodes": [128, 64]},
+                 "nodes must strictly increase, coarsest first, got [128, 64]", id="decreasing-nodes"),
     pytest.param("bie-validate", {"curves": {"type": "polar", "scale": []}, "nodes": [64]}, "scale must",
                  id="empty-scale"),
     pytest.param("bie-validate", {"curves": {"type": "polar", "scale": [1.0, 1.0]}, "nodes": [64]}, "scale must",
@@ -221,6 +226,34 @@ class TestPresetChecks:
 
     def test_unknown_preset(self, tmp_path):
         assert main(["modes", "--preset", "table9", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("argv,config", [
+        pytest.param(["--n", "2"], None, id="value-flag"),
+        pytest.param(["--tol-cross", "1e-7"], None, id="tolerance-flag"),
+        pytest.param([], {"n": 2}, id="config-file"),
+    ])
+    def test_check_refuses_a_changed_preset(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = ["--config", str(path)]
+        assert main(["modes", "--preset", "table1", "--check", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'table1'" in err
+        assert "drift" not in err
+
+    def test_check_takes_flags_that_keep_the_preset(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["modes", "--preset", "table1", "--check", "--out", str(out)]) == 0
+        assert main(["modes", "--preset", "table1", "--check", "--table"]) == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_fixture_matches_its_command_entry(self, name):
+        preset = PRESETS[name]
+        fixture = load_fixture(os.path.join(os.path.dirname(runners.__file__), "fixtures", f"{name}.json"))
+        assert (fixture["preset"], fixture["command"]) == (preset.name, preset.command)
+        assert fixture["tolerances"] == runners.COMMANDS[preset.command].tolerances
 
     def test_make_fixtures_unknown_name(self, capsys):
         assert main(["make-fixtures", "bogus"]) == 1
@@ -694,6 +727,46 @@ class TestCsvText:
             "a,1,0.10000000000000001,",
             "b,-2,-0,0.33333333333333331",
         ]
+
+
+#: (command, preset or config) of one fast run per command
+PAYLOAD_RUNS = [
+    ("modes", "table1"),
+    ("charpoly", "fig5"),
+    ("sweep-disk", "fig9"),
+    ("field", FIELD_CONFIG),
+    ("bie-validate", "bie-circle"),
+]
+
+
+class TestPayloadFile:
+    """The CLI writes each command's payload to the file its runners.COMMANDS
+    entry declares."""
+
+    def test_one_run_per_command(self):
+        assert sorted(command for command, _source in PAYLOAD_RUNS) == sorted(runners.COMMANDS)
+
+    @pytest.mark.parametrize("command,source", PAYLOAD_RUNS, ids=[command for command, _ in PAYLOAD_RUNS])
+    def test_payload_file_holds_the_payload(self, tmp_path, monkeypatch, command, source):
+        returned = []
+        original = runners.run
+
+        def run(*args):
+            returned.append(original(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(runners, "run", run)
+        if isinstance(source, str):
+            argv = ["--preset", source]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(source))
+            argv = ["--config", str(path)]
+        out = tmp_path / "o"
+        assert main([command, *argv, "--out", str(out)]) == 0
+        [(payload, _grids)] = returned
+        doc = json.loads((out / runners.COMMANDS[command].payload_file).read_text())
+        assert doc["payload"] == output.jsonable(payload)
 
 
 class TestOutputHelpers:
