@@ -2,8 +2,9 @@
 nested curves: an independent cross-validation route for the analytic
 confocal results, the spectral bound, and the symmetrization identity.
 
-Each operator has one row kernel, which evaluates all M nodes x of one
-curve x(t), t_j = 2 pi j / M, against all N M source nodes y of the stack:
+Each operator has one row kernel, which evaluates a slice t of the M nodes x
+of one curve x(t), t_j = 2 pi j / M, against all N M source nodes y of the
+stack:
 
 * adjoint double layer <x - y, nu(x)> / (2 pi |x - y|^2) with the weight of
   y; smooth in 2D, plain trapezoid, with the curve's own diagonal set to the
@@ -24,6 +25,13 @@ the layered transmission problem; off-diagonal (curve-to-curve) kernels are
 smooth because the curves are disjoint.  Densities are mean-zero per curve
 in the quadrature-weighted sense; deflation projects out the per-curve
 constants, one rank-one update per curve on each side, before spectral checks.
+
+Working set: the row kernels fill an operator ROW_CHUNK target nodes at a
+time, and the identity residuals are summed over at least three row blocks,
+so neither forms a second (N M, N M) temporary.  A bie-validate run holds at
+most three such float64 matrices at once (K* and S with the residuals' block
+temporaries, or K*, its deflated copy and LAPACK's copy in the eigensolve),
+plus kernel temporaries of ROW_CHUNK x N M entries.
 """
 
 from __future__ import annotations
@@ -35,6 +43,9 @@ import numpy as np
 from .errors import CurveError
 
 MIN_NODES = 8
+#: target nodes per row-kernel call: bounds the kernels' temporaries to
+#: ROW_CHUNK x N M entries each
+ROW_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,33 +139,38 @@ def kress_log_weights(M):
     R[i, j] approximates integration of ln(4 sin^2((t_i - s)/2)) against a
     density sampled at s = t_j; exact for trigonometric polynomials of
     degree <= M/2, which gives spectral accuracy on analytic curves.
+    R[i, j] = r[|i - j|] depends on |i - j| only, so R is returned as a
+    read-only view of the 2M - 1 values r[M-1], ..., r[1], r[0], r[1], ...,
+    r[M-1]: a row slice costs no copy.
     """
     p = M // 2
-    idx = np.arange(M)
-    ang = 2 * np.pi * idx / M
+    ang = 2 * np.pi * np.arange(M) / M
     first = np.zeros(M)
     for m in range(1, p):
         first += np.cos(m * ang) / m
     first = -(4 * np.pi / M) * first - (2 * np.pi / (M * p)) * np.cos(p * ang)
-    return first[np.abs(idx[:, None] - idx[None, :])]
+    # window w starts at r[M-1-w], so row i is window M-1-i
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([first[:0:-1], first]), M)[::-1]
 
 
-def _kstar_rows(curve, dx, dy, r2, own, weights):
-    """K* rows of one curve: <x - y, nu(x)> w_y / (2 pi r2), and kappa / (4 pi) on its own diagonal."""
-    K = (dx * curve.normal[:, 0:1] + dy * curve.normal[:, 1:2]) / (2 * np.pi * r2)
-    np.fill_diagonal(K[:, own], curve.curvature / (4 * np.pi))
+def _kstar_rows(curve, t, dx, dy, r2, own, weights):
+    """K* rows of the nodes t of one curve: <x - y, nu(x)> w_y / (2 pi r2),
+    and kappa / (4 pi) on its own diagonal."""
+    K = (dx * curve.normal[t, 0:1] + dy * curve.normal[t, 1:2]) / (2 * np.pi * r2)
+    np.fill_diagonal(K[:, own.start + t.start:], curve.curvature[t] / (4 * np.pi))
     return K * weights
 
 
-def _single_layer_rows(curve, dx, dy, r2, own, weights):
-    """S rows of one curve: ln(r2) w_y / (4 pi), and the log-split rule on its own block."""
+def _single_layer_rows(curve, t, dx, dy, r2, own, weights, kress):
+    """S rows of the nodes t of one curve: ln(r2) w_y / (4 pi), and the
+    log-split rule with ``kress`` = :func:`kress_log_weights` on its own block."""
     S = np.log(r2) / (4 * np.pi) * weights
-    tt = curve.t[:, None] - curve.t[None, :]
+    tt = curve.t[t, None] - curve.t[None, :]
     s2 = 4 * np.sin(tt / 2) ** 2
-    np.fill_diagonal(s2, 1.0)
+    np.fill_diagonal(s2[:, t.start:], 1.0)
     smooth = np.log(r2[:, own] / s2) / (4 * np.pi)
-    np.fill_diagonal(smooth, np.log(curve.speed) / (2 * np.pi))
-    S[:, own] = (kress_log_weights(curve.M) / (4 * np.pi) + curve.h * smooth) * curve.speed
+    np.fill_diagonal(smooth[:, t.start:], np.log(curve.speed[t]) / (2 * np.pi))
+    S[:, own] = (kress[t] / (4 * np.pi) + curve.h * smooth) * curve.speed
     return S
 
 
@@ -188,11 +204,13 @@ class BlockOperator:
     layers: int
 
 
-def _assemble_block(curves, rows) -> BlockOperator:
-    """Fills rows kM ... (k+1)M - 1 with rows(curve k, dx, dy, r2, own, weights):
-    the differences x - y and r2 = dx^2 + dy^2 (1 on the curve's own diagonal)
-    from its M nodes x to all N M source nodes y, its own block's column slice
-    and the source weights.  Curves must be nested, outermost first, with one M."""
+def _assemble_block(curves, rows, *tables) -> BlockOperator:
+    """Fills the rows of curve k, ROW_CHUNK target nodes t at a time, with
+    rows(curve k, t, dx, dy, r2, own, weights, *shared): the differences
+    x - y and r2 = dx^2 + dy^2 (1 on the curve's own diagonal) from the nodes
+    x = curve.x[t] to all N M source nodes y, the curve's own column slice
+    and the source weights.  ``shared`` holds each table(M), built once per
+    assembly.  Curves must be nested, outermost first, with one M."""
     _validate_nesting(curves)
     counts = sorted({c.M for c in curves})
     if len(counts) > 1:
@@ -200,16 +218,19 @@ def _assemble_block(curves, rows) -> BlockOperator:
     N, M = len(curves), counts[0]
     x = np.concatenate([c.x for c in curves])
     weights = np.concatenate([c.weights for c in curves])
+    shared = [table(M) for table in tables]
     A = np.empty((N * M, N * M))
     for k, curve in enumerate(curves):
         own = slice(k * M, (k + 1) * M)
-        dx = curve.x[:, 0:1] - x[:, 0]
-        dy = curve.x[:, 1:2] - x[:, 1]
-        r2 = dx * dx + dy * dy
-        np.fill_diagonal(r2[:, own], 1.0)
-        if np.any(r2 == 0.0):
-            raise CurveError("node coincidence: two distinct nodes map to one point")
-        A[own] = rows(curve, dx, dy, r2, own, weights)
+        for start in range(0, M, ROW_CHUNK):
+            t = slice(start, min(start + ROW_CHUNK, M))
+            dx = curve.x[t, 0:1] - x[:, 0]
+            dy = curve.x[t, 1:2] - x[:, 1]
+            r2 = dx * dx + dy * dy
+            np.fill_diagonal(r2[:, own.start + start:], 1.0)
+            if np.any(r2 == 0.0):
+                raise CurveError("node coincidence: two distinct nodes map to one point")
+            A[own.start + start:own.start + t.stop] = rows(curve, t, dx, dy, r2, own, weights, *shared)
     return BlockOperator(entries=A, weights=weights, layers=N)
 
 
@@ -224,12 +245,7 @@ def assemble_block_np(curves) -> BlockOperator:
 def assemble_block_s(curves) -> BlockOperator:
     """Block single-layer operator: row k holds the single-layer rows of
     curve k (every source curve evaluated on curve k).  On one curve it is S."""
-    return _assemble_block(curves, _single_layer_rows)
-
-
-def discrete_adjoint(entries, weights):
-    """Adjoint with respect to the quadrature inner product: W^-1 A^T W."""
-    return entries.T * weights[None, :] / weights[:, None]
+    return _assemble_block(curves, _single_layer_rows, kress_log_weights)
 
 
 def deflate_constants(block: BlockOperator):
@@ -249,18 +265,30 @@ def deflate_constants(block: BlockOperator):
     return A.reshape(n, n)
 
 
+def _row_blocks(block: BlockOperator):
+    """The max(N, 3) row slices of nearly equal size that the identity
+    residuals stream over: curve k's rows kM ... (k+1)M - 1 when N >= 3.  At
+    least three keep their temporaries within one (N M, N M) matrix."""
+    n, parts = block.entries.shape[0], max(block.layers, 3)
+    return [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
+
+
 def calderon_residual(Kst: BlockOperator, S: BlockOperator) -> float:
     """Relative defect of the symmetrization identity S K* = K S.
 
     ``Kst`` and ``S`` are :func:`assemble_block_np` and :func:`assemble_block_s`
-    of the same curves; K is the discrete quadrature-adjoint of K*.  Frobenius
-    norms; decreases under node refinement on analytic curves until roundoff.
+    of the same curves; K = W^-1 K*^T W is the discrete quadrature-adjoint of
+    K*.  Frobenius norms; decreases under node refinement on analytic curves
+    until roundoff.  The defect is formed one block row I at a time:
+    S[I] K* - (K*[:, I] W)^T S / w[I].
     """
-    Kadj = discrete_adjoint(Kst.entries, Kst.weights)
-    defect = S.entries @ Kst.entries - Kadj @ S.entries
-    return float(
-        np.linalg.norm(defect) / (np.linalg.norm(S.entries) * np.linalg.norm(Kst.entries))
-    )
+    K, w = Kst.entries, Kst.weights
+    square = 0.0
+    for I in _row_blocks(Kst):
+        defect = S.entries[I] @ K
+        defect -= (K[:, I] * w[:, None]).T @ S.entries / w[I, None]
+        square += np.vdot(defect, defect)
+    return float(np.sqrt(square) / (np.linalg.norm(S.entries) * np.linalg.norm(K)))
 
 
 def self_adjointness_check(Kst: BlockOperator, S: BlockOperator) -> float:
@@ -268,9 +296,21 @@ def self_adjointness_check(Kst: BlockOperator, S: BlockOperator) -> float:
 
     The form matrix is B = W (-S) K*; self-adjointness of the block operator
     in the twisted inner product makes B symmetric up to quadrature error.
+    B is formed one pair of blocks B_IJ = -w_I S[I] K*[:, J], I <= J, at a
+    time, which makes the flops of one full product.
     """
-    B = Kst.weights[:, None] * (-(S.entries @ Kst.entries))
-    return float(np.linalg.norm(B - B.T) / np.linalg.norm(B))
+    K, w = Kst.entries, Kst.weights
+    blocks = _row_blocks(Kst)
+    asym = size = 0.0
+    for i, I in enumerate(blocks):
+        for J in blocks[i:]:
+            B_IJ = w[I, None] * -(S.entries[I] @ K[:, J])
+            B_JI = w[J, None] * -(S.entries[J] @ K[:, I]) if J != I else B_IJ
+            gap = B_IJ - B_JI.T
+            # a pair I < J stands for two blocks: of B - B^T, gap and -gap^T
+            asym += (1 + (J != I)) * np.vdot(gap, gap)
+            size += np.vdot(B_IJ, B_IJ) + (J != I) * np.vdot(B_JI, B_JI)
+    return float(np.sqrt(asym / size))
 
 
 def block_np_eigenvalues(block: BlockOperator, deflated=True):

@@ -12,8 +12,9 @@ each one checks:
   material configuration and the mode-to-material helper;
 * the geometry: the metric factor and the analytic ellipse curvature;
 * the Nystrom block operators: block-by-block assembly with one kernel
-  per curve and one per pair of curves, and constant deflation by a dense
-  projector;
+  per curve and one per pair of curves, constant deflation by a dense
+  projector, the quadrature adjoint and the identity residuals of whole
+  matrices;
 * high-precision mode values.
 """
 
@@ -489,6 +490,27 @@ def dense_deflation(block):
         wk = block.weights[sl]
         P[sl, sl] -= np.outer(np.ones(M), wk) / wk.sum()
     return P @ A @ P
+
+
+def discrete_adjoint(entries, weights):
+    """Adjoint with respect to the quadrature inner product: W^-1 A^T W."""
+    return entries.T * weights[None, :] / weights[:, None]
+
+
+def dense_calderon_residual(Kst, S):
+    """||S K* - K S|| / (||S|| ||K*||) with K the whole :func:`discrete_adjoint`
+    of K* and the whole defect formed; the reference for
+    ``calderon_residual``."""
+    Kadj = discrete_adjoint(Kst.entries, Kst.weights)
+    defect = S.entries @ Kst.entries - Kadj @ S.entries
+    return float(np.linalg.norm(defect) / (np.linalg.norm(S.entries) * np.linalg.norm(Kst.entries)))
+
+
+def dense_self_adjointness(Kst, S):
+    """||B - B^T|| / ||B|| of the whole form matrix B = W (-S) K*; the
+    reference for ``self_adjointness_check``."""
+    B = Kst.weights[:, None] * (-(S.entries @ Kst.entries))
+    return float(np.linalg.norm(B - B.T) / np.linalg.norm(B))
 
 
 # --- high precision ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from plasmonstack.bie import (
     calderon_residual,
     curves_from_spec,
     deflate_constants,
-    discrete_adjoint,
     kress_log_weights,
     self_adjointness_check,
 )
@@ -21,7 +21,34 @@ from plasmonstack.geometry import LayerStack, elliptic_to_cartesian
 from plasmonstack.npcore import EVEN, ODD
 from plasmonstack.spectrum import modes
 
-from oracles import blockwise_operators, dense_deflation, kstar_block, metric_factor, single_layer_action
+from oracles import (
+    blockwise_operators,
+    dense_calderon_residual,
+    dense_deflation,
+    dense_self_adjointness,
+    discrete_adjoint,
+    kstar_block,
+    metric_factor,
+    single_layer_action,
+)
+
+
+#: (spec, M) of the assembly and residual reference tests; M = 200 is above
+#: the row kernels' chunk and not a multiple of it
+GEOMETRIES, GEOMETRY_IDS = zip(*[
+    (({"type": "polar", "coeffs": [], "scale": 1.3}, 64), "circle-64"),
+    (({"type": "polar", "coeffs": [], "scale": 1.3}, 128), "circle-128"),
+    (({"type": "polar", "coeffs": [], "scale": 1.3}, 256), "circle-256"),
+    (({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 128), "confocal-128"),
+    (({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 256), "confocal-256"),
+    (({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 384), "confocal-384"),
+    (({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 512), "confocal-512"),
+    (({"type": "confocal", "R": 1.0, "xi": [0.9, 0.5]}, 48), "confocal-2-48"),
+    (({"type": "polar", "coeffs": [0.0, 0.0, 0.1], "scale": [1.5, 1.0, 0.6]}, 64), "polar-3-64"),
+    (({"type": "confocal", "R": 1.0, "xi": [math.acosh(a) for a in (1.0010, 1.00055, 1.0001)]}, 128), "fig12-128"),
+    (({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 200), "confocal-200"),
+    (({"type": "confocal", "R": 1.0, "xi": [0.6]}, 200), "ellipse-200"),
+])
 
 
 def kstar(curve):
@@ -78,6 +105,12 @@ class TestKressRule:
             vals = R @ np.cos(m * t)
             assert_allclose(vals, -2 * np.pi / m * np.cos(m * t), atol=1e-12)
         assert_allclose(R @ np.ones(M), 0.0, atol=1e-12)
+
+    def test_entries_depend_on_index_distance(self):
+        M = 64
+        R = kress_log_weights(M)
+        idx = np.arange(M)
+        assert np.array_equal(R, R[0][np.abs(idx[:, None] - idx[None, :])])
 
 
 class TestSingleCurveOperators:
@@ -255,19 +288,7 @@ class TestBlockOperators:
         expected = dense_deflation(block)
         assert np.abs(deflate_constants(block) - expected).max() <= 1e-14 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("spec,M", [
-        ({"type": "polar", "coeffs": [], "scale": 1.3}, 64),
-        ({"type": "polar", "coeffs": [], "scale": 1.3}, 128),
-        ({"type": "polar", "coeffs": [], "scale": 1.3}, 256),
-        ({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 128),
-        ({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 256),
-        ({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 384),
-        ({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 512),
-        ({"type": "confocal", "R": 1.0, "xi": [0.9, 0.5]}, 48),
-        ({"type": "polar", "coeffs": [0.0, 0.0, 0.1], "scale": [1.5, 1.0, 0.6]}, 64),
-        ({"type": "confocal", "R": 1.0, "xi": [math.acosh(a) for a in (1.0010, 1.00055, 1.0001)]}, 128),
-    ], ids=["circle-64", "circle-128", "circle-256", "confocal-128", "confocal-256", "confocal-384",
-            "confocal-512", "confocal-2-48", "polar-3-64", "fig12-128"])
+    @pytest.mark.parametrize("spec,M", GEOMETRIES, ids=GEOMETRY_IDS)
     def test_rows_match_blockwise_assembly(self, spec, M):
         # the row kernels reproduce the block-by-block kernels bit for bit
         curves = curves_from_spec(spec, M)
@@ -277,6 +298,41 @@ class TestBlockOperators:
         assert np.array_equal(block_s.entries, S)
         assert np.array_equal(block_np.weights, weights)
         assert np.array_equal(block_s.weights, weights)
+
+    @pytest.mark.parametrize("spec,M", GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_residuals_match_whole_matrices(self, spec, M):
+        # streaming over row blocks moves the residuals by roundoff only
+        curves = curves_from_spec(spec, M)
+        Kst, S = assemble_block_np(curves), assemble_block_s(curves)
+        assert_allclose(calderon_residual(Kst, S), dense_calderon_residual(Kst, S), rtol=1e-10, atol=1e-16)
+        assert_allclose(self_adjointness_check(Kst, S), dense_self_adjointness(Kst, S), rtol=1e-10, atol=1e-16)
+
+    @pytest.mark.parametrize("spec,M", [
+        ({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 256),
+        ({"type": "polar", "coeffs": [], "scale": 1.3}, 1024),
+    ], ids=["confocal-256", "circle-1024"])
+    @pytest.mark.parametrize("operation,limit", [
+        (assemble_block_np, 1.75),
+        (assemble_block_s, 1.75),
+        (calderon_residual, 1.25),
+        (self_adjointness_check, 1.25),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_working_set(self, operation, limit, spec, M):
+        # peak memory traced during one operation, its output included, in
+        # (N M)^2 float64 matrices: numpy reports its buffers to tracemalloc
+        curves = curves_from_spec(spec, M)
+        args = (curves,)
+        if operation in (calderon_residual, self_adjointness_check):
+            args = (assemble_block_np(curves), assemble_block_s(curves))
+        matrix = (len(curves) * M) ** 2 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            operation(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / matrix <= limit
 
     def test_mixed_node_counts_rejected(self):
         curves = [DiscretizedCurve.polar((), 2.0, 32), DiscretizedCurve.polar((), 1.0, 64)]

@@ -785,6 +785,16 @@ class TestOutputHelpers:
         assert doc == {"z": {"re": 1.0, "im": 2.0}, "arr": [1.5, 2.5], "n": 3}
 
 
+#: bie-validate configs of the work-count tests; in match-finest the
+#: containment node count is the refinement's finest (the default)
+BIE_CONFIGS = {
+    "bie-circle": PRESETS["bie-circle"].config,
+    "bie-confocal": PRESETS["bie-confocal"].config,
+    "match-finest": {"curves": {"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]},
+                     "nodes": [64, 128], "match_orders": 2},
+}
+
+
 def _count_calls(monkeypatch, module, name):
     """Rebind module.name to a wrapper that counts its calls."""
     calls = []
@@ -808,24 +818,32 @@ class TestWorkCounts:
         spectrum.modes(runners._stack(cfg), cfg["n"])
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("name", ["bie-circle", "bie-confocal"])
-    def test_bie_assembles_once_per_node_count(self, monkeypatch, name):
+    @pytest.mark.parametrize("config", BIE_CONFIGS.values(), ids=BIE_CONFIGS.keys())
+    def test_bie_assembles_once_per_node_count(self, monkeypatch, config):
         np_calls = _count_calls(monkeypatch, bie, "assemble_block_np")
         s_calls = _count_calls(monkeypatch, bie, "assemble_block_s")
-        cfg = runconfig.normalize("bie-validate", PRESETS[name].config)
+        cfg = runconfig.normalize("bie-validate", config)
         runners.run_bie(cfg)
-        # one K* and one S per node count, which the circle check reuses, plus
-        # the K* of the containment check
-        assert len(np_calls) == len(cfg["nodes"]) + ("match_orders" in cfg)
+        # one K* and one S per node count, which the circle and containment
+        # checks reuse, plus the K* of a containment node count outside them
+        assert len(np_calls) == len(cfg["nodes"]) + ("match_nodes" in cfg and cfg["match_nodes"] not in cfg["nodes"])
         assert len(s_calls) == len(cfg["nodes"])
 
-    @pytest.mark.parametrize("name", ["bie-circle", "bie-confocal"])
-    def test_bie_spectra_take_one_route(self, monkeypatch, name):
+    @pytest.mark.parametrize("config", BIE_CONFIGS.values(), ids=BIE_CONFIGS.keys())
+    def test_bie_spectra_take_one_route(self, monkeypatch, config):
         calls = _count_calls(monkeypatch, bie, "block_np_eigenvalues")
-        cfg = runconfig.normalize("bie-validate", PRESETS[name].config)
+        cfg = runconfig.normalize("bie-validate", config)
         runners.run_bie(cfg)
         # the bound excess per node count, plus the circle or containment check
         assert len(calls) == len(cfg["nodes"]) + 1
+
+    def test_bie_containment_reuses_its_node_count(self):
+        # the finest K* of the refinement gives the containment of a fresh assembly, bit for bit
+        reused = runners.run_bie(runconfig.normalize("bie-validate", BIE_CONFIGS["match-finest"]))
+        fresh_config = {**BIE_CONFIGS["match-finest"], "nodes": [64], "match_nodes": 128}
+        fresh = runners.run_bie(runconfig.normalize("bie-validate", fresh_config))
+        assert reused["match_nodes"] == fresh["match_nodes"] == 128
+        assert reused["mode_containment_max_err"] == fresh["mode_containment_max_err"]
 
     def test_field_maps_coordinates_once(self, monkeypatch):
         calls = _count_calls(monkeypatch, field, "cartesian_to_elliptic")
