@@ -6,13 +6,13 @@ a_c cosh(n xi) cos(n eta) + a_s sinh(n xi) sin(n eta), the interface
 densities solve M phi = n a (s or c) per (n, parity), and the perturbation
 u - H in region l (0 = exterior, N = core) is a combination of cosh(n xi)
 (or sinh) and exp(-n xi) angular harmonics with region-dependent weights
-built from prefix/suffix sums of the density solution.  Gradients are
-assembled from analytic elliptic-coordinate partials and the chain rule,
-with the core formula's limit at the two foci, where the chain rule is 0/0.
-Single points and grids share one evaluator of the region formulas, which
-takes elliptic coordinates and regions of any shape; grid evaluation shares
-one density solve across all points of a field and one coordinate map
-across all fields on the same grid.  A value that overflows floating point
+built from prefix/suffix sums of the density solution; each field's weight
+tables are built once, next to its one density solve.  Gradients come from
+analytic elliptic-coordinate partials and the chain rule, with the core
+formula's limit at the two foci, where the chain rule is 0/0.  Single points
+and grids share one evaluator of the region formulas, which takes elliptic
+coordinates and regions of any shape; a grid's coordinates are mapped once
+for all fields on it.  A value that overflows floating point
 raises :class:`FieldOverflowError` instead of coming back as inf or nan.
 The representation-formula cross-check, a sum of single-layer potentials,
 is a test oracle.
@@ -89,11 +89,11 @@ def region_index(stack: LayerStack, xi):
     return int(idx) if np.ndim(xi) == 0 else idx
 
 
-def _require_finite(H, xi, *values):
-    """Raise :class:`FieldOverflowError`, naming the highest order n of ``H``
-    and n max(xi), when one of ``values`` holds a non-finite number."""
+def _require_finite(terms, xi, *values):
+    """Raise :class:`FieldOverflowError`, naming the highest order n of the
+    (n, parity, ...) ``terms`` and n max(xi), when a ``values`` entry is not finite."""
     if not all(np.isfinite(v).all() for v in values):
-        n, parity, _a = max(H.components(), key=lambda c: c[0])
+        n, parity = max(terms, key=lambda t: t[0])[:2]
         raise FieldOverflowError(
             f"the order-{n} {parity} field overflows floating point: n*xi reaches "
             f"{n * np.max(xi):.6g} (cosh and sinh overflow above about 710)"
@@ -116,7 +116,7 @@ def solve_densities(stack: LayerStack, lam, H: BackgroundField) -> dict:
     for n, parity, a in H.components():
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = n * a * _HARMONIC[parity][1](n * xi)
-        _require_finite(H, xi, rhs)
+        _require_finite(H.components(), xi, rhs)
         M = gpm_entries(stack, lam, n, parity)
         cond = np.linalg.cond(M)
         if not cond <= CONDITION_LIMIT:
@@ -132,21 +132,29 @@ def solve_densities(stack: LayerStack, lam, H: BackgroundField) -> dict:
     return phi
 
 
-def _region_weights(stack, densities, n, parity):
-    """Prefix/suffix weight tables indexed by region l = 0..N.
+def _region_weights(stack, lam, H):
+    """Solve the field's densities and return its weight tables, one
+    (n, parity, prefix, suffix) per nonzero component of ``H`` in
+    ``H.components()`` order; prefix and suffix are indexed by region l = 0..N.
 
     prefix[l] = sum_{k<=l} exp(-n xi_k) v_k multiplies cosh(n xi) (even) or
     sinh(n xi) (odd); suffix[l] = sum_{k>l} cosh(n xi_k) v_k (even; sinh for
     odd) multiplies exp(-n xi).  v = phi / n already carries the background
     amplitude (the solve right-hand side is n * a * structure vector).
     """
-    v = densities[(n, parity)] / n
+    densities = solve_densities(stack, lam, H)
     xi = stack.xi_array
-    outer = np.exp(-n * xi) * v
-    inner = _HARMONIC[parity][0](n * xi) * v
-    prefix = np.concatenate([[0.0], np.cumsum(outer)])
-    suffix = np.concatenate([np.cumsum(inner[::-1])[::-1], [0.0]])
-    return prefix, suffix
+    weights = []
+    # an entry that overflows is inf or nan, which the evaluators refuse where it is used
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, parity, _a in H.components():
+            v = densities[(n, parity)] / n
+            outer = np.exp(-n * xi) * v
+            inner = _HARMONIC[parity][0](n * xi) * v
+            prefix = np.concatenate([[0.0], np.cumsum(outer)])
+            suffix = np.concatenate([np.cumsum(inner[::-1])[::-1], [0.0]])
+            weights.append((n, parity, prefix, suffix))
+    return weights
 
 
 def _resolve_region(stack, xi, region):
@@ -168,37 +176,35 @@ def _growth_radius(xi, l):
     return np.where(l == 0, 0.0, xi)
 
 
-def _potential(stack, densities, H, xi, eta, l):
+def _potential(weights, xi, eta, l):
     """u - H at elliptic points (xi, eta) in regions l, all of one shape
-    (scalars for a point, arrays for a grid)."""
+    (scalars for a point, arrays for a grid), from :func:`_region_weights`."""
     total = np.zeros(np.shape(xi), dtype=complex)
     xi_grow = _growth_radius(xi, l)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, parity, _a in H.components():
-            prefix, suffix = _region_weights(stack, densities, n, parity)
+        for n, parity, prefix, suffix in weights:
             radial, _, angular, _ = _HARMONIC[parity]
             total -= angular(n * eta) * (radial(n * xi_grow) * prefix[l] + np.exp(-n * xi) * suffix[l])
-    _require_finite(H, xi, total)
+    _require_finite(weights, xi, total)
     return total
 
 
-def _partials(stack, densities, H, xi, eta, l):
+def _partials(weights, xi, eta, l):
     """(d/dxi, d/deta) of u - H at elliptic points, shaped as in :func:`_potential`."""
     d_xi = np.zeros(np.shape(xi), dtype=complex)
     d_eta = np.zeros(np.shape(xi), dtype=complex)
     xi_grow = _growth_radius(xi, l)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, parity, _a in H.components():
-            prefix, suffix = _region_weights(stack, densities, n, parity)
+        for n, parity, prefix, suffix in weights:
             radial, d_radial, angular, d_angular = _HARMONIC[parity]
             decay = np.exp(-n * xi) * suffix[l]
             d_xi += -n * angular(n * eta) * (d_radial(n * xi_grow) * prefix[l] - decay)
             d_eta += -n * d_angular(n * eta) * (radial(n * xi_grow) * prefix[l] + decay)
-    _require_finite(H, xi, d_xi, d_eta)
+    _require_finite(weights, xi, d_xi, d_eta)
     return d_xi, d_eta
 
 
-def _gradient(stack, densities, H, xi, eta, l):
+def _gradient(stack, weights, xi, eta, l):
     """Cartesian gradient (gx, gy) of u - H at elliptic points, shaped as in
     :func:`_potential`.
 
@@ -211,7 +217,7 @@ def _gradient(stack, densities, H, xi, eta, l):
     A focus evaluated with another region's formula raises
     :class:`GeometryError`.
     """
-    d_xi, d_eta = _partials(stack, densities, H, xi, eta, l)
+    d_xi, d_eta = _partials(weights, xi, eta, l)
     R = stack.R
     g2 = R**2 * (np.sinh(xi) ** 2 + np.sin(eta) ** 2)
     a = R * np.sinh(xi) * np.cos(eta)
@@ -225,8 +231,7 @@ def _gradient(stack, densities, H, xi, eta, l):
         if np.any(focus & (l != stack.N)):
             raise GeometryError(f"at a focus the gradient has only the core region's formula (region {stack.N})")
         limit = {EVEN: 0.0, ODD: 0.0}
-        for n, parity, _a in H.components():
-            prefix, _suffix = _region_weights(stack, densities, n, parity)
+        for n, parity, prefix, _suffix in weights:
             limit[parity] = limit[parity] - prefix[-1] * side ** (n - 1) * n**2 / R
         gx, gy = np.where(focus, limit[EVEN], gx), np.where(focus, limit[ODD], gy)
     return gx, gy
@@ -237,9 +242,9 @@ def perturbed_potential(stack, lam, H, point: EllipticPoint, *, region=None):
 
     ``region`` overrides the automatic region choice (needed on interfaces).
     """
-    densities = solve_densities(stack, lam, H)
+    weights = _region_weights(stack, lam, H)
     l = _resolve_region(stack, point.xi, region)
-    return complex(_potential(stack, densities, H, point.xi, point.eta, l))
+    return complex(_potential(weights, point.xi, point.eta, l))
 
 
 def perturbed_gradient(stack, lam, H, point: EllipticPoint, *, region=None):
@@ -247,9 +252,9 @@ def perturbed_gradient(stack, lam, H, point: EllipticPoint, *, region=None):
     :func:`_gradient`, which also gives its limit at the two foci).  Points
     on an interface need an explicit ``region`` (one-sided gradient).
     """
-    densities = solve_densities(stack, lam, H)
+    weights = _region_weights(stack, lam, H)
     l = _resolve_region(stack, point.xi, region)
-    return np.array(_gradient(stack, densities, H, point.xi, point.eta, l))
+    return np.array(_gradient(stack, weights, point.xi, point.eta, l))
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,12 +317,12 @@ def field_grid(
 def _grid_values(stack, lam, H, XI, ETA, L, normalize, quantity):
     """(values, normalization) of one field on the grid; the temporaries of
     one field are released before the next field is evaluated."""
-    densities = solve_densities(stack, lam, H)
+    weights = _region_weights(stack, lam, H)
     if quantity == "potential":
-        values = _potential(stack, densities, H, XI, ETA, L)
+        values = _potential(weights, XI, ETA, L)
         norm_source = np.abs(values.real)
     else:
-        gx, gy = _gradient(stack, densities, H, XI, ETA, L)
+        gx, gy = _gradient(stack, weights, XI, ETA, L)
         values = np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2)
         norm_source = values
     if normalize:

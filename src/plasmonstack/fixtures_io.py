@@ -4,7 +4,8 @@ A fixture stores a runner payload verbatim plus the comparison tolerances
 used by ``--check``, which its command's entry in
 :data:`plasmonstack.runners.COMMANDS` declares.  Comparison walks the
 payload recursively and reports every numeric leaf outside rtol/atol of
-the stored value, so drift is localized, not just detected.
+the stored value and every other leaf that differs in type or value, so
+drift is localized, not just detected.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ def load_fixture(path):
         return json.load(fh)
 
 
-def _close(a, b, rtol, atol):
-    if a is None or b is None:
-        return a is b
-    return math.isclose(a, b, rel_tol=rtol, abs_tol=atol)
+def _number(value):
+    """A JSON number: an int or a float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _walk(expected, actual, rtol, atol, path, out):
@@ -58,17 +58,12 @@ def _walk(expected, actual, rtol, atol, path, out):
             return
         for i, (e, a) in enumerate(zip(expected, actual)):
             _walk(e, a, rtol, atol, f"{path}[{i}]", out)
-    elif isinstance(expected, bool) or isinstance(expected, str):
-        if expected != actual:
-            out.append(f"{path}: {actual!r} != {expected!r}")
-    elif isinstance(expected, (int, float)):
-        if not _close(float(expected), float(actual), rtol, atol):
+    elif _number(expected) and _number(actual):
+        if not math.isclose(expected, actual, rel_tol=rtol, abs_tol=atol):
             out.append(f"{path}: {actual!r} differs from fixture {expected!r}")
-    elif expected is None:
-        if actual is not None:
-            out.append(f"{path}: {actual!r} != None")
-    else:
-        out.append(f"{path}: unsupported fixture type {type(expected).__name__}")
+    # any other leaf (bool, string, null, or a type that differs) matches only itself
+    elif type(expected) is not type(actual) or expected != actual:
+        out.append(f"{path}: {actual!r} != {expected!r}")
 
 
 def compare_fixture(fixture, payload):

@@ -215,13 +215,19 @@ def _certified_region():
         for eps in (1e-1, 1e-3, 1e-5):
             cases.append((LayerStack(R=1.0, xi=tuple(eps * k for k in range(N, 0, -1))), int(rng.integers(1, 9))))
     cases += [(geometric_stack(17, 17.0 * L, 0.8), 1) for L in (1, 2, 3, 4, 5)]
+    # high orders: four seeded geometric stacks per (N, n)
+    for N in range(1, 25):
+        for n in (10, 30, 100, 300, 1000, 3000):
+            for _ in range(4):
+                cases.append((geometric_stack(N, float(rng.uniform(0.3, 20.0)), float(rng.uniform(0.6, 0.95))), n))
     return cases
 
 
 def test_modes_certified_region():
     """Supplementary (not a numbered criterion): modes are accepted across
     the certified region, up to N = 60 layers, past the N = 24 cap of the
-    coefficient enumeration, each set sorted, bounded and antisymmetric."""
+    coefficient enumeration, and up to order n = 3000, each set sorted,
+    bounded and antisymmetric."""
     for stack, n in _certified_region():
         ms = modes(stack, n)
         for parity in (EVEN, ODD):

@@ -12,8 +12,10 @@ import pytest
 from plasmonstack import bie, charpoly, field, output, runconfig, runners, spectrum
 from plasmonstack.cli import _merge_config, build_parser, main
 from plasmonstack.errors import ContrastError
-from plasmonstack.fixtures_io import load_fixture
-from plasmonstack.geometry import LayerStack
+from plasmonstack.field import BackgroundField
+from plasmonstack.fixtures_io import compare_fixture, load_fixture
+from plasmonstack.geometry import EllipticPoint, LayerStack
+from plasmonstack.npcore import EVEN
 from plasmonstack.presets import PRESETS, get_preset
 
 from oracles import precise_roots
@@ -247,6 +249,33 @@ class TestPresetChecks:
         assert main(["modes", "--preset", "table1", "--check", "--out", str(out)]) == 0
         assert main(["modes", "--preset", "table1", "--check", "--table"]) == 0
         assert not out.exists()
+
+    @pytest.mark.parametrize("expected,actual", [
+        pytest.param(0.5, None, id="number-null"),
+        pytest.param(0.5, {"re": 0.5, "im": 0.0}, id="number-object"),
+        pytest.param(0.5, "x", id="number-string"),
+        pytest.param(0.5, [0.5], id="number-list"),
+        pytest.param(1.0, True, id="number-bool"),
+        pytest.param(True, 1, id="bool-number"),
+        pytest.param(None, 0.5, id="null-number"),
+        pytest.param("x", 0.5, id="string-number"),
+    ])
+    def test_leaf_of_another_type_drifts(self, expected, actual):
+        fixture = {"tolerances": {"rtol": 1e-6, "atol": 1e-12}, "payload": {"leaf": expected}}
+        assert compare_fixture(fixture, {"leaf": actual}) == [f"payload.leaf: {actual!r} != {expected!r}"]
+
+    @pytest.mark.parametrize("expected,actual", [(1, 1.0), (0.5, 0.5 + 1e-9), (None, None), (True, True), ("x", "x")])
+    def test_leaf_of_its_own_type_matches(self, expected, actual):
+        fixture = {"tolerances": {"rtol": 1e-6, "atol": 1e-12}, "payload": {"leaf": expected}}
+        assert compare_fixture(fixture, {"leaf": actual}) == []
+
+    def test_check_reports_a_null_leaf_as_drift(self, monkeypatch, capsys):
+        run_sweep = runners.run_sweep
+        monkeypatch.setattr(runners, "run_sweep", lambda cfg: {**run_sweep(cfg), "log_gap_slope_vs_min_xi": None})
+        assert main(["sweep-disk", "--preset", "fig9", "--check"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fixture drift for preset 'fig9':")
+        assert "payload.log_gap_slope_vs_min_xi: None != " in err
 
     @pytest.mark.parametrize("name", PRESETS)
     def test_fixture_matches_its_command_entry(self, name):
@@ -854,6 +883,23 @@ class TestWorkCounts:
         _payload, grids = runners.run_field(cfg)
         assert len(grids) == 4
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("evaluate,fields", [
+        pytest.param(lambda stack, lam: field.perturbed_gradient(
+            stack, lam, BackgroundField.single(2, EVEN), EllipticPoint(xi=0.0, eta=0.0)), 1, id="gradient-at-focus"),
+        pytest.param(lambda stack, lam: field.perturbed_potential(
+            stack, lam, BackgroundField(((1, 1.0, 0.0), (3, 0.0, 1.0))), EllipticPoint(xi=0.3, eta=0.4)),
+            1, id="two-term-background"),
+        # the grid holds both foci (+-1, 0), where the gradient takes its limit
+        pytest.param(lambda stack, lam: field.field_grid(
+            stack, [(lam, BackgroundField.single(1, EVEN)), (lam, BackgroundField(((2, 1.0, 1.0),)))],
+            (-2.0, 2.0, -1.0, 1.0), (5, 3), quantity="gradient"), 2, id="gradient-grid"),
+    ])
+    def test_field_builds_one_weight_table_per_field(self, monkeypatch, evaluate, fields):
+        tables = _count_calls(monkeypatch, field, "_region_weights")
+        solves = _count_calls(monkeypatch, field, "solve_densities")
+        evaluate(LayerStack(R=1.0, xi=(1.0, 0.6)), 0.17 + 1e-3j)
+        assert len(tables) == len(solves) == fields
 
 
 def _cpus():

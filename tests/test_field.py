@@ -269,6 +269,19 @@ class TestPerturbedGradient:
         with pytest.raises(FieldOverflowError, match=r"order-120 odd field .* n\*xi reaches 720 "):
             evaluate(LayerStack(R=1.0, xi=(6.0, 5.0, 4.0)), LAM, H, point)
 
+    @pytest.mark.parametrize("evaluate", [perturbed_potential, perturbed_gradient])
+    @pytest.mark.parametrize("terms,named", [
+        pytest.param(((2, 1.0, 0.0), (120, 0.0, 1.0)), "order-120 odd", id="high-last"),
+        pytest.param(((120, 0.0, 1.0), (2, 1.0, 0.0)), "order-120 odd", id="high-first"),
+        pytest.param(((119, 1.0, 0.0), (120, 1.0, 1.0)), "order-120 even", id="lower-overflows-first"),
+    ])
+    def test_overflow_names_the_highest_order(self, evaluate, terms, named):
+        """A multi-term background's refusal names its first component of
+        the highest order, also when a lower order's right-hand side is the
+        one that overflows (order 119: n xi_1 = 714)."""
+        with pytest.raises(FieldOverflowError, match=rf"the {named} field .* n\*xi reaches 720 "):
+            evaluate(LayerStack(R=1.0, xi=(6.0, 5.0, 4.0)), LAM, BackgroundField(terms), EllipticPoint(xi=0.3, eta=0.4))
+
 
 def _unit_normal(p, R):
     g = R * math.sqrt(math.sinh(p.xi) ** 2 + math.sin(p.eta) ** 2)
