@@ -27,11 +27,14 @@ in the quadrature-weighted sense; deflation projects out the per-curve
 constants, one rank-one update per curve on each side, before spectral checks.
 
 Working set: the row kernels fill an operator ROW_CHUNK target nodes at a
-time, and the identity residuals are summed over at least three row blocks,
-so neither forms a second (N M, N M) temporary.  A bie-validate run holds at
-most three such float64 matrices at once (K* and S with the residuals' block
-temporaries, or K*, its deflated copy and LAPACK's copy in the eigensolve),
-plus kernel temporaries of ROW_CHUNK x N M entries.
+time, and the identity residuals are summed over at least twelve row
+blocks, so their temporaries stay within a quarter of one (N M, N M)
+matrix.  A bie-validate run holds at most two such float64 matrices at
+once: K* and S in the residuals, then K* and either the column update of
+the in-place deflation or LAPACK's copy in the eigensolves.  The one
+exception is a single circle, whose K* and S spectra are taken while both
+are held: three matrices of one curve.  Kernel temporaries add
+ROW_CHUNK x N M entries.
 """
 
 from __future__ import annotations
@@ -46,6 +49,12 @@ MIN_NODES = 8
 #: target nodes per row-kernel call: bounds the kernels' temporaries to
 #: ROW_CHUNK x N M entries each
 ROW_CHUNK = 64
+
+
+def _require_finite(M, *named):
+    for name, value in named:
+        if not np.all(np.isfinite(value)):
+            raise CurveError(f"{name} of the {M}-node curve are not finite in float64")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,14 +76,19 @@ class DiscretizedCurve:
         M = self.x.shape[0]
         if M < MIN_NODES or M % 2:
             raise CurveError(f"node count must be even and >= {MIN_NODES}, got {M}")
-        speed = np.hypot(self.dx[:, 0], self.dx[:, 1])
+        # a curve past the float64 range shows as inf or NaN below, and is refused by name
+        with np.errstate(all="ignore"):
+            speed = np.hypot(self.dx[:, 0], self.dx[:, 1])
+            normal = np.column_stack([self.dx[:, 1], -self.dx[:, 0]]) / speed[:, None]
+            curv = (self.dx[:, 0] * self.ddx[:, 1] - self.dx[:, 1] * self.ddx[:, 0]) / speed**3
+            area = 0.5 * np.sum(self.x[:, 0] * self.dx[:, 1] - self.x[:, 1] * self.dx[:, 0]) * (2 * np.pi / M)
+        _require_finite(M, ("node positions", self.x), ("first derivatives", self.dx),
+                        ("second derivatives", self.ddx))
         if np.any(speed <= 0):
             raise CurveError("degenerate parametrization: zero-speed node")
-        area = 0.5 * np.sum(self.x[:, 0] * self.dx[:, 1] - self.x[:, 1] * self.dx[:, 0]) * (2 * np.pi / M)
+        _require_finite(M, ("speeds", speed), ("normals", normal), ("curvatures", curv))
         if area <= 0:
             raise CurveError("parametrization must be counterclockwise (positive area)")
-        normal = np.column_stack([self.dx[:, 1], -self.dx[:, 0]]) / speed[:, None]
-        curv = (self.dx[:, 0] * self.ddx[:, 1] - self.dx[:, 1] * self.ddx[:, 0]) / speed**3
         object.__setattr__(self, "speed", speed)
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "curvature", curv)
@@ -88,10 +102,11 @@ class DiscretizedCurve:
     @classmethod
     def ellipse(cls, R, xi, M):
         """Confocal ellipse of elliptic radius xi for focal half-distance R."""
-        a, b = R * np.cosh(xi), R * np.sinh(xi)
         t = np.arange(M) * (2 * np.pi / M)
-        x = np.column_stack([a * np.cos(t), b * np.sin(t)])
-        dx = np.column_stack([-a * np.sin(t), b * np.cos(t)])
+        with np.errstate(all="ignore"):  # an overflowing ellipse is refused by the constructor
+            a, b = R * np.cosh(xi), R * np.sinh(xi)
+            x = np.column_stack([a * np.cos(t), b * np.sin(t)])
+            dx = np.column_stack([-a * np.sin(t), b * np.cos(t)])
         return cls(t=t, x=x, dx=dx, ddx=-x)
 
     @classmethod
@@ -251,25 +266,28 @@ def assemble_block_s(curves) -> BlockOperator:
 def deflate_constants(block: BlockOperator):
     """Project out the per-curve constant densities (weighted mean-zero sense).
 
-    Returns P A P with P = I - sum_k 1_k u_k^T, u_k = w_k / sum(w_k): one
-    rank-one update per curve on the rows of the (N, M, n) view, then on the
-    columns of the (n, N, M) view.  The constants become exact zero modes.
+    Overwrites ``block.entries`` with P A P and returns it, with
+    P = I - sum_k 1_k u_k^T, u_k = w_k / sum(w_k): one rank-one update per
+    curve on the rows of the (N, M, n) view, then on the columns of the
+    (n, N, M) view.  The constants become exact zero modes.  The block is
+    consumed: no second (N M, N M) matrix is made.
     """
     n, N = block.entries.shape[0], block.layers
     u = block.weights.reshape(N, -1)
     u = u / u.sum(axis=1, keepdims=True)
     rows = block.entries.reshape(N, -1, n)
-    A = rows - u[:, None, :] @ rows
-    cols = A.reshape(n, N, -1)
+    rows -= u[:, None, :] @ rows
+    cols = block.entries.reshape(n, N, -1)
     cols -= cols.sum(axis=2, keepdims=True) * u
-    return A.reshape(n, n)
+    return block.entries
 
 
 def _row_blocks(block: BlockOperator):
-    """The max(N, 3) row slices of nearly equal size that the identity
-    residuals stream over: curve k's rows kM ... (k+1)M - 1 when N >= 3.  At
-    least three keep their temporaries within one (N M, N M) matrix."""
-    n, parts = block.entries.shape[0], max(block.layers, 3)
+    """The 4 max(N, 3) row slices of nearly equal size that the identity
+    residuals stream over: quarters of curve k's rows kM ... (k+1)M - 1 when
+    N >= 3.  At least twelve keep their temporaries within a quarter of one
+    (N M, N M) matrix."""
+    n, parts = block.entries.shape[0], 4 * max(block.layers, 3)
     return [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
@@ -314,6 +332,8 @@ def self_adjointness_check(Kst: BlockOperator, S: BlockOperator) -> float:
 
 
 def block_np_eigenvalues(block: BlockOperator, deflated=True):
-    """Eigenvalues of the (optionally constant-deflated) block interface operator."""
+    """Eigenvalues of the (optionally constant-deflated) block interface
+    operator.  ``deflated=True`` deflates ``block`` in place (see
+    :func:`deflate_constants`), so the block is consumed."""
     A = deflate_constants(block) if deflated else block.entries
     return np.linalg.eigvals(A)

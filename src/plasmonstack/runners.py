@@ -182,7 +182,15 @@ def _circle_section(radius, Kst, S):
 
 
 def run_bie(cfg):
-    """Identity residual refinement plus spectral cross-checks per geometry."""
+    """Identity residual refinement plus spectral cross-checks per geometry.
+
+    Per node count K* and then S are assembled once; both residuals are
+    formed and S is released; the containment check's eigensolve reads K*
+    as assembled, and the bound excess comes last, on K* deflated in place.
+    So at most two (N M, N M) matrices are held at once.  A single circle
+    takes its K* and S spectra while both are held, a third matrix in
+    LAPACK's copy: one curve, 256^2 entries in the bie-circle preset.
+    """
     spec = cfg["curves"]
     nodes = cfg["nodes"]
     report = {"curves": cfg["curves"], "nodes": nodes}
@@ -190,21 +198,21 @@ def run_bie(cfg):
     calderon = report["calderon_residual"] = []
     selfadj = report["self_adjointness_residual"] = []
     excess = report["spectral_bound_excess"] = []
-    # K* and S are assembled once per node count, and released before the next;
     # the containment check takes its eigenvalues from the K* of its node count
     match_ev = None
     for M in nodes:
         curves = bie_mod.curves_from_spec(spec, M)
         Kst = bie_mod.assemble_block_np(curves)
-        excess.append(float(np.abs(bie_mod.block_np_eigenvalues(Kst, deflated=True).real).max() - 0.5))
-        if M == cfg.get("match_nodes"):
-            match_ev = bie_mod.block_np_eigenvalues(Kst, deflated=False)
         S = bie_mod.assemble_block_s(curves)
         calderon.append(bie_mod.calderon_residual(Kst, S))
         selfadj.append(bie_mod.self_adjointness_check(Kst, S))
         if one_circle and M == nodes[-1]:
             report["circle"] = _circle_section(float(np.ravel(spec["scale"])[0]), Kst, S)
-        del Kst, S
+        del S
+        if M == cfg.get("match_nodes"):
+            match_ev = bie_mod.block_np_eigenvalues(Kst, deflated=False)
+        excess.append(float(np.abs(bie_mod.block_np_eigenvalues(Kst, deflated=True).real).max() - 0.5))
+        del Kst
     report["monotone_calderon"] = _monotone_decreasing(calderon)
     report["monotone_self_adjointness"] = _monotone_decreasing(selfadj)
 

@@ -12,8 +12,9 @@ listings are equal::
     python tests/preset_digest.py src /tmp/new > new.txt
     diff old.txt new.txt
 
-Exits 1 if a preset run exits nonzero.  The name has no ``test_`` prefix,
-so pytest does not collect it.
+Exits 1 if OUT_DIR already holds files, since every file under it is
+listed and a stale one would keep its old hash, or if a preset run exits
+nonzero.  The name has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 1
     src, out = (os.path.abspath(a) for a in argv)
+    if os.path.exists(out) and (not os.path.isdir(out) or os.listdir(out)):
+        print(f"{out} already exists and is not an empty directory", file=sys.stderr)
+        return 1
     sys.path.insert(0, src)
     from plasmonstack import cli
     from plasmonstack.presets import PRESETS

@@ -18,6 +18,7 @@ from plasmonstack.geometry import EllipticPoint, LayerStack
 from plasmonstack.npcore import EVEN
 from plasmonstack.presets import PRESETS, get_preset
 
+import preset_digest
 from oracles import precise_roots
 
 
@@ -222,6 +223,18 @@ class TestPresetChecks:
 
     def test_preset_command_mismatch(self, tmp_path):
         assert main(["modes", "--preset", "fig9", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("stale", ["out/bie-circle/old.csv", "out"])
+    def test_digest_refuses_a_used_out_dir(self, tmp_path, capsys, monkeypatch, stale):
+        # a stale file would be listed with its old hash, so the digest runs
+        # only into a new or empty directory
+        out = tmp_path / "out"
+        (tmp_path / stale).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / stale).write_text("old")
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        assert preset_digest.main([os.path.join(os.path.dirname(__file__), os.pardir, "src"), str(out)]) == 1
+        assert capsys.readouterr().err == f"{out} already exists and is not an empty directory\n"
+        assert (tmp_path / stale).read_text() == "old"
 
     def test_check_requires_preset(self):
         assert main(["modes", "--check"]) == 1
@@ -540,6 +553,16 @@ class TestBieCommand:
             ["bie-validate", "--preset", "bie-circle", "--nodes", "33", "--out", str(tmp_path)]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("xi,quantity", [
+        ([1e-300], "curvatures"),
+        ([800, 0.5], "node positions"),
+    ], ids=["speed-cubed-underflows", "cosh-overflows"])
+    def test_unrepresentable_curve_refused(self, tmp_path, capsys, xi, quantity):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"curves": {"type": "confocal", "R": 1, "xi": xi}, "nodes": [16]}))
+        assert main(["bie-validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {quantity} of the 16-node curve are not finite in float64\n"
 
     @pytest.mark.parametrize("command,cfg,message", REJECTED_CONFIGS)
     def test_config_rejected(self, tmp_path, capsys, command, cfg, message):
