@@ -317,7 +317,9 @@ def self_adjointness_check(Kst: BlockOperator, S: BlockOperator) -> float:
     B is formed one pair of blocks B_IJ = -w_I S[I] K*[:, J], I <= J, at a
     time, which makes the flops of one full product.
     """
-    K, w = Kst.entries, Kst.weights
+    # a power-of-two scale near 1 / max(w) changes no digit of the ratio and
+    # keeps the squared norms finite when the weights are large (near 1e86 at xi = 200)
+    K, w = Kst.entries, Kst.weights * 2.0 ** -np.frexp(Kst.weights.max())[1]
     blocks = _row_blocks(Kst)
     asym = size = 0.0
     for i, I in enumerate(blocks):

@@ -4,7 +4,9 @@ disk-degeneration sweep, and the independent discretization cross-checks.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure: a
 cross-validation failure (including fixture drift under --check) or a
 field that overflows floating point, 3 resonance-singular solve requested
-without a loss parameter.
+without a loss parameter, or a density solve whose residual exceeds
+``field.RESIDUAL_TOL``.  The gate table in :mod:`plasmonstack.errors` is
+the one place that decides a numeric check's exit code.
 
 The only environment variable honored is PLASMONSTACK_THREADS, which caps
 the BLAS/OpenMP thread pools; the package applies it when it is first

@@ -1,9 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and :func:`gate`.
 
 Each class declares the CLI's exit code and stderr prefix for it:
 configuration and geometry problems exit 1, cross-validation failures and
-fields that overflow floating point exit 2, singular resonance solves
-exit 3.
+fields that overflow floating point exit 2, density solves that are
+resonance-singular or miss ``field.RESIDUAL_TOL`` exit 3.  The gate table
+``_GATES`` alone decides which class, so which exit code, a numeric check raises.
 """
 
 
@@ -63,3 +64,16 @@ class FieldOverflowError(PlasmonstackError, ArithmeticError):
     """A field value overflows floating point (cosh(n xi) does above n xi ~ 710)."""
 
     exit_code, prefix = 2, "unrepresentable field"
+
+
+#: Gate name -> error class; the names are those of the ``tolerances``
+#: (``imag``, ``bound``, ``cross``) and of the field solve's checks.
+_GATES = {"imag": CrossValidationError, "bound": CrossValidationError, "cross": CrossValidationError,
+          "condition": ResonanceError, "residual": ResonanceError, "overflow": FieldOverflowError}
+
+
+def gate(name, worst, tolerance, message):
+    """Raise the gate table's class for ``name`` with the text ``message()``
+    unless ``worst <= tolerance``, so a NaN fails; the text is built only on failure."""
+    if not worst <= tolerance:
+        raise _GATES[name](message())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldOverflowError, GeometryError, RegionError, ResonanceError
+from .errors import GeometryError, RegionError, gate
 from .geometry import EllipticPoint, LayerStack, cartesian_to_elliptic
 from .npcore import EVEN, ODD, _sign, gpm_entries
 
@@ -90,14 +90,15 @@ def region_index(stack: LayerStack, xi):
 
 
 def _require_finite(terms, xi, *values):
-    """Raise :class:`FieldOverflowError`, naming the highest order n of the
-    (n, parity, ...) ``terms`` and n max(xi), when a ``values`` entry is not finite."""
-    if not all(np.isfinite(v).all() for v in values):
+    """Gate ``overflow``: every ``values`` entry must be finite; the refusal names
+    the highest order n of the (n, parity, ...) ``terms`` and n max(xi)."""
+
+    def message():
         n, parity = max(terms, key=lambda t: t[0])[:2]
-        raise FieldOverflowError(
-            f"the order-{n} {parity} field overflows floating point: n*xi reaches "
-            f"{n * np.max(xi):.6g} (cosh and sinh overflow above about 710)"
-        )
+        return (f"the order-{n} {parity} field overflows floating point: n*xi reaches {n * np.max(xi):.6g} "
+                "(cosh and sinh overflow above about 710)")
+
+    gate("overflow", sum(np.size(v) - np.count_nonzero(np.isfinite(v)) for v in values), 0, message)
 
 
 def solve_densities(stack: LayerStack, lam, H: BackgroundField) -> dict:
@@ -119,15 +120,12 @@ def solve_densities(stack: LayerStack, lam, H: BackgroundField) -> dict:
         _require_finite(H.components(), xi, rhs)
         M = gpm_entries(stack, lam, n, parity)
         cond = np.linalg.cond(M)
-        if not cond <= CONDITION_LIMIT:
-            raise ResonanceError(
-                f"order-{n} {parity} system is resonance-singular (cond={cond:.3e}); "
-                "supply a nonzero loss parameter"
-            )
+        gate("condition", cond, CONDITION_LIMIT, lambda: f"order-{n} {parity} system is resonance-singular "
+             f"(cond={cond:.3e}); supply a nonzero loss parameter")
         vec = np.linalg.solve(M, rhs)
         res = np.linalg.norm(M @ vec - rhs) / np.linalg.norm(rhs)
-        if not res <= RESIDUAL_TOL:
-            raise ResonanceError(f"order-{n} {parity} solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
+        gate("residual", res, RESIDUAL_TOL,
+             lambda: f"order-{n} {parity} solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
         phi[(n, parity)] = vec
     return phi
 

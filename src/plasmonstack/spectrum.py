@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import charpoly as cp
-from .errors import ContrastError, CrossValidationError
+from .errors import ContrastError, gate
 from .geometry import LayerStack
 from .materials import sigma_from_lambda
 from .npcore import EVEN, ODD, PARITIES, _sign, build_np
@@ -86,8 +86,7 @@ def _certify(stack, n, eigs, cross, imag, bound):
     that point, so the count rises by the cluster's size across it: every
     root lies within ``cross`` of a value and each value accounts for
     one root.  One :func:`~plasmonstack.charpoly.sturm_count` call counts
-    the probes of both parities.  A gate passes only a value within its
-    tolerance, so a NaN fails it.
+    the probes of both parities.  Each check is an :func:`~plasmonstack.errors.gate`.
     """
     N = stack.N
     ascending = np.sort(eigs.real, axis=-1)
@@ -102,29 +101,24 @@ def _certify(stack, n, eigs, cross, imag, bound):
     first = 2  # this parity's cluster probes start here
     for parity, imag_parts, row, count, (starts, ends) in zip(PARITIES, eigs.imag, ascending, counts, clusters):
         worst = np.abs(imag_parts).max(initial=0.0)
-        if not worst <= imag:
-            raise CrossValidationError(
-                f"{parity} eigenvalues: imaginary part {worst:.3e} exceeds realness tolerance {imag:.1e}"
-            )
+        gate("imag", worst, imag,
+             lambda: f"{parity} eigenvalues: imaginary part {worst:.3e} exceeds realness tolerance {imag:.1e}")
         excess = np.abs(row).max() - 0.5
-        if not excess <= bound:
-            raise CrossValidationError(f"{parity} mode leaves the spectral interval by {excess:.3e}")
+        gate("bound", excess, bound, lambda: f"{parity} mode leaves the spectral interval by {excess:.3e}")
         outside = count[0] + N - count[1]
-        if outside:
-            raise CrossValidationError(
-                f"{parity}: {outside} of {N} polynomial roots are not real or leave "
-                f"[-1/2, 1/2] by more than {bound:.1e}"
-            )
+        gate("bound", outside, 0, lambda: (
+            f"{parity}: {outside} of {N} polynomial roots are not real or leave "
+            f"[-1/2, 1/2] by more than {bound:.1e}"
+        ))
         below, above = count[first : first + 2 * starts.size].reshape(2, -1)
         first += 2 * starts.size
-        missed = np.flatnonzero((below != starts) | (above != ends))
-        if missed.size:
-            i = missed[0]
-            raise CrossValidationError(
-                f"{parity} route disagreement: the Sturm count places {above[i] - below[i]} roots "
-                f"within {cross:.1e} of the {ends[i] - starts[i]} eigenvalues in "
-                f"[{row[starts[i]]:.17g}, {row[ends[i] - 1]:.17g}]"
-            )
+        missed = (below != starts) | (above != ends)
+        i = missed.argmax()  # the first cluster the count misses, if any
+        gate("cross", np.count_nonzero(missed), 0, lambda: (
+            f"{parity} route disagreement: the Sturm count places {above[i] - below[i]} roots "
+            f"within {cross:.1e} of the {ends[i] - starts[i]} eigenvalues in "
+            f"[{row[starts[i]]:.17g}, {row[ends[i] - 1]:.17g}]"
+        ))
     return ascending[:, ::-1]
 
 

@@ -78,6 +78,17 @@ REJECTED_CONFIGS = [
     pytest.param("field", {**_FIELD, "geometry": {"R": 1.0, "xi": [1.0, 0.6]}, "n": 2, "ranks": []}, "ranks must",
                  id="empty-ranks"),
     pytest.param("field", {**_FIELD, "parities": []}, "parities must", id="empty-parities"),
+    pytest.param("field", {**_FIELD, "bbox": [-2.0, 3.0, -1.0]}, "bbox must", id="bbox-three-numbers"),
+    pytest.param("field", {**_FIELD, "bbox": [3.0, -2.0, -1.0, 1.0]}, "bbox must", id="bbox-min-above-max"),
+    pytest.param("field", {**_FIELD, "resolution": [3, 2, 2]}, "resolution must", id="resolution-three-integers"),
+    pytest.param("bie-validate", {"curves": [1.0, 0.5], "nodes": [16]}, "bie curves: expected a mapping",
+                 id="curves-not-a-mapping"),
+    pytest.param("bie-validate", {"curves": {"type": "square", "R": 1.0}, "nodes": [16]},
+                 "bie curves: expected a mapping with type", id="curves-unknown-type"),
+    pytest.param("modes", {**_MODES, "geometry": [1.0, 0.5]}, "geometry: expected a mapping",
+                 id="geometry-not-a-mapping"),
+    pytest.param("modes", {**_MODES, "geometry": {"R": 1.0, "xi": [0.5, 1.0]}},
+                 "geometry: elliptic radii must be strictly decreasing", id="xi-increasing"),
     pytest.param("sweep-disk", {"layers": 2, "ratio": 0.8, "n": 1, "L": []}, "L must", id="empty-L"),
     pytest.param("sweep-disk", {"layers": 3, "ratio": 0.8, "n": 1, "L": [1, 1.0]}, "L must not repeat a value",
                  id="repeated-L"),
@@ -188,6 +199,22 @@ class TestModesCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("cross-validation failure: ")
 
+    def test_sturm_interval_exit_code(self, tmp_path, capsys, monkeypatch):
+        """A count that places an odd root below -1/2 - bound fails the interval gate."""
+        sturm_count = charpoly.sturm_count
+
+        def one_more_below(stack, lam, n):
+            counts = sturm_count(stack, lam, n)
+            counts[1, 0] += 1  # the odd parity's count at the probe -1/2 - bound
+            return counts
+
+        monkeypatch.setattr(charpoly, "sturm_count", one_more_below)
+        assert main(["modes", "--preset", "table1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "cross-validation failure: odd: 1 of 15 polynomial roots are not real or leave [-1/2, 1/2] "
+            "by more than 1.0e-10\n"
+        )
+
     def test_config_file_and_unknown_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"geometry": {"R": 1.0, "xi": [1.0]}, "n": 2}))
@@ -281,6 +308,31 @@ class TestPresetChecks:
     def test_leaf_of_its_own_type_matches(self, expected, actual):
         fixture = {"tolerances": {"rtol": 1e-6, "atol": 1e-12}, "payload": {"leaf": expected}}
         assert compare_fixture(fixture, {"leaf": actual}) == []
+
+    @pytest.mark.parametrize("expected,actual,drift", [
+        pytest.param(0.5, 0.500001, "payload.leaf: 0.500001 differs from fixture 0.5", id="number-moved"),
+        pytest.param({"a": 1}, {"b": 1}, "payload.leaf: structure mismatch", id="other-keys"),
+        pytest.param({"a": 1}, [1], "payload.leaf: structure mismatch", id="object-list"),
+        pytest.param([1, 2], [1], "payload.leaf: length mismatch", id="shorter-list"),
+        pytest.param([1, 2], "12", "payload.leaf: length mismatch", id="list-string"),
+    ])
+    def test_drift_is_reported(self, expected, actual, drift):
+        fixture = {"tolerances": {"rtol": 1e-6, "atol": 1e-12}, "payload": {"leaf": expected}}
+        assert compare_fixture(fixture, {"leaf": actual}) == [drift]
+
+    @pytest.mark.parametrize("section,moved,drift", [
+        pytest.param("span", 5e-10, None, id="span-within-1e-9"),
+        pytest.param("span", 2e-9, "payload.span.minus.value[0]: 2e-09 differs from fixture 0.0",
+                     id="span-beyond-1e-9"),
+        pytest.param("roots", 5e-10, "payload.roots.minus.value[0]: 5e-10 differs from fixture 0.0",
+                     id="value-outside-span"),
+    ])
+    def test_span_values_compare_absolutely(self, section, moved, drift):
+        """A charpoly span ``value`` passes through zero, so it is compared
+        at 1e-9 absolute, not at the fixture's atol."""
+        fixture = {"tolerances": {"rtol": 1e-9, "atol": 1e-13}, "payload": {section: {"minus": {"value": [0.0, 0.25]}}}}
+        actual = {section: {"minus": {"value": [moved, 0.25]}}}
+        assert compare_fixture(fixture, actual) == ([] if drift is None else [drift])
 
     def test_check_reports_a_null_leaf_as_drift(self, monkeypatch, capsys):
         run_sweep = runners.run_sweep
@@ -513,6 +565,18 @@ class TestFieldCommand:
         assert code == 3
         assert capsys.readouterr().err.startswith("resonance-singular solve: ")
 
+    def test_residual_exit_code(self, tmp_path, capsys, monkeypatch):
+        """A density solve whose residual exceeds RESIDUAL_TOL exits as a
+        resonance-singular one does."""
+        solve = np.linalg.solve
+        monkeypatch.setattr(field.np.linalg, "solve", lambda M, rhs: solve(M, rhs) * (1 + 1e-6))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_FIELD))
+        assert main(["field", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "resonance-singular solve: order-1 even solve residual 1.000e-06 exceeds 1.0e-10\n"
+        )
+
     @pytest.mark.parametrize("quantity", ["potential", "gradient"])
     @pytest.mark.parametrize("xi,n,n_xi", [([6, 5, 4], 120, "720"), ([13, 12.5, 12], 60, "780")])
     def test_overflowing_field_exit_code(self, tmp_path, capsys, quantity, xi, n, n_xi):
@@ -563,6 +627,16 @@ class TestBieCommand:
         path.write_text(json.dumps({"curves": {"type": "confocal", "R": 1, "xi": xi}, "nodes": [16]}))
         assert main(["bie-validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {quantity} of the 16-node curve are not finite in float64\n"
+
+    def test_large_curve_self_adjointness_is_finite(self, tmp_path):
+        """Node weights of about cosh(200) would overflow the form matrix's
+        squared norms and give a NaN residual."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"curves": {"type": "confocal", "R": 1, "xi": [200, 0.5]}, "nodes": [16]}))
+        out = tmp_path / "o"
+        assert main(["bie-validate", "--config", str(path), "--out", str(out)]) == 0
+        [residual] = json.loads((out / "bie_report.json").read_text())["payload"]["self_adjointness_residual"]
+        assert residual < 1e-12
 
     @pytest.mark.parametrize("command,cfg,message", REJECTED_CONFIGS)
     def test_config_rejected(self, tmp_path, capsys, command, cfg, message):

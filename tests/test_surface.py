@@ -3,7 +3,8 @@ benchmark use.  Every public top-level function or class, and every public
 method or property, of ``src/plasmonstack`` must be referenced somewhere
 other than its own definition: in the library, in ``perfbench/*.py`` or in
 a README ``python`` block.  A name that only tests use belongs in
-``tests/oracles.py``."""
+``tests/oracles.py``.  The error classes of numeric checks are raised only
+through ``errors.gate``, whose table decides their exit codes."""
 
 import ast
 import glob
@@ -79,3 +80,24 @@ def test_every_public_name_is_used():
             if not refs[kind][name] - inside:
                 unused.append(f"{os.path.basename(path)}: {qualname}")
     assert unused == [], "public names that nothing outside tests uses: " + ", ".join(unused)
+
+
+#: error classes that only the gate table in ``errors.py`` raises
+GATED = {"CrossValidationError", "ResonanceError", "FieldOverflowError"}
+
+
+def _named(node):
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_gated_errors_are_raised_only_by_the_gate():
+    raised = []
+    for path in sorted(glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True)):
+        if os.path.basename(path) == "errors.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            # a call instantiates the class; so does ``raise Class`` without one
+            target = node.func if isinstance(node, ast.Call) else node.exc if isinstance(node, ast.Raise) else None
+            if target is not None and _named(target) in GATED:
+                raised.append(f"{os.path.relpath(path, SRC)}:{node.lineno}: {_named(target)}")
+    assert raised == [], "gated errors instantiated outside errors.gate: " + ", ".join(raised)
