@@ -1,12 +1,13 @@
 """Command-line surface: mode tables, polynomial dumps, field grids, the
 disk-degeneration sweep, and the independent discretization cross-checks.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure: a
-cross-validation failure (including fixture drift under --check) or a
-field that overflows floating point, 3 resonance-singular solve requested
-without a loss parameter, or a density solve whose residual exceeds
-``field.RESIDUAL_TOL``.  The gate table in :mod:`plasmonstack.errors` is
-the one place that decides a numeric check's exit code.
+Exit codes: 0 success, 1 configuration error (including an unwritable
+--out), 2 numerical failure: a cross-validation failure (including fixture
+drift under --check) or a field that overflows floating point, 3
+resonance-singular solve requested without a loss parameter, or a density
+solve whose residual exceeds ``field.RESIDUAL_TOL``.  The gate table in
+:mod:`plasmonstack.errors` is the one place that decides a numeric check's
+exit code.
 
 The only environment variable honored is PLASMONSTACK_THREADS, which caps
 the BLAS/OpenMP thread pools; the package applies it when it is first
@@ -151,6 +152,15 @@ def main(argv=None):
                 f"--check recomputes preset {preset.name!r} as committed; drop --config and the flags that change it"
             )
         cfg, result, grids = _run_command(args.command, cfg)
+        if not args.check:
+            command = runners.get_command(args.command)
+            try:
+                os.makedirs(args.out, exist_ok=True)
+                if command.write is not None:
+                    command.write(args.out, cfg, result, grids)
+                output.write_json(os.path.join(args.out, command.payload_file), result, cfg)
+            except OSError as exc:
+                raise ConfigError(f"cannot write outputs to {args.out}: {exc}") from exc
     except PlasmonstackError as exc:
         # each error class declares its exit code and prefix (see errors)
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
@@ -166,11 +176,6 @@ def main(argv=None):
         print(f"preset {preset.name!r} matches its fixture")
         return 0
 
-    os.makedirs(args.out, exist_ok=True)
-    command = runners.get_command(args.command)
-    if command.write is not None:
-        command.write(args.out, cfg, result, grids)
-    output.write_json(os.path.join(args.out, command.payload_file), result, cfg)
     if getattr(args, "table", False):
         _print_mode_table(result)
     print(f"wrote {args.command} outputs to {args.out}")

@@ -5,6 +5,8 @@ configuration and geometry problems exit 1, cross-validation failures and
 fields that overflow floating point exit 2, density solves that are
 resonance-singular or miss ``field.RESIDUAL_TOL`` exit 3.  The gate table
 ``_GATES`` alone decides which class, so which exit code, a numeric check raises.
+A mode with no finite resonant conductivity or no real Drude frequency is
+not an error: :mod:`plasmonstack.materials` returns None for it.
 """
 
 
@@ -18,11 +20,6 @@ class PlasmonstackError(Exception):
 class GeometryError(PlasmonstackError, ValueError):
     """Invalid or singular geometry (bad radii, a gradient at a focus taken
     with a region formula other than the core's)."""
-
-
-class ContrastError(PlasmonstackError, ValueError):
-    """Material contrast is singular (lambda == 1/2, or no real Drude
-    frequency exists for the requested conductivity)."""
 
 
 class CombinatorialCapError(PlasmonstackError, ValueError):

@@ -22,7 +22,7 @@ from . import bie as bie_mod
 from . import charpoly as cp
 from . import field as field_mod
 from . import output, runconfig, spectrum
-from .errors import ConfigError, ContrastError
+from .errors import ConfigError
 from .geometry import LayerStack, cartesian_to_elliptic
 from .materials import resonant_frequency
 from .npcore import EVEN, ODD
@@ -45,10 +45,7 @@ def run_modes(cfg):
                 "sigma1": mode.sigma1_resonant,
             }
             if "drude" in cfg:
-                try:
-                    row["omega"] = resonant_frequency(mode.lambda_root, cfg["sigma0"], **cfg["drude"])
-                except ContrastError:
-                    row["omega"] = None
+                row["omega"] = resonant_frequency(mode.sigma1_resonant, **cfg["drude"])
             rows.append(row)
         payload[parity] = rows
     payload["root_symmetry_max"] = spectrum.verify_root_symmetry(ms)

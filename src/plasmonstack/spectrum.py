@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import charpoly as cp
-from .errors import ContrastError, gate
+from .errors import gate
 from .geometry import LayerStack
 from .materials import sigma_from_lambda
 from .npcore import EVEN, ODD, PARITIES, _sign, build_np
@@ -40,8 +40,9 @@ class PlasmonMode:
     """One resonance of a parity: contrast value, resonant shell conductivity
     and rank.
 
-    ``sigma1_resonant`` is None for lambda = 1/2, which no finite shell
-    conductivity realizes.
+    ``sigma1_resonant`` is :func:`~plasmonstack.materials.sigma_from_lambda`
+    of the value: None for lambda = 1/2, which no finite shell conductivity
+    realizes.
     """
 
     lambda_root: float
@@ -61,13 +62,6 @@ class ModeSet:
 
     def lambdas(self, parity):
         return np.array([m.lambda_root for m in self.modes(parity)])
-
-
-def _resonant_sigma(lam, sigma0):
-    try:
-        return float(sigma_from_lambda(lam, sigma0))
-    except ContrastError:  # lambda = 1/2: infinite conductivity
-        return None
 
 
 def _certify(stack, n, eigs, cross, imag, bound):
@@ -146,7 +140,7 @@ def modes(
     values = _certify(stack, n, np.linalg.eigvals(-build_np(stack, n)), cross, imag, bound)
     even_modes, odd_modes = (
         tuple(
-            PlasmonMode(lambda_root=lam, sigma1_resonant=_resonant_sigma(lam, sigma0), rank=rank)
+            PlasmonMode(lambda_root=lam, sigma1_resonant=sigma_from_lambda(lam, sigma0), rank=rank)
             for rank, lam in enumerate(row.tolist(), start=1)
         )
         for row in values

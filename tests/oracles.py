@@ -26,12 +26,12 @@ import numpy as np
 
 from plasmonstack.bie import kress_log_weights
 from plasmonstack.charpoly import _TINY, CharPoly, build_charpoly
-from plasmonstack.errors import ContrastError, CrossValidationError
+from plasmonstack.errors import CrossValidationError
 from plasmonstack.field import _HARMONIC, BackgroundField, perturbed_gradient, perturbed_potential, solve_densities
 from plasmonstack.geometry import EllipticPoint, LayerStack
 from plasmonstack.materials import resonant_frequency, sigma_from_lambda
 from plasmonstack.npcore import EVEN, ODD, _check_order, _exponentials, _normal_derivative, _sign, gpm_entries
-from plasmonstack.spectrum import TOLERANCES, ModeSet, PlasmonMode, _resonant_sigma
+from plasmonstack.spectrum import TOLERANCES, ModeSet, PlasmonMode
 
 
 # --- characteristic polynomial and mode route --------------------------------
@@ -210,7 +210,7 @@ def per_parity_modes(
         values = np.sort(eigs.real)[::-1]
         certify_one_parity(stack, n, parity, values, cross, bound)
         per_parity[parity] = tuple(
-            PlasmonMode(float(lam), _resonant_sigma(float(lam), sigma0), rank)
+            PlasmonMode(float(lam), sigma_from_lambda(float(lam), sigma0), rank)
             for rank, lam in enumerate(values, start=1)
         )
     return ModeSet(even_modes=per_parity[EVEN], odd_modes=per_parity[ODD])
@@ -327,7 +327,7 @@ def min_order(H):
 def lambda_from_sigma(sigma1, sigma0):
     """Contrast parameter lambda = (sigma1 + sigma0) / (2 (sigma1 - sigma0))."""
     if sigma1 == sigma0:
-        raise ContrastError("sigma1 == sigma0 gives no contrast (lambda is singular)")
+        raise ValueError("sigma1 == sigma0 gives no contrast (lambda is singular)")
     return (sigma1 + sigma0) / (2.0 * (sigma1 - sigma0))
 
 
@@ -343,7 +343,7 @@ def drude_sigma(omega, sigma_prime, omega_p, tau):
     """Drude conductivity sigma_prime (1 - omega_p^2 / (omega (omega + i tau)))
     at angular frequency omega (> 0) with damping rate tau (>= 0; 0 is lossless)."""
     if omega <= 0:
-        raise ContrastError(f"frequency must be positive, got {omega}")
+        raise ValueError(f"frequency must be positive, got {omega}")
     return sigma_prime * (1.0 - omega_p**2 / (omega * complex(omega, tau)))
 
 
@@ -360,11 +360,11 @@ class MaterialConfig:
 
     def __post_init__(self):
         if self.sigma0 <= 0:
-            raise ContrastError(f"sigma0 must be positive, got {self.sigma0}")
+            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
         if self.sigma_star <= 0:
-            raise ContrastError(f"sigma_star must be positive, got {self.sigma_star}")
+            raise ValueError(f"sigma_star must be positive, got {self.sigma_star}")
         if self.delta < 0:
-            raise ContrastError(f"delta must be >= 0, got {self.delta}")
+            raise ValueError(f"delta must be >= 0, got {self.delta}")
 
     @property
     def sigma1(self):
@@ -393,7 +393,7 @@ def mode_to_material(mode: PlasmonMode, sigma0: float, drude=None):
     sigma1 = sigma_from_lambda(mode.lambda_root, sigma0)
     omega = None
     if drude is not None:
-        omega = resonant_frequency(mode.lambda_root, sigma0, **drude)
+        omega = resonant_frequency(sigma1, **drude)
     return sigma1, omega
 
 

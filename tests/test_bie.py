@@ -234,6 +234,8 @@ class TestBlockOperators:
         assert np.abs(past_box[1].x[:, 1]).max() > np.abs(past_box[0].x[:, 1]).max()
         with pytest.raises(CurveError, match="curve 2 is not strictly inside curve 1"):
             assemble_block_np(past_box)
+        with pytest.raises(CurveError, match="need at least one curve"):
+            assemble_block_np([])
 
     def test_mode_containment_medium_resolution(self):
         spec = {"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}
@@ -354,6 +356,15 @@ class TestBlockOperators:
         finally:
             tracemalloc.stop()
         assert peak / matrix <= limit
+
+    def test_node_coincidence_rejected(self):
+        circle = DiscretizedCurve.polar((), 1.0, 8)
+        x = circle.x.copy()
+        x[4] = x[0]
+        moved = DiscretizedCurve(t=circle.t, x=x, dx=circle.dx, ddx=circle.ddx)
+        for assemble in (assemble_block_np, assemble_block_s):
+            with pytest.raises(CurveError, match="node coincidence: two distinct nodes map to one point"):
+                assemble([moved])
 
     def test_mixed_node_counts_rejected(self):
         curves = [DiscretizedCurve.polar((), 2.0, 32), DiscretizedCurve.polar((), 1.0, 64)]

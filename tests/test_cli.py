@@ -9,9 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from plasmonstack import bie, charpoly, field, output, runconfig, runners, spectrum
+from plasmonstack import bie, charpoly, cli, field, output, runconfig, runners, spectrum
 from plasmonstack.cli import _merge_config, build_parser, main
-from plasmonstack.errors import ContrastError
 from plasmonstack.field import BackgroundField
 from plasmonstack.fixtures_io import compare_fixture, load_fixture
 from plasmonstack.geometry import EllipticPoint, LayerStack
@@ -232,6 +231,30 @@ class TestModesCommand:
         assert err == f"config error: config file {cfg} holds a JSON {kind}, not an object\n"
         assert not (tmp_path / "o").exists()
 
+    def test_empty_configuration(self, tmp_path, capsys):
+        assert main(["modes", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: empty configuration")
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["modes", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {path}: ")
+
+    def test_tolerance_flag_over_malformed_block(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"geometry": {"R": 1.0, "xi": [1.0]}, "n": 1, "tolerances": "x"}))
+        assert main(["modes", "--config", str(path), "--tol-cross", "1e-8", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "config error: tolerances: expected a mapping, got str\n"
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["existing-file", "under-a-file"])
+    def test_unwritable_out(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("kept")
+        out = str(tmp_path / out)
+        assert main(["modes", "--preset", "table1", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot write outputs to {out}: ")
+        assert (tmp_path / "afile").read_text() == "kept"
+
     def test_semimajor_flags(self, tmp_path):
         out = tmp_path / "sm"
         code = main(
@@ -348,6 +371,27 @@ class TestPresetChecks:
         fixture = load_fixture(os.path.join(os.path.dirname(runners.__file__), "fixtures", f"{name}.json"))
         assert (fixture["preset"], fixture["command"]) == (preset.name, preset.command)
         assert fixture["tolerances"] == runners.COMMANDS[preset.command].tolerances
+
+    @pytest.mark.parametrize("name", ["table1", "fig9", "bie-circle"])
+    def test_make_fixtures_matches_committed(self, tmp_path, monkeypatch, capsys, name):
+        """A regenerated fixture passes ``--check``'s comparison against the
+        committed one; bytes may differ where a route changed below rtol."""
+        committed = cli._fixture_path(name)
+        monkeypatch.setattr(cli, "_fixture_path", lambda preset: str(tmp_path / f"{preset}.json"))
+        assert main(["make-fixtures", name]) == 0
+        assert capsys.readouterr().out == f"wrote fixture {name}\n"
+        written, expected = load_fixture(tmp_path / f"{name}.json"), load_fixture(committed)
+        assert compare_fixture(expected, written["payload"]) == []
+        for key in ("preset", "command", "tolerances"):
+            assert written[key] == expected[key]
+
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(runners.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "plasmonstack.cli", "modes", "--preset", "table1", "--check"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "preset 'table1' matches its fixture\n"
 
     def test_make_fixtures_unknown_name(self, capsys):
         assert main(["make-fixtures", "bogus"]) == 1
@@ -674,34 +718,24 @@ class TestDrudeColumn:
         omegas = [r[4] for r in rows]
         assert all(o and float(o) > 0 for o in omegas)
 
-    def test_contrast_error_leaves_omega_blank(self, tmp_path, monkeypatch):
-        """A mode no real lossless Drude frequency realizes gets an empty
-        omega cell and a null omega in the JSON; the others keep theirs."""
-        real_frequency = runners.resonant_frequency
-
-        def frequency(lam, sigma0, **drude):
-            if lam < 0:
-                raise ContrastError("no real frequency")
-            return real_frequency(lam, sigma0, **drude)
-
-        monkeypatch.setattr(runners, "resonant_frequency", frequency)
+    def test_mode_without_sigma1_leaves_omega_blank(self, tmp_path):
+        """A mode at lambda = 1/2 has no finite sigma1 and so no real lossless
+        Drude frequency: its sigma1 and omega cells are empty and null in the
+        JSON, while the mode at -1/2 keeps sigma1 = 0 and omega = omega_p."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(DRUDE_CONFIG))
+        cfg.write_text(json.dumps({**DRUDE_CONFIG, "geometry": {"R": 1.0, "xi": [1e-17]}}))
         out = tmp_path / "o"
         assert main(["modes", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "modes.csv").read_text().splitlines()[-2:] == [
+            "even,1,0.5,,",
+            "odd,1,-0.5,0,2000000000000000",
+        ]
         payload = json.loads((out / "modes.json").read_text())["payload"]
-        modes = payload["even"] + payload["odd"]
-        _, _, rows = read_csv(out / "modes.csv")
-        assert len(rows) == len(modes) == 4
-        assert {r["lambda"] < 0 for r in modes} == {True, False}
-        for row, mode in zip(rows, modes):
-            if mode["lambda"] < 0:
-                assert mode["omega"] is None and row[4] == ""
-            else:
-                assert mode["omega"] > 0 and row[4] == "{:.17g}".format(mode["omega"])
+        assert payload["even"] == [{"rank": 1, "lambda": 0.5, "sigma1": None, "omega": None}]
+        assert payload["odd"] == [{"rank": 1, "lambda": -0.5, "sigma1": 0.0, "omega": 2e15}]
 
     def test_other_errors_propagate(self, tmp_path, monkeypatch):
-        def frequency(lam, sigma0, **drude):
+        def frequency(sigma1, **drude):
             raise ZeroDivisionError("not a contrast problem")
 
         monkeypatch.setattr(runners, "resonant_frequency", frequency)

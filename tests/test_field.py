@@ -165,6 +165,14 @@ class TestPerturbedPotential:
         with pytest.raises(RegionError):
             perturbed_potential(STACK, LAM, H, p)
 
+    @pytest.mark.parametrize("region", [-1, STACK.N + 1])
+    def test_region_out_of_range(self, region):
+        H = BackgroundField.single(2, EVEN, 1.0)
+        p = EllipticPoint(xi=0.5, eta=0.3)
+        for evaluate in (perturbed_potential, perturbed_gradient):
+            with pytest.raises(RegionError, match=rf"region must be in 0\.\.{STACK.N}, got {region}"):
+                evaluate(STACK, LAM, H, p, region=region)
+
 
 class TestPerturbedGradient:
     def test_zero_background_zero_gradient(self):

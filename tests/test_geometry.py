@@ -78,6 +78,8 @@ class TestSemimajor:
     def test_invalid_geometry(self):
         with pytest.raises(GeometryError):
             xi_from_semimajor(0.8, 0.9)
+        with pytest.raises(GeometryError, match="focal half-distance must be positive, got R=0.0"):
+            xi_from_semimajor(2.0, 0.0)
 
 
 class TestCurvature:

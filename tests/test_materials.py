@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from plasmonstack.errors import ConfigError, ContrastError
+from plasmonstack.errors import ConfigError
 from plasmonstack.materials import resonant_frequency, sigma_from_lambda
 from plasmonstack.runconfig import normalize_drude
 
@@ -30,10 +30,16 @@ class TestContrastMaps:
         assert sigma_from_lambda(0.0, 3.0) == -3.0
 
     def test_singularities(self):
-        with pytest.raises(ContrastError):
+        with pytest.raises(ValueError, match="sigma1 == sigma0 gives no contrast"):
             lambda_from_sigma(2.0, 2.0)
-        with pytest.raises(ContrastError):
-            sigma_from_lambda(0.5, 1.0)
+        # lambda = 1/2 is infinite conductivity: no finite value, not an error
+        assert sigma_from_lambda(0.5, 1.0) is None
+        assert sigma_from_lambda(0.5, 3.0) is None
+
+    def test_minus_half_is_positive_zero(self):
+        for sigma0 in (1.0, 3.0):
+            sigma1 = sigma_from_lambda(-0.5, sigma0)
+            assert sigma1 == 0.0 and math.copysign(1.0, sigma1) == 1.0
 
     def test_mutual_inverse_random(self, rng):
         lam = rng.uniform(-3, 3, 1000) + 1j * rng.uniform(-3, 3, 1000)
@@ -77,11 +83,11 @@ class TestMaterialConfig:
         assert cfg.layer_sigma(3) == cfg.sigma1
 
     def test_validation(self):
-        with pytest.raises(ContrastError):
+        with pytest.raises(ValueError, match="sigma0 must be positive"):
             MaterialConfig(sigma0=0.0, sigma_star=1.0)
-        with pytest.raises(ContrastError):
+        with pytest.raises(ValueError, match="sigma_star must be positive"):
             MaterialConfig(sigma0=1.0, sigma_star=-1.0)
-        with pytest.raises(ContrastError):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
             MaterialConfig(sigma0=1.0, sigma_star=1.0, delta=-1e-3)
 
 
@@ -101,7 +107,7 @@ class TestDrude:
         for key in PAPER_DRUDE:
             with pytest.raises(ConfigError, match=f"drude: {key} must be a number > 0"):
                 normalize_drude(PAPER_DRUDE | {key: 0.0})
-        with pytest.raises(ContrastError):
+        with pytest.raises(ValueError, match="frequency must be positive"):
             drude_sigma(0.0, **PAPER_DRUDE, tau=1e14)
 
 
@@ -110,23 +116,33 @@ class TestResonantFrequency:
         sigma_prime, omega_p = PAPER_DRUDE["sigma_prime"], PAPER_DRUDE["omega_p"]
         sigma0 = DEFAULT_SIGMA0
         expected = omega_p * math.sqrt(sigma_prime / (sigma_prime + sigma0))
-        assert_allclose(resonant_frequency(0.0, sigma0, **PAPER_DRUDE), expected, rtol=1e-15)
+        assert_allclose(resonant_frequency(sigma_from_lambda(0.0, sigma0), **PAPER_DRUDE), expected, rtol=1e-15)
 
     def test_round_trip_lossless(self, rng):
         sigma0 = DEFAULT_SIGMA0
         for lam in rng.uniform(-0.49, 0.49, 50):
-            omega = resonant_frequency(float(lam), sigma0, **PAPER_DRUDE)
             sigma_t = sigma_from_lambda(float(lam), sigma0)
+            omega = resonant_frequency(sigma_t, **PAPER_DRUDE)
             assert_allclose(drude_sigma(omega, **PAPER_DRUDE, tau=0.0).real, sigma_t, rtol=1e-12)
             assert abs(drude_sigma(omega, **PAPER_DRUDE, tau=0.0).imag) < 1e-25
 
     def test_reference_mode_round_trip(self):
         sigma0 = DEFAULT_SIGMA0
-        omega = resonant_frequency(0.3205, sigma0, **PAPER_DRUDE)
+        omega = resonant_frequency(sigma_from_lambda(0.3205, sigma0), **PAPER_DRUDE)
         back = lambda_from_sigma(drude_sigma(omega, **PAPER_DRUDE, tau=0.0), sigma0)
         assert abs(back - 0.3205) < 1e-10
 
     def test_no_real_frequency(self):
         # lambda = 2 targets sigma_t = (5/3) sigma0 >= sigma_prime: no real root
-        with pytest.raises(ContrastError):
-            resonant_frequency(2.0, 9e-12, **PAPER_DRUDE)
+        assert resonant_frequency(sigma_from_lambda(2.0, 9e-12), **PAPER_DRUDE) is None
+        # sigma1 == sigma_prime is the boundary: omega would be infinite
+        assert resonant_frequency(PAPER_DRUDE["sigma_prime"], **PAPER_DRUDE) is None
+        assert resonant_frequency(math.nextafter(PAPER_DRUDE["sigma_prime"], 0.0), **PAPER_DRUDE) > 0
+        # the lambda = 1/2 mode has no finite sigma1, so no frequency either
+        assert resonant_frequency(None, **PAPER_DRUDE) is None
+
+    def test_complex_conductivity_refused(self):
+        with pytest.raises(TypeError):
+            resonant_frequency(complex(-1e-11, 1e-14), **PAPER_DRUDE)
+        with pytest.raises(TypeError):
+            resonant_frequency(complex(-1e-11, 0.0), **PAPER_DRUDE)

@@ -4,7 +4,9 @@ method or property, of ``src/plasmonstack`` must be referenced somewhere
 other than its own definition: in the library, in ``perfbench/*.py`` or in
 a README ``python`` block.  A name that only tests use belongs in
 ``tests/oracles.py``.  The error classes of numeric checks are raised only
-through ``errors.gate``, whose table decides their exit codes."""
+through ``errors.gate``, whose table decides their exit codes, and only the
+CLI's exit-code mapping and the geometry-to-config translation catch a
+package error."""
 
 import ast
 import glob
@@ -101,3 +103,32 @@ def test_gated_errors_are_raised_only_by_the_gate():
             if target is not None and _named(target) in GATED:
                 raised.append(f"{os.path.relpath(path, SRC)}:{node.lineno}: {_named(target)}")
     assert raised == [], "gated errors instantiated outside errors.gate: " + ", ".join(raised)
+
+
+#: the functions that may catch a package error: ``cli.main`` maps every
+#: error to its exit code, ``runconfig.normalize_geometry`` re-raises a
+#: ``GeometryError`` as a ``ConfigError``
+CATCHERS = {"cli.main", "runconfig.normalize_geometry"}
+
+
+def _handlers(node, owner):
+    """(qualified owner, except clause) under ``node``; the owner is the
+    innermost enclosing function or class, prefixed by its outer ones."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            yield owner, child
+        scoped = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _handlers(child, f"{owner}.{child.name}" if scoped else owner)
+
+
+def test_package_errors_are_caught_only_where_mapped():
+    errors = {node.name for node in _parse(os.path.join(SRC, "errors.py")).body if isinstance(node, ast.ClassDef)}
+    catching = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True)):
+        module = os.path.splitext(os.path.relpath(path, SRC))[0].replace(os.sep, ".")
+        for owner, handler in _handlers(_parse(path), module):
+            caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            if {_named(node) for node in caught} & errors:
+                catching.add(owner)
+    assert catching <= CATCHERS, "package errors caught outside the CLI and config mapping: " + ", ".join(
+        sorted(catching - CATCHERS))
