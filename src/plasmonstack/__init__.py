@@ -24,13 +24,12 @@ if os.environ.get("PLASMONSTACK_THREADS"):
 __version__ = "0.1.0"
 
 from .geometry import EllipticPoint, LayerStack
-from .spectrum import ModeSet, PlasmonMode, modes
+from .spectrum import ModeSet, modes
 
 __all__ = [
     "__version__",
     "EllipticPoint",
     "LayerStack",
     "ModeSet",
-    "PlasmonMode",
     "modes",
 ]

@@ -6,7 +6,8 @@ and the lossless Drude frequency that realizes it.  The contrast
 with sigma0 the background, carries all material information entering the
 mode problem; this forward map and the lossy Drude model are test oracles.
 Both maps here are total: where no finite sigma1 or no real frequency
-exists, they return None.
+exists, they return None.  The mode computation knows nothing of them:
+the ``modes`` command applies them to each certified value.
 """
 
 from __future__ import annotations

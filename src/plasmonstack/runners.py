@@ -24,7 +24,7 @@ from . import field as field_mod
 from . import output, runconfig, spectrum
 from .errors import ConfigError
 from .geometry import LayerStack, cartesian_to_elliptic
-from .materials import resonant_frequency
+from .materials import resonant_frequency, sigma_from_lambda
 from .npcore import EVEN, ODD
 
 
@@ -34,18 +34,15 @@ def _stack(cfg):
 
 def run_modes(cfg):
     stack = _stack(cfg)
-    ms = spectrum.modes(stack, cfg["n"], sigma0=cfg["sigma0"], **cfg["tolerances"])
+    ms = spectrum.modes(stack, cfg["n"], **cfg["tolerances"])
     payload = {"n": cfg["n"], "sigma0": cfg["sigma0"], "layers": stack.N}
     for parity in (EVEN, ODD):
         rows = []
-        for mode in ms.modes(parity):
-            row = {
-                "rank": mode.rank,
-                "lambda": mode.lambda_root,
-                "sigma1": mode.sigma1_resonant,
-            }
+        for rank, lam in enumerate(ms.lambdas(parity).tolist(), start=1):
+            sigma1 = sigma_from_lambda(lam, cfg["sigma0"])
+            row = {"rank": rank, "lambda": lam, "sigma1": sigma1}
             if "drude" in cfg:
-                row["omega"] = resonant_frequency(mode.sigma1_resonant, **cfg["drude"])
+                row["omega"] = resonant_frequency(sigma1, **cfg["drude"])
             rows.append(row)
         payload[parity] = rows
     payload["root_symmetry_max"] = spectrum.verify_root_symmetry(ms)
@@ -63,13 +60,16 @@ def run_charpoly(cfg):
         "coeff_plus": plus.coeffs.tolist(),
         "coeff_minus": minus.coeffs.tolist(),
     }
+    # one grid from the lowest to the highest root of either polynomial, so
+    # span.csv's f_plus and f_minus are values at its lambda column
+    roots = np.concatenate([plus.roots().real, minus.roots().real])
+    grid = np.linspace(roots.min(), roots.max(), cfg["span_points"])
+    lam = grid.tolist()
     span = {}
     for name, poly in (("plus", plus), ("minus", minus)):
-        roots = np.sort(poly.roots().real)
-        grid = np.linspace(roots[0], roots[-1], cfg["span_points"])
         vals = poly.evaluate(grid)
         span[name] = {
-            "lambda": grid.tolist(),
+            "lambda": lam,
             "value": vals.tolist(),
             "max_abs": float(np.abs(vals).max()),
         }
@@ -276,7 +276,8 @@ def _write_field(out, cfg, payload, grids):
         else:
             columns["gradmag"] = grid.values.ravel()
         output.write_csv(stem + ".csv", columns, cfg)
-        interfaces = [{"x1": list(px), "x2": list(py)} for px, py in grid.interfaces]
+        # tolist gives Python floats, which jsonable passes through as they are
+        interfaces = [{"x1": px.tolist(), "x2": py.tolist()} for px, py in grid.interfaces]
         output.write_json(stem + ".json", dict(meta, interfaces=interfaces), cfg)
 
 

@@ -13,6 +13,11 @@ imposed by symmetrizing, so implementation bugs surface as complex
 eigenvalues, and (b) proves that all N roots are real.  The even and odd
 problems go through each route together, on a leading parity axis of
 length 2 (``PARITIES`` order), and are gated one parity after the other.
+
+A :class:`ModeSet` is the certified values and nothing else; the shell
+conductivity each value stands for is
+:func:`plasmonstack.materials.sigma_from_lambda` of it, which callers
+apply themselves.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import numpy as np
 from . import charpoly as cp
 from .errors import gate
 from .geometry import LayerStack
-from .materials import sigma_from_lambda
 from .npcore import EVEN, ODD, PARITIES, _sign, build_np
 
 #: Default gate tolerances of :func:`modes`, under the names its keywords,
@@ -35,33 +39,23 @@ from .npcore import EVEN, ODD, PARITIES, _sign, build_np
 TOLERANCES = MappingProxyType({"cross": 1e-8, "imag": 1e-9, "bound": 1e-10})
 
 
-@dataclass(frozen=True)
-class PlasmonMode:
-    """One resonance of a parity: contrast value, resonant shell conductivity
-    and rank.
-
-    ``sigma1_resonant`` is :func:`~plasmonstack.materials.sigma_from_lambda`
-    of the value: None for lambda = 1/2, which no finite shell conductivity
-    realizes.
-    """
-
-    lambda_root: float
-    sigma1_resonant: float | None
-    rank: int  # 1-based index in descending lambda order within the parity
-
-
 @dataclass(frozen=True, eq=False)
 class ModeSet:
-    """All 2N modes of a stack at one Fourier order (N per parity)."""
+    """All 2N modes of a stack at one Fourier order (N per parity).
 
-    even_modes: tuple
-    odd_modes: tuple
+    ``values`` is the read-only (2, N) array of the even values, then the
+    odd ones (``PARITIES`` order), each row sorted descending: the mode of
+    rank r is entry r - 1 of its row.
+    """
 
-    def modes(self, parity):
-        return self.even_modes if _sign(parity) > 0 else self.odd_modes
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values.flags.writeable = False
 
     def lambdas(self, parity):
-        return np.array([m.lambda_root for m in self.modes(parity)])
+        """The row of ``parity``: a read-only view of ``values``."""
+        return self.values[0 if _sign(parity) > 0 else 1]
 
 
 def _certify(stack, n, eigs, cross, imag, bound):
@@ -119,7 +113,6 @@ def _certify(stack, n, eigs, cross, imag, bound):
 def modes(
     stack: LayerStack,
     n: int,
-    sigma0: float = 1.0,
     *,
     cross: float = TOLERANCES["cross"],
     imag: float = TOLERANCES["imag"],
@@ -137,15 +130,7 @@ def modes(
     Both parities share each step: one (2, N, N) matrix build, one batched
     eigensolve and one N-step recursion over at most 4N + 2 probe points.
     """
-    values = _certify(stack, n, np.linalg.eigvals(-build_np(stack, n)), cross, imag, bound)
-    even_modes, odd_modes = (
-        tuple(
-            PlasmonMode(lambda_root=lam, sigma1_resonant=sigma_from_lambda(lam, sigma0), rank=rank)
-            for rank, lam in enumerate(row.tolist(), start=1)
-        )
-        for row in values
-    )
-    return ModeSet(even_modes=even_modes, odd_modes=odd_modes)
+    return ModeSet(_certify(stack, n, np.linalg.eigvals(-build_np(stack, n)), cross, imag, bound))
 
 
 def verify_root_symmetry(modeset: ModeSet) -> float:
@@ -155,9 +140,8 @@ def verify_root_symmetry(modeset: ModeSet) -> float:
     modes; the exact value is zero (the two root multisets are negatives of
     each other).
     """
-    ev = modeset.lambdas(EVEN)
-    od = modeset.lambdas(ODD)
-    return float(np.abs(ev + od[::-1]).max())
+    even, odd = modeset.values
+    return float(np.abs(even + odd[::-1]).max())
 
 
 def geometric_stack(num_layers: int, xi_outer: float, ratio: float) -> LayerStack:

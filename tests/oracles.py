@@ -31,7 +31,7 @@ from plasmonstack.field import _HARMONIC, BackgroundField, perturbed_gradient, p
 from plasmonstack.geometry import EllipticPoint, LayerStack
 from plasmonstack.materials import resonant_frequency, sigma_from_lambda
 from plasmonstack.npcore import EVEN, ODD, _check_order, _exponentials, _normal_derivative, _sign, gpm_entries
-from plasmonstack.spectrum import TOLERANCES, ModeSet, PlasmonMode
+from plasmonstack.spectrum import TOLERANCES, ModeSet
 
 
 # --- characteristic polynomial and mode route --------------------------------
@@ -189,7 +189,6 @@ def certify_one_parity(stack, n, parity, values, cross, bound):
 def per_parity_modes(
     stack: LayerStack,
     n,
-    sigma0=1.0,
     *,
     cross=TOLERANCES["cross"],
     imag=TOLERANCES["imag"],
@@ -199,7 +198,7 @@ def per_parity_modes(
     ``eigvals`` call, the realness gate and one recursion.
     :func:`plasmonstack.spectrum.modes` must return the same values bit for
     bit, or refuse with the same message."""
-    per_parity = {}
+    per_parity = []
     for parity in (EVEN, ODD):
         eigs = np.linalg.eigvals(-np_matrix(stack, n, parity))
         worst = np.abs(eigs.imag).max(initial=0.0)
@@ -209,11 +208,8 @@ def per_parity_modes(
             )
         values = np.sort(eigs.real)[::-1]
         certify_one_parity(stack, n, parity, values, cross, bound)
-        per_parity[parity] = tuple(
-            PlasmonMode(float(lam), sigma_from_lambda(float(lam), sigma0), rank)
-            for rank, lam in enumerate(values, start=1)
-        )
-    return ModeSet(even_modes=per_parity[EVEN], odd_modes=per_parity[ODD])
+        per_parity.append(values)
+    return ModeSet(np.array(per_parity))
 
 
 # --- npcore actions ----------------------------------------------------------
@@ -384,13 +380,13 @@ def lossless_limit_lambda(sigma_star, sigma0):
     return (sigma0 - sigma_star) / (-2.0 * (sigma0 + sigma_star))
 
 
-def mode_to_material(mode: PlasmonMode, sigma0: float, drude=None):
-    """Resonant shell conductivity for a mode, plus the lossless Drude
-    frequency when a drude block ({"sigma_prime", "omega_p"}) is supplied.
+def mode_to_material(lam, sigma0: float, drude=None):
+    """Resonant shell conductivity for a mode value ``lam``, plus the lossless
+    Drude frequency when a drude block ({"sigma_prime", "omega_p"}) is supplied.
 
     Returns (sigma1, omega_or_None).
     """
-    sigma1 = sigma_from_lambda(mode.lambda_root, sigma0)
+    sigma1 = sigma_from_lambda(lam, sigma0)
     omega = None
     if drude is not None:
         omega = resonant_frequency(sigma1, **drude)

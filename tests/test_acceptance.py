@@ -90,8 +90,8 @@ def random_suite():
 def _table_errors(stack, n, lam_even, lam_odd, sig_even, sig_odd):
     t0 = time.perf_counter()
     ms = modes(stack, n)
-    sig_e = np.array([m.sigma1_resonant for m in ms.even_modes])
-    sig_o = np.array([m.sigma1_resonant for m in ms.odd_modes])
+    sig_e = np.array([sigma_from_lambda(lam, 1.0) for lam in ms.lambdas(EVEN).tolist()])
+    sig_o = np.array([sigma_from_lambda(lam, 1.0) for lam in ms.lambdas(ODD).tolist()])
     elapsed = time.perf_counter() - t0
     lam_err = max(
         np.abs(ms.lambdas(EVEN) - np.array(lam_even)).max(),
@@ -152,8 +152,8 @@ def test_table2_rounds_to_printed():
         for computed, printed in (
             (ms.lambdas(EVEN), lam_e),
             (ms.lambdas(ODD), lam_o),
-            (np.array([m.sigma1_resonant for m in ms.even_modes]), sig_e),
-            (np.array([m.sigma1_resonant for m in ms.odd_modes]), sig_o),
+            (np.array([sigma_from_lambda(lam, 1.0) for lam in ms.lambdas(EVEN).tolist()]), sig_e),
+            (np.array([sigma_from_lambda(lam, 1.0) for lam in ms.lambdas(ODD).tolist()]), sig_o),
         ):
             assert np.allclose(np.round(computed, 4), printed, atol=1.01e-4)
 

@@ -14,7 +14,7 @@ from plasmonstack.cli import _merge_config, build_parser, main
 from plasmonstack.field import BackgroundField
 from plasmonstack.fixtures_io import compare_fixture, load_fixture
 from plasmonstack.geometry import EllipticPoint, LayerStack
-from plasmonstack.npcore import EVEN
+from plasmonstack.npcore import EVEN, ODD
 from plasmonstack.presets import PRESETS, get_preset
 
 import preset_digest
@@ -372,16 +372,21 @@ class TestPresetChecks:
         assert (fixture["preset"], fixture["command"]) == (preset.name, preset.command)
         assert fixture["tolerances"] == runners.COMMANDS[preset.command].tolerances
 
-    @pytest.mark.parametrize("name", ["table1", "fig9", "bie-circle"])
+    @pytest.mark.parametrize("name", ["table1", "table2", "fig9", "bie-circle"])
     def test_make_fixtures_matches_committed(self, tmp_path, monkeypatch, capsys, name):
         """A regenerated fixture passes ``--check``'s comparison against the
-        committed one; bytes may differ where a route changed below rtol."""
+        committed one.  The mode tables and the disk sweep also agree to
+        1e-12 relative in every number, so their committed fixtures show
+        what the code computes, not an earlier route's digits."""
         committed = cli._fixture_path(name)
         monkeypatch.setattr(cli, "_fixture_path", lambda preset: str(tmp_path / f"{preset}.json"))
         assert main(["make-fixtures", name]) == 0
         assert capsys.readouterr().out == f"wrote fixture {name}\n"
         written, expected = load_fixture(tmp_path / f"{name}.json"), load_fixture(committed)
         assert compare_fixture(expected, written["payload"]) == []
+        if name in ("table1", "table2", "fig9"):
+            tight = {"tolerances": {"rtol": 1e-12, "atol": 0.0}, "payload": expected["payload"]}
+            assert compare_fixture(tight, written["payload"]) == []
         for key in ("preset", "command", "tolerances"):
             assert written[key] == expected[key]
 
@@ -522,6 +527,20 @@ class TestCharpolyCommand:
         assert header == ["lambda", "f_plus", "f_minus"]
         assert len(rows) == 1000
         assert any("span-max-abs-plus" in line for line in meta)
+
+    @pytest.mark.parametrize("xi", [(2.0, 1.0), (1.4, 1.0, 0.7, 0.4)])
+    def test_span_rows_hold_both_values_at_their_lambda(self, tmp_path, xi):
+        """Each span.csv row holds f_plus and f_minus at that row's lambda, on
+        one grid from the lowest to the highest root of either polynomial."""
+        out = tmp_path / "cp"
+        argv = ["charpoly", "--xi", *map(str, xi), "--n", "1", "--span-points", "50", "--out", str(out)]
+        assert main(argv) == 0
+        polys = charpoly.build_charpoly(LayerStack(R=1.0, xi=xi), 1)
+        roots = np.concatenate([poly.roots().real for poly in polys.values()])
+        lam, f_plus, f_minus = np.array(read_csv(out / "span.csv")[2], dtype=float).T
+        assert (lam[0], lam[-1]) == (roots.min(), roots.max())
+        np.testing.assert_array_equal(f_plus, np.polyval(polys[EVEN].coeffs, lam))
+        np.testing.assert_array_equal(f_minus, np.polyval(polys[ODD].coeffs, lam))
 
 
 class TestSweepCommand:
@@ -787,12 +806,12 @@ CSV_TEXTS = [
         "span.csv",
         "# plasmonstack 0.1.0\n"
         "# config-sha256: eb8f3e832a18fa592f1275daf51332c51b3384c1e04e112db16ad8ab37901f17\n"
-        "# span-max-abs-plus: 0.034689670631859675\n"
-        "# span-max-abs-minus: 0.034689670631859675\n"
+        "# span-max-abs-plus: 0.033833820809153176\n"
+        "# span-max-abs-minus: 0.033833820809153176\n"
         "lambda,f_plus,f_minus\n"
-        "-0.21550654364856536,-6.9388939039072284e-18,1.3877787807814457e-17\n"
-        "-0.029254911086969593,-0.034689670631859675,-0.034689670631859675\n"
-        "0.15699672147462615,1.3877787807814457e-17,-6.9388939039072284e-18\n",
+        "-0.21550654364856536,-6.9388939039072284e-18,0.025218499092395666\n"
+        "0,-0.033833820809153176,-0.033833820809153176\n"
+        "0.21550654364856536,0.025218499092395666,-6.9388939039072284e-18\n",
     ),
     (
         ["sweep-disk", "--layers", "1", "--ratio", "0.8", "--n", "2", "--L", "1.0", "2.0"],

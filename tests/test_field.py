@@ -112,7 +112,7 @@ class TestSolveDensities:
     def test_resonance_error(self):
         stack = LayerStack(R=1.0, xi=(1.0, 0.5))
         ms = modes(stack, 1)
-        lam_star = ms.even_modes[0].lambda_root
+        lam_star = ms.lambdas(EVEN)[0]
         H = BackgroundField.single(1, EVEN, 1.0)
         with pytest.raises(ResonanceError, match="^order-1 even system is resonance-singular"):
             solve_densities(stack, lam_star, H)

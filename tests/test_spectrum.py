@@ -45,18 +45,19 @@ class TestModes:
             stack = random_stack(rng, max_layers=60)
             n = int(rng.integers(1, 9))
             ms = modes(stack, n)
+            assert ms.values.shape == (2, stack.N)
             for parity in (EVEN, ODD):
                 lams = ms.lambdas(parity)
                 assert lams.size == stack.N
                 assert np.all(np.diff(lams) <= 0)
-                ranks = [m.rank for m in ms.modes(parity)]
-                assert ranks == list(range(1, stack.N + 1))
+                # the mode of rank r is entry r - 1 of its parity's row
+                np.testing.assert_array_equal(ms.values[PARITIES.index(parity)], lams)
 
     def test_reference_table_row(self):
         stack = LayerStack(R=1.0, xi=tuple(float(16 - i) for i in range(1, 16)))
         ms = modes(stack, 1)
         assert np.abs(ms.lambdas(EVEN) - TABLE1_LAMBDA_EVEN).max() < 5e-5
-        sig_odd = [m.sigma1_resonant for m in ms.odd_modes]
+        sig_odd = [sigma_from_lambda(lam, 1.0) for lam in ms.lambdas(ODD).tolist()]
         rel = np.abs((np.array(sig_odd) - TABLE1_SIGMA_ODD) / np.array(TABLE1_SIGMA_ODD))
         assert rel.max() < 5e-4
 
@@ -69,11 +70,11 @@ class TestModes:
         """A mode at exactly lambda = 1/2 keeps its mode set; only its
         resonant conductivity, which would be infinite, is None."""
         ms = modes(stack, n)
-        at_half = [m for m in ms.even_modes + ms.odd_modes if m.lambda_root == 0.5]
-        assert at_half and all(m.sigma1_resonant is None for m in at_half)
-        for m in ms.even_modes + ms.odd_modes:
-            if m.lambda_root != 0.5:
-                assert m.sigma1_resonant == sigma_from_lambda(m.lambda_root, 1.0)
+        values = ms.values.ravel().tolist()
+        assert 0.5 in values
+        for lam in values:
+            sigma1 = sigma_from_lambda(lam, 1.0)
+            assert sigma1 is None if lam == 0.5 else math.isfinite(sigma1)
 
     def test_cross_validation_gate(self):
         stack = LayerStack(R=1.0, xi=(2.0, 1.0))
@@ -107,6 +108,21 @@ class TestModes:
             assert worst <= worst_companion
 
 
+class TestModeSet:
+    """A mode set is the certified (2, N) values, and no caller can change
+    them: not through ``values``, not through what ``lambdas`` returns."""
+
+    @pytest.mark.parametrize("parity", PARITIES)
+    def test_no_caller_changes_the_set(self, parity):
+        ms = modes(TABLE1_STACK, 1)
+        before = ms.values.copy()
+        with pytest.raises(ValueError):
+            ms.lambdas(parity)[0] = 1.0
+        with pytest.raises(ValueError):
+            ms.values[PARITIES.index(parity), 0] = 1.0
+        np.testing.assert_array_equal(ms.values, before)
+
+
 class TestFusedRoute:
     """``modes`` runs both parities through one NP build, one batched
     eigensolve and one Sturm recursion; the route one parity at a time is
@@ -114,12 +130,12 @@ class TestFusedRoute:
 
     @staticmethod
     def outcome(route, stack, n, cross):
-        """The two mode tuples, or the refusal's message."""
+        """The (2, N) values as lists, or the refusal's message."""
         try:
-            ms = route(stack, n, 1.7, cross=cross)
+            ms = route(stack, n, cross=cross)
         except CrossValidationError as exc:
             return str(exc)
-        return ms.even_modes, ms.odd_modes
+        return ms.values.tolist()
 
     @pytest.mark.parametrize("cross", [TOLERANCES["cross"], 1e-15], ids=["default", "refusing"])
     def test_matches_per_parity_route(self, cross):
@@ -267,26 +283,23 @@ class TestModeToMaterial:
     def test_reference_values(self):
         stack = LayerStack(R=1.0, xi=tuple(float(16 - i) for i in range(1, 16)))
         ms = modes(stack, 1)
-        sigma1, omega = mode_to_material(ms.even_modes[0], sigma0=1.0)
+        sigma1, omega = mode_to_material(ms.lambdas(EVEN)[0], sigma0=1.0)
         assert omega is None
         assert abs(sigma1 - (-4.5699)) / 4.5699 < 5e-4
-        sigma1_odd, _ = mode_to_material(ms.odd_modes[7], sigma0=1.0)
+        sigma1_odd, _ = mode_to_material(ms.lambdas(ODD)[7], sigma0=1.0)
         assert abs(sigma1_odd - (-0.9636)) / 0.9636 < 5e-4
 
     def test_zero_mode(self):
-        from plasmonstack.spectrum import PlasmonMode
-
-        mode = PlasmonMode(lambda_root=0.0, sigma1_resonant=-2.0, rank=1)
-        sigma1, omega = mode_to_material(mode, sigma0=2.0)
+        sigma1, omega = mode_to_material(0.0, sigma0=2.0)
         assert sigma1 == -2.0
 
     def test_with_drude(self):
         stack = LayerStack(R=1.0, xi=(1.0, 0.5))
         ms = modes(stack, 1)
         sigma0 = DEFAULT_SIGMA0
-        mode = ms.even_modes[0]
-        sigma1, omega = mode_to_material(mode, sigma0=sigma0, drude=PAPER_DRUDE)
+        lam = ms.lambdas(EVEN)[0]
+        sigma1, omega = mode_to_material(lam, sigma0=sigma0, drude=PAPER_DRUDE)
         assert omega > 0
         # lossless consistency: the frequency reproduces the mode's contrast
         back = lambda_from_sigma(drude_sigma(omega, **PAPER_DRUDE, tau=0.0), sigma0)
-        assert abs(back - mode.lambda_root) < 1e-10
+        assert abs(back - lam) < 1e-10

@@ -6,7 +6,8 @@ a README ``python`` block.  A name that only tests use belongs in
 ``tests/oracles.py``.  The error classes of numeric checks are raised only
 through ``errors.gate``, whose table decides their exit codes, and only the
 CLI's exit-code mapping and the geometry-to-config translation catch a
-package error."""
+package error.  The mode layers (``npcore``, ``charpoly``, ``spectrum``)
+import none of the layers built on them."""
 
 import ast
 import glob
@@ -132,3 +133,30 @@ def test_package_errors_are_caught_only_where_mapped():
                 catching.add(owner)
     assert catching <= CATCHERS, "package errors caught outside the CLI and config mapping: " + ", ".join(
         sorted(catching - CATCHERS))
+
+
+#: the mode layers, and the modules they must not import: materials, fields,
+#: the Nystrom check and the commands all sit on top of them
+MODE_LAYERS = ("npcore", "charpoly", "spectrum")
+ABOVE_MODES = {"materials", "field", "bie", "runners", "cli"}
+
+
+def _imported_modules(tree):
+    """The ``plasmonstack`` modules that ``tree`` imports, by module name."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[1] for a in node.names if a.name.startswith("plasmonstack.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("plasmonstack")):
+            module = (node.module or "").removeprefix("plasmonstack").lstrip(".")
+            # ``from . import x`` and ``from plasmonstack import x`` import the module x
+            imported |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return imported
+
+
+def test_mode_layers_import_nothing_above_them():
+    wrong = []
+    for module in MODE_LAYERS:
+        above = _imported_modules(_parse(os.path.join(SRC, f"{module}.py"))) & ABOVE_MODES
+        wrong += [f"{module} imports {name}" for name in sorted(above)]
+    assert wrong == [], "mode layers importing the layers above them: " + ", ".join(wrong)
