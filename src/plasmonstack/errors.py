@@ -64,8 +64,10 @@ class FieldOverflowError(PlasmonstackError, ArithmeticError):
 
 
 #: Gate name -> error class; the names are those of the ``tolerances``
-#: (``imag``, ``bound``, ``cross``) and of the field solve's checks.
+#: (``imag``, ``bound``, ``cross``), of the Nystrom harmonic projection's
+#: ``invariance`` and of the field solve's checks.
 _GATES = {"imag": CrossValidationError, "bound": CrossValidationError, "cross": CrossValidationError,
+          "invariance": CrossValidationError,
           "condition": ResonanceError, "residual": ResonanceError, "overflow": FieldOverflowError}
 
 

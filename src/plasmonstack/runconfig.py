@@ -223,6 +223,12 @@ def normalize_bie_config(cfg):
     if "match_orders" in cfg:
         out["match_orders"] = _read(cfg, "match_orders", INTEGER, allowed=COUNT, where=where)
         out["match_nodes"] = _read(cfg, "match_nodes", INTEGER, nodes[-1], NODE_COUNT, where)
+        # sin(n t) vanishes at every node for n = M / 2, and past it aliases a lower order
+        if 2 * out["match_orders"] >= out["match_nodes"]:
+            raise ConfigError(
+                f"{where}: match_orders must be below match_nodes / 2 = {out['match_nodes'] // 2}, "
+                f"got {out['match_orders']} at {out['match_nodes']} nodes"
+            )
     elif "match_nodes" in cfg:
         raise ConfigError(
             f"{where}: match_nodes must come with match_orders, got {json.dumps(cfg['match_nodes'])} without it"

@@ -22,10 +22,10 @@ from . import bie as bie_mod
 from . import charpoly as cp
 from . import field as field_mod
 from . import output, runconfig, spectrum
-from .errors import ConfigError
+from .errors import ConfigError, gate
 from .geometry import LayerStack, cartesian_to_elliptic
 from .materials import resonant_frequency, sigma_from_lambda
-from .npcore import EVEN, ODD
+from .npcore import EVEN, ODD, PARITIES, build_np
 
 
 def _stack(cfg):
@@ -182,11 +182,20 @@ def run_bie(cfg):
     """Identity residual refinement plus spectral cross-checks per geometry.
 
     Per node count K* and then S are assembled once; both residuals are
-    formed and S is released; the containment check's eigensolve reads K*
-    as assembled, and the bound excess comes last, on K* deflated in place.
-    So at most two (N M, N M) matrices are held at once.  A single circle
-    takes its K* and S spectra while both are held, a third matrix in
-    LAPACK's copy: one curve, 256^2 entries in the bie-circle preset.
+    formed and S is released; at ``match_nodes`` K* is projected onto the
+    per-curve harmonics as assembled, and the bound excess comes last, on
+    K* deflated in place.  So at most two (N M, N M) matrices are held at
+    once.  A single circle takes its K* and S spectra while both are held,
+    a third matrix in LAPACK's copy: one curve, 256^2 entries in the
+    bie-circle preset.
+
+    With ``match_orders`` the projection checks the exact Fourier matrix
+    representation entry by entry: a harmonic subspace that K* does not
+    keep invariant is refused (gate ``invariance``); the entry error
+    max|C_n - A_n| against :func:`plasmonstack.npcore.build_np` and the
+    invariance residual are reported per order as [even, odd], and the
+    paired gap compares the eigenvalues of each C_n with the modes of its
+    order and parity, rank by rank.
     """
     spec = cfg["curves"]
     nodes = cfg["nodes"]
@@ -195,8 +204,8 @@ def run_bie(cfg):
     calderon = report["calderon_residual"] = []
     selfadj = report["self_adjointness_residual"] = []
     excess = report["spectral_bound_excess"] = []
-    # the containment check takes its eigenvalues from the K* of its node count
-    match_ev = None
+    # the mode check projects the K* of its node count
+    restriction = None
     for M in nodes:
         curves = bie_mod.curves_from_spec(spec, M)
         Kst = bie_mod.assemble_block_np(curves)
@@ -207,27 +216,34 @@ def run_bie(cfg):
             report["circle"] = _circle_section(float(np.ravel(spec["scale"])[0]), Kst, S)
         del S
         if M == cfg.get("match_nodes"):
-            match_ev = bie_mod.block_np_eigenvalues(Kst, deflated=False)
+            restriction = bie_mod.harmonic_restriction(Kst, curves, cfg["match_orders"])
         excess.append(float(np.abs(bie_mod.block_np_eigenvalues(Kst, deflated=True).real).max() - 0.5))
         del Kst
     report["monotone_calderon"] = _monotone_decreasing(calderon)
     report["monotone_self_adjointness"] = _monotone_decreasing(selfadj)
 
     if "match_orders" in cfg:
-        M = cfg["match_nodes"]
-        if match_ev is None:
-            match_ev = bie_mod.block_np_eigenvalues(
-                bie_mod.assemble_block_np(bie_mod.curves_from_spec(spec, M)), deflated=False
-            )
+        M, orders = cfg["match_nodes"], cfg["match_orders"]
+        if restriction is None:
+            curves = bie_mod.curves_from_spec(spec, M)
+            restriction = bie_mod.harmonic_restriction(bie_mod.assemble_block_np(curves), curves, orders)
+        C, invariance = restriction
+        # a NaN residual is the argmax, and fails the gate
+        worst = np.unravel_index(np.argmax(invariance), invariance.shape)
+        gate("invariance", invariance[worst], bie_mod.INVARIANCE_TOL, lambda: (
+            f"order-{worst[0] + 1} {PARITIES[worst[1]]} harmonics are not invariant under the {M}-node K*: "
+            f"residual {invariance[worst]:.3e} exceeds {bie_mod.INVARIANCE_TOL:.1e}"
+        ))
         stack = LayerStack(R=spec["R"], xi=tuple(spec["xi"]))
-        worst = 0.0
-        for n in range(1, cfg["match_orders"] + 1):
-            ms = spectrum.modes(stack, n)
-            for parity in (EVEN, ODD):
-                for lam in ms.lambdas(parity):
-                    worst = max(worst, float(np.abs(match_ev - (-lam)).min()))
-        report["mode_containment_max_err"] = worst
-        report["match_orders"] = cfg["match_orders"]
+        exact = np.array([build_np(stack, n) for n in range(1, orders + 1)])
+        modes = np.array([spectrum.modes(stack, n).values for n in range(1, orders + 1)])
+        # eigenvalues of -C_n in the modes' order: descending per parity
+        ev = np.linalg.eigvals(-C)
+        ev = np.take_along_axis(ev, np.argsort(-ev.real, axis=-1), axis=-1)
+        report["mode_paired_gap"] = float(np.abs(ev - modes).max())
+        report["mode_entry_error"] = np.abs(C - exact).max(axis=(2, 3)).tolist()
+        report["mode_invariance_residual"] = invariance.tolist()
+        report["match_orders"] = orders
         report["match_nodes"] = M
     return report
 

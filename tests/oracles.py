@@ -14,7 +14,7 @@ each one checks:
 * the Nystrom block operators: block-by-block assembly with one kernel
   per curve and one per pair of curves, constant deflation by a dense
   projector, the quadrature adjoint and the identity residuals of whole
-  matrices;
+  matrices, and the eigenvalue containment of the modes;
 * high-precision mode values.
 """
 
@@ -24,14 +24,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from plasmonstack.bie import kress_log_weights
+from plasmonstack.bie import assemble_block_np, curves_from_spec, kress_log_weights
 from plasmonstack.charpoly import _TINY, CharPoly, build_charpoly
 from plasmonstack.errors import CrossValidationError
 from plasmonstack.field import _HARMONIC, BackgroundField, perturbed_gradient, perturbed_potential, solve_densities
 from plasmonstack.geometry import EllipticPoint, LayerStack
 from plasmonstack.materials import resonant_frequency, sigma_from_lambda
 from plasmonstack.npcore import EVEN, ODD, _check_order, _exponentials, _normal_derivative, _sign, gpm_entries
-from plasmonstack.spectrum import TOLERANCES, ModeSet
+from plasmonstack.spectrum import TOLERANCES, ModeSet, modes
 
 
 # --- characteristic polynomial and mode route --------------------------------
@@ -507,6 +507,17 @@ def dense_self_adjointness(Kst, S):
     reference for ``self_adjointness_check``."""
     B = Kst.weights[:, None] * (-(S.entries @ Kst.entries))
     return float(np.linalg.norm(B - B.T) / np.linalg.norm(B))
+
+
+def mode_containment(spec, M, orders):
+    """Worst distance from a mode of orders 1 .. ``orders`` to the nearest of
+    all N M eigenvalues of the confocal curves' block operator at M nodes
+    (which are minus the modes), from a dense eigensolve: the reference for
+    the paired gap of ``bie-validate``, which matches each mode only with
+    the eigenvalues of its own order and parity."""
+    ev = np.linalg.eigvals(assemble_block_np(curves_from_spec(spec, M)).entries)
+    stack = LayerStack(R=spec["R"], xi=tuple(spec["xi"]))
+    return max(float(np.abs(ev + lam).min()) for n in range(1, orders + 1) for lam in modes(stack, n).values.ravel())
 
 
 # --- high precision ----------------------------------------------------------

@@ -17,7 +17,6 @@ from plasmonstack.bie import (
     DiscretizedCurve,
     assemble_block_np,
     assemble_block_s,
-    block_np_eigenvalues,
     calderon_residual,
     curves_from_spec,
     self_adjointness_check,
@@ -46,6 +45,7 @@ from oracles import (
     density_summation_potential,
     h_coeff,
     min_order,
+    mode_containment,
     recursion_determinant,
     thin_strip_limit,
     total_gradient,
@@ -382,14 +382,7 @@ def test_criterion_12_bie_cross_validation():
         )
     # (b) 3-layer confocal containment at M = 384, n <= 6
     spec = {"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}
-    ev_block = block_np_eigenvalues(assemble_block_np(curves_from_spec(spec, 384)), deflated=False)
-    stack = LayerStack(R=1.0, xi=(0.6, 0.55, 0.5))
-    contain_err = 0.0
-    for n in range(1, 7):
-        ms = modes(stack, n)
-        for parity in (EVEN, ODD):
-            for lam in ms.lambdas(parity):
-                contain_err = max(contain_err, float(np.abs(ev_block - (-lam)).min()))
+    contain_err = mode_containment(spec, 384, 6)
     # (c) circle spectrum {1/2, 0}
     ev_circle = np.sort(np.linalg.eigvals(-assemble_block_np([DiscretizedCurve.polar((), 1.3, 128)]).entries).real)
     circle_err = max(abs(ev_circle[-1] - 0.5), float(np.abs(ev_circle[:-1]).max()))

@@ -14,13 +14,13 @@ from plasmonstack.bie import (
     calderon_residual,
     curves_from_spec,
     deflate_constants,
+    harmonic_restriction,
     kress_log_weights,
     self_adjointness_check,
 )
 from plasmonstack.errors import CurveError
 from plasmonstack.geometry import LayerStack, elliptic_to_cartesian
-from plasmonstack.npcore import EVEN, ODD
-from plasmonstack.spectrum import modes
+from plasmonstack.npcore import EVEN, ODD, build_np
 
 from oracles import (
     blockwise_operators,
@@ -30,6 +30,7 @@ from oracles import (
     discrete_adjoint,
     kstar_block,
     metric_factor,
+    mode_containment,
     single_layer_action,
 )
 
@@ -238,30 +239,10 @@ class TestBlockOperators:
             assemble_block_np([])
 
     def test_mode_containment_medium_resolution(self):
-        spec = {"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}
-        curves = curves_from_spec(spec, 192)
-        ev = block_np_eigenvalues(assemble_block_np(curves), deflated=False)
-        stack = LayerStack(R=1.0, xi=(0.6, 0.55, 0.5))
-        worst = 0.0
-        for n in (1, 2, 3):
-            ms = modes(stack, n)
-            for parity in (EVEN, ODD):
-                for lam in ms.lambdas(parity):
-                    worst = max(worst, float(np.abs(ev - (-lam)).min()))
-        assert worst < 1e-3
+        assert mode_containment({"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}, 192, 3) < 1e-3
 
     def test_mode_containment_four_layers(self):
-        spec = {"type": "confocal", "R": 1.0, "xi": [1.0, 0.92, 0.84, 0.76]}
-        curves = curves_from_spec(spec, 256)
-        ev = block_np_eigenvalues(assemble_block_np(curves), deflated=False)
-        stack = LayerStack(R=1.0, xi=(1.0, 0.92, 0.84, 0.76))
-        worst = 0.0
-        for n in (1, 2, 3, 4):
-            ms = modes(stack, n)
-            for parity in (EVEN, ODD):
-                for lam in ms.lambdas(parity):
-                    worst = max(worst, float(np.abs(ev - (-lam)).min()))
-        assert worst < 1e-6
+        assert mode_containment({"type": "confocal", "R": 1.0, "xi": [1.0, 0.92, 0.84, 0.76]}, 256, 4) < 1e-6
 
     def test_identity_residuals_decrease(self):
         spec = {"type": "confocal", "R": 1.0, "xi": [0.8, 0.6, 0.4]}
@@ -396,6 +377,57 @@ class TestBlockOperators:
         assert np.abs(b01 - b11).max() > 1e-3
 
 
+class TestHarmonicRestriction:
+    """The projection of the assembled K* onto per-curve harmonics that
+    ``match_orders`` checks the exact Fourier matrix representation with."""
+
+    SPEC = {"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]}
+
+    def test_confocal_restriction_is_the_np_matrix(self):
+        curves = curves_from_spec(self.SPEC, 256)
+        block = assemble_block_np(curves)
+        entries = block.entries.copy()
+        C, residual = harmonic_restriction(block, curves, 4)
+        assert C.shape == (4, 2, 3, 3) and residual.shape == (4, 2)
+        assert np.array_equal(block.entries, entries)
+        # invariant at roundoff, while the entries still carry the M = 256 discretization error
+        assert residual.max() < 1e-13
+        stack = LayerStack(R=1.0, xi=(0.6, 0.55, 0.5))
+        for n in range(1, 5):
+            assert_allclose(C[n - 1], build_np(stack, n), rtol=0, atol=1e-5)
+
+    def test_perturbed_curves_are_not_invariant(self):
+        # r = s (1 + eps cos 2 theta) is not confocal: the residual is about
+        # 0.22-0.28 eps for n = 1..5, and at roundoff on the circles eps = 0
+        eps = 0.005
+        curves = [DiscretizedCurve.polar((0.0, eps), s, 64) for s in (1.0, 0.8, 0.6)]
+        _, residual = harmonic_restriction(assemble_block_np(curves), curves, 5)
+        assert residual.min() > 0.1 * eps
+        circles = [DiscretizedCurve.polar((), s, 64) for s in (1.0, 0.8, 0.6)]
+        assert harmonic_restriction(assemble_block_np(circles), circles, 5)[1].max() < 1e-13
+
+    @pytest.mark.parametrize("xi", [[3.0, 2.0], [6.0, 5.0, 4.0]])
+    def test_every_resolved_order_is_invariant_on_thick_stacks(self, xi):
+        # K* B_n falls to roundoff like exp(-2 n xi_N), so from order 7 on
+        # [3, 2] its own size is no scale for the residual; K*'s is
+        curves = curves_from_spec({"type": "confocal", "R": 1.0, "xi": xi}, 128)
+        _, residual = harmonic_restriction(assemble_block_np(curves), curves, 63)
+        assert residual.max() < 1e-13
+
+    @pytest.mark.parametrize("M", [128, 384])
+    def test_paired_gap_against_containment(self, M):
+        # pairing each mode with the eigenvalues of its own harmonic agrees with
+        # the nearest of all N M eigenvalues once resolved (M = 384, the
+        # bie-confocal preset's); under-resolved, pairing is the stricter
+        report = runners.run_bie(runconfig.normalize(
+            "bie-validate", {"curves": self.SPEC, "nodes": [M], "match_orders": 6}))
+        contained = mode_containment(self.SPEC, M, 6)
+        if M == 128:
+            assert report["mode_paired_gap"] >= contained
+        else:
+            assert_allclose(report["mode_paired_gap"], contained, rtol=1e-3)
+
+
 class TestRunWorkingSet:
     """Memory traced during ``run_bie``, in (N M)^2 float64 matrices of the
     finest node count.  LAPACK's own copy in ``eigvals`` is not traced."""
@@ -406,8 +438,8 @@ class TestRunWorkingSet:
 
     def test_eigensolves_add_at_most_the_deflation_update(self, monkeypatch):
         # S is released before the eigensolves, and deflation adds only its
-        # column update; eigvals itself is also called by modes on 2 x 2
-        # matrices, so the block route is the one wrapped
+        # column update; eigvals itself is also called by modes and the mode
+        # check on 2 x 2 matrices, so the block route is the one wrapped
         solve = bie.block_np_eigenvalues
         added = []
 
@@ -425,13 +457,27 @@ class TestRunWorkingSet:
             runners.run_bie(cfg)
         finally:
             tracemalloc.stop()
-        assert len(added) == len(cfg["nodes"]) + 1
+        # the bound excess per node count; the mode check projects K* and solves no block
+        assert len(added) == len(cfg["nodes"])
         assert max(added) <= 1.1
 
     def test_run_peak(self):
         # K* and S with the residuals' block temporaries, or S's assembly
         # while K* is held, never a third matrix
         cfg = runconfig.normalize("bie-validate", self.CONFIG)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            runners.run_bie(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / self.MATRIX <= 2.6
+
+    def test_run_peak_at_the_highest_order(self):
+        # the harmonic projection takes one curve's image at a time, so even
+        # 2 x 127 harmonics per curve at 256 nodes add no matrix
+        cfg = runconfig.normalize("bie-validate", {**self.CONFIG, "match_orders": 127})
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -71,6 +71,8 @@ REJECTED_CONFIGS = [
                  id="match-nodes-without-orders"),
     pytest.param("bie-validate", {"curves": {"type": "polar", "scale": 1.0}, "nodes": [16], "match_orders": 3},
                  "match_orders must", id="polar-match-orders"),
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_orders": 8},
+                 "match_orders must be below match_nodes / 2 = 8, got 8 at 16 nodes", id="match-orders-unresolved"),
     pytest.param("field", {**_FIELD, "geometry": {"R": 1.0, "xi": [1.0, 0.5]}, "ranks": [1, 1],
                            "parities": ["even", "even"]}, "ranks must", id="repeated-ranks"),
     pytest.param("field", {**_FIELD, "parities": ["odd", "odd"]}, "parities must", id="repeated-parities"),
@@ -675,6 +677,23 @@ class TestBieCommand:
         assert circle["radius"] == 1.3
         assert circle["eig_half_err"] < 1e-12
 
+    def test_non_invariant_harmonics_refused(self, tmp_path, capsys, monkeypatch):
+        """Nested curves r = s (1 + 0.005 cos 2 theta) in place of the
+        confocal ellipses: their K* mixes harmonics, so the mode check has
+        no exact matrix representation to compare and the run exits 2."""
+        monkeypatch.setattr(bie, "curves_from_spec", lambda spec, M: [
+            bie.DiscretizedCurve.polar((0.0, 0.005), s, M) for s in (1.0, 0.8, 0.6)])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"curves": {"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]},
+                                    "nodes": [32, 64], "match_orders": 3}))
+        out = tmp_path / "o"
+        assert main(["bie-validate", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        # the largest residual is named, order 1's (1.38e-3 against 1.21e-3 at order 3)
+        assert re.fullmatch(r"cross-validation failure: order-1 (even|odd) harmonics are not invariant under the "
+                            r"64-node K\*: residual \d\.\d{3}e-03 exceeds 1\.0e-12\n", err), err
+        assert not out.exists()
+
     def test_bad_nodes(self, tmp_path):
         code = main(
             ["bie-validate", "--preset", "bie-circle", "--nodes", "33", "--out", str(tmp_path)]
@@ -1003,8 +1022,8 @@ class TestWorkCounts:
         s_calls = _count_calls(monkeypatch, bie, "assemble_block_s")
         cfg = runconfig.normalize("bie-validate", config)
         runners.run_bie(cfg)
-        # one K* and one S per node count, which the circle and containment
-        # checks reuse, plus the K* of a containment node count outside them
+        # one K* and one S per node count, which the circle and mode checks
+        # reuse, plus the K* of a mode-check node count outside them
         assert len(np_calls) == len(cfg["nodes"]) + ("match_nodes" in cfg and cfg["match_nodes"] not in cfg["nodes"])
         assert len(s_calls) == len(cfg["nodes"])
 
@@ -1012,17 +1031,19 @@ class TestWorkCounts:
     def test_bie_spectra_take_one_route(self, monkeypatch, config):
         calls = _count_calls(monkeypatch, bie, "block_np_eigenvalues")
         cfg = runconfig.normalize("bie-validate", config)
-        runners.run_bie(cfg)
-        # the bound excess per node count, plus the circle or containment check
-        assert len(calls) == len(cfg["nodes"]) + 1
+        report = runners.run_bie(cfg)
+        # the bound excess per node count, plus the circle check; the mode
+        # check projects K* onto harmonics and solves no block
+        assert len(calls) == len(cfg["nodes"]) + ("circle" in report)
 
     def test_bie_containment_reuses_its_node_count(self):
-        # the finest K* of the refinement gives the containment of a fresh assembly, bit for bit
+        # the finest K* of the refinement gives the mode check of a fresh assembly, bit for bit
         reused = runners.run_bie(runconfig.normalize("bie-validate", BIE_CONFIGS["match-finest"]))
         fresh_config = {**BIE_CONFIGS["match-finest"], "nodes": [64], "match_nodes": 128}
         fresh = runners.run_bie(runconfig.normalize("bie-validate", fresh_config))
         assert reused["match_nodes"] == fresh["match_nodes"] == 128
-        assert reused["mode_containment_max_err"] == fresh["mode_containment_max_err"]
+        for key in ("mode_paired_gap", "mode_entry_error", "mode_invariance_residual"):
+            assert reused[key] == fresh[key]
 
     def test_field_maps_coordinates_once(self, monkeypatch):
         calls = _count_calls(monkeypatch, field, "cartesian_to_elliptic")

@@ -13,6 +13,7 @@ def test_table_keeps_each_checks_class():
         "imag": ("CrossValidationError", 2, "cross-validation failure"),
         "bound": ("CrossValidationError", 2, "cross-validation failure"),
         "cross": ("CrossValidationError", 2, "cross-validation failure"),
+        "invariance": ("CrossValidationError", 2, "cross-validation failure"),
         "condition": ("ResonanceError", 3, "resonance-singular solve"),
         "residual": ("ResonanceError", 3, "resonance-singular solve"),
         "overflow": ("FieldOverflowError", 2, "unrepresentable field"),

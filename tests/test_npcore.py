@@ -185,6 +185,35 @@ class TestNPMatrix:
             assert np.abs(np.sort(ev.real) + np.sort(od.real)[::-1]).max() < 1e-10
 
 
+#: stacks of the symmetrization test: the bie-confocal preset's radii, five
+#: near-equal radii, and six in geometric decay
+SYMMETRIZATION_STACKS = [
+    LayerStack(R=1.0, xi=(0.6, 0.55, 0.5)),
+    LayerStack(R=1.0, xi=(1.0, 0.92, 0.84, 0.76, 0.6)),
+    LayerStack(R=0.9, xi=tuple(2.0 * 0.8**k for k in range(6))),
+]
+
+
+class TestSymmetrization:
+    """The paper's symmetrization inside the exact representation: with G_n
+    the single-layer action between the interfaces, G_n A_n is symmetric,
+    G_n is negative definite and its inverse is tridiagonal."""
+
+    @pytest.mark.parametrize("stack", SYMMETRIZATION_STACKS, ids=["3-layer", "5-layer", "6-geometric"])
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    @pytest.mark.parametrize("parity", PARITIES)
+    def test_single_layer_symmetrizes_np(self, stack, n, parity):
+        xi = stack.xi_array
+        G = single_layer_action(n, parity, xi[None, :], xi[:, None])
+        np.testing.assert_array_equal(G, G.T)
+        GA = G @ build_np(stack, n)[PARITIES.index(parity)]
+        assert np.abs(GA - GA.T).max() <= 1e-14 * np.abs(GA).max()
+        assert np.linalg.eigvalsh(G).max() < 0
+        inverse = np.linalg.inv(G)
+        off_band = np.triu(inverse, 2) + np.tril(inverse, -2)
+        assert np.abs(off_band).max() <= 1e-14 * np.abs(inverse).max()
+
+
 class TestStructureVectors:
     def test_values_and_alternation(self):
         stack = LayerStack(R=1.0, xi=(1.5, 0.5))
