@@ -308,13 +308,22 @@ def calderon_residual(Kst: BlockOperator, S: BlockOperator) -> float:
     until roundoff.  The defect is formed one block row I at a time:
     S[I] K* - (K*[:, I] W)^T S / w[I].
     """
-    K, w = Kst.entries, Kst.weights
-    square = 0.0
+    K = Kst.entries
+    # power-of-two scales change no digit of the ratio: one near 1 / max(w)
+    # keeps K* W in range, one near 1 / max|S| keeps the squared norms finite
+    # when the curves are large (S near 1e153 at xi = 350)
+    w = Kst.weights * 2.0 ** -np.frexp(Kst.weights.max())[1]
+    scale = 2.0 ** -np.frexp(max(S.entries.max(), -S.entries.min()))[1]
+    square = size = 0.0
     for I in _row_blocks(Kst):
-        defect = S.entries[I] @ K
-        defect -= (K[:, I] * w[:, None]).T @ S.entries / w[I, None]
+        rows = S.entries[I] * scale
+        size += np.vdot(rows, rows)
+        # the defect times scale; rows is freed before the second product's temporaries
+        defect = rows @ K
+        del rows
+        defect -= (K[:, I] * w[:, None]).T @ S.entries / (w[I, None] / scale)
         square += np.vdot(defect, defect)
-    return float(np.sqrt(square) / (np.linalg.norm(S.entries) * np.linalg.norm(K)))
+    return float(np.sqrt(square) / (np.sqrt(size) * np.linalg.norm(K)))
 
 
 def self_adjointness_check(Kst: BlockOperator, S: BlockOperator) -> float:

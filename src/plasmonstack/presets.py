@@ -97,7 +97,6 @@ PRESETS = {preset.name: preset for preset in (
         "curves": {"type": "confocal", "R": 1.0, "xi": [0.6, 0.55, 0.5]},
         "nodes": [128, 256, 512],
         "match_orders": 6,
-        "match_nodes": 384,
     }),
 )}
 

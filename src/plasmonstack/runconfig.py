@@ -210,29 +210,23 @@ def normalize_curves(curves):
 
 def normalize_bie_config(cfg):
     where = "bie config"
-    _check_keys(cfg, {"curves", "nodes", "match_orders", "match_nodes"}, {"curves", "nodes"}, where)
+    _check_keys(cfg, {"curves", "nodes", "match_orders"}, {"curves", "nodes"}, where)
     curves = normalize_curves(cfg["curves"])
     nodes = _read(cfg, "nodes", [INTEGER], allowed=NODE_COUNT, where=where)
     # a refinement study reads its residuals coarsest first, one per node count
     if any(a >= b for a, b in zip(nodes, nodes[1:])):
         raise ConfigError(f"{where}: nodes must strictly increase, coarsest first, got {json.dumps(nodes)}")
     out = {"curves": curves, "nodes": nodes}
-    matching = [key for key in ("match_orders", "match_nodes") if key in cfg]
-    if matching and curves["type"] != "confocal":
-        raise ConfigError(f"{where}: {matching[0]} must come with confocal curves, got {curves['type']} curves")
     if "match_orders" in cfg:
-        out["match_orders"] = _read(cfg, "match_orders", INTEGER, allowed=COUNT, where=where)
-        out["match_nodes"] = _read(cfg, "match_nodes", INTEGER, nodes[-1], NODE_COUNT, where)
+        if curves["type"] != "confocal":
+            raise ConfigError(f"{where}: match_orders must come with confocal curves, got {curves['type']} curves")
+        orders = out["match_orders"] = _read(cfg, "match_orders", INTEGER, allowed=COUNT, where=where)
         # sin(n t) vanishes at every node for n = M / 2, and past it aliases a lower order
-        if 2 * out["match_orders"] >= out["match_nodes"]:
+        if 2 * orders >= nodes[-1]:
             raise ConfigError(
-                f"{where}: match_orders must be below match_nodes / 2 = {out['match_nodes'] // 2}, "
-                f"got {out['match_orders']} at {out['match_nodes']} nodes"
+                f"{where}: match_orders must be below nodes[-1] / 2 = {nodes[-1] // 2}, "
+                f"got {orders} at {nodes[-1]} nodes"
             )
-    elif "match_nodes" in cfg:
-        raise ConfigError(
-            f"{where}: match_nodes must come with match_orders, got {json.dumps(cfg['match_nodes'])} without it"
-        )
     return out
 
 

@@ -182,56 +182,52 @@ def run_bie(cfg):
     """Identity residual refinement plus spectral cross-checks per geometry.
 
     Per node count K* and then S are assembled once; both residuals are
-    formed and S is released; at ``match_nodes`` K* is projected onto the
-    per-curve harmonics as assembled, and the bound excess comes last, on
-    K* deflated in place.  So at most two (N M, N M) matrices are held at
-    once.  A single circle takes its K* and S spectra while both are held,
-    a third matrix in LAPACK's copy: one curve, 256^2 entries in the
-    bie-circle preset.
+    formed and S is released, and the bound excess comes last, on K*
+    deflated in place.  So at most two (N M, N M) matrices are held at
+    once.  At the finest count, ``nodes[-1]``, a single circle takes its K*
+    and S spectra while both are held, a third matrix in LAPACK's copy
+    (one curve, 256^2 entries in the bie-circle preset), and with
+    ``match_orders`` K* is projected onto the per-curve harmonics n = 1 ..
+    ``match_orders`` as assembled, before it is deflated.
 
-    With ``match_orders`` the projection checks the exact Fourier matrix
-    representation entry by entry: a harmonic subspace that K* does not
-    keep invariant is refused (gate ``invariance``); the entry error
-    max|C_n - A_n| against :func:`plasmonstack.npcore.build_np` and the
-    invariance residual are reported per order as [even, odd], and the
-    paired gap compares the eigenvalues of each C_n with the modes of its
-    order and parity, rank by rank.
+    The projection checks the exact Fourier matrix representation entry by
+    entry: a harmonic subspace that K* does not keep invariant is refused
+    (gate ``invariance``); the entry error max|C_n - A_n| against
+    :func:`plasmonstack.npcore.build_np` and the invariance residual are
+    reported per order as [even, odd], and the paired gap compares the
+    eigenvalues of each C_n with the modes of its order and parity, rank
+    by rank.
     """
     spec = cfg["curves"]
     nodes = cfg["nodes"]
     report = {"curves": cfg["curves"], "nodes": nodes}
-    one_circle = spec["type"] == "polar" and not spec.get("coeffs") and np.size(spec["scale"]) == 1
+    one_circle = spec["type"] == "polar" and not any(spec.get("coeffs", ())) and np.size(spec["scale"]) == 1
     calderon = report["calderon_residual"] = []
     selfadj = report["self_adjointness_residual"] = []
     excess = report["spectral_bound_excess"] = []
-    # the mode check projects the K* of its node count
-    restriction = None
     for M in nodes:
         curves = bie_mod.curves_from_spec(spec, M)
         Kst = bie_mod.assemble_block_np(curves)
         S = bie_mod.assemble_block_s(curves)
         calderon.append(bie_mod.calderon_residual(Kst, S))
         selfadj.append(bie_mod.self_adjointness_check(Kst, S))
-        if one_circle and M == nodes[-1]:
+        finest = M == nodes[-1]
+        if one_circle and finest:
             report["circle"] = _circle_section(float(np.ravel(spec["scale"])[0]), Kst, S)
         del S
-        if M == cfg.get("match_nodes"):
-            restriction = bie_mod.harmonic_restriction(Kst, curves, cfg["match_orders"])
+        if "match_orders" in cfg and finest:
+            C, invariance = bie_mod.harmonic_restriction(Kst, curves, cfg["match_orders"])
         excess.append(float(np.abs(bie_mod.block_np_eigenvalues(Kst, deflated=True).real).max() - 0.5))
         del Kst
     report["monotone_calderon"] = _monotone_decreasing(calderon)
     report["monotone_self_adjointness"] = _monotone_decreasing(selfadj)
 
     if "match_orders" in cfg:
-        M, orders = cfg["match_nodes"], cfg["match_orders"]
-        if restriction is None:
-            curves = bie_mod.curves_from_spec(spec, M)
-            restriction = bie_mod.harmonic_restriction(bie_mod.assemble_block_np(curves), curves, orders)
-        C, invariance = restriction
+        orders = cfg["match_orders"]
         # a NaN residual is the argmax, and fails the gate
         worst = np.unravel_index(np.argmax(invariance), invariance.shape)
         gate("invariance", invariance[worst], bie_mod.INVARIANCE_TOL, lambda: (
-            f"order-{worst[0] + 1} {PARITIES[worst[1]]} harmonics are not invariant under the {M}-node K*: "
+            f"order-{worst[0] + 1} {PARITIES[worst[1]]} harmonics are not invariant under the {nodes[-1]}-node K*: "
             f"residual {invariance[worst]:.3e} exceeds {bie_mod.INVARIANCE_TOL:.1e}"
         ))
         stack = LayerStack(R=spec["R"], xi=tuple(spec["xi"]))
@@ -244,7 +240,6 @@ def run_bie(cfg):
         report["mode_entry_error"] = np.abs(C - exact).max(axis=(2, 3)).tolist()
         report["mode_invariance_residual"] = invariance.tolist()
         report["match_orders"] = orders
-        report["match_nodes"] = M
     return report
 
 

@@ -260,6 +260,16 @@ class TestBlockOperators:
         assert calderon_residual(assemble_block_np(curves), assemble_block_s(curves)) < 1e-13
         assert self_adjointness_check(assemble_block_np(curves), assemble_block_s(curves)) < 1e-12
 
+    def test_calderon_residual_of_a_large_curve(self):
+        # S reaches 1e153 at xi = 350, where its squared norm overflowed and
+        # the residual read a false 0.0; xi = 340 stays in range
+        residuals = []
+        for xi in (340.0, 350.0):
+            curves = curves_from_spec({"type": "confocal", "R": 1.0, "xi": [xi, xi - 0.5]}, 16)
+            residuals.append(calderon_residual(assemble_block_np(curves), assemble_block_s(curves)))
+        assert np.isfinite(residuals[1])
+        assert_allclose(residuals[1], residuals[0], rtol=1e-4)
+
     def test_deflation_zeroes_constants(self):
         curves = curves_from_spec({"type": "confocal", "R": 1.0, "xi": [0.9, 0.5]}, 48)
         block = assemble_block_np(curves)

@@ -64,15 +64,15 @@ REJECTED_CONFIGS = [
     pytest.param("field", {**_FIELD, "parities": 5}, "parities must", id="parities-not-a-list"),
     pytest.param("modes", {**_MODES, "geometry": {"R": True, "xi": [1.0]}}, "R must", id="R-bool"),
     pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_orders": 1, "match_nodes": 7},
-                 "match_nodes must", id="odd-match-nodes"),
+                 "unknown keys ['match_nodes']", id="odd-match-nodes"),
+    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_nodes": 16},
+                 "unknown keys ['match_nodes']", id="match-nodes-without-orders"),
     pytest.param("bie-validate", {"curves": {"type": "polar", "scale": "a"}, "nodes": [16]}, "scale must",
                  id="curve-scale-string"),
-    pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_nodes": 16}, "match_nodes must",
-                 id="match-nodes-without-orders"),
     pytest.param("bie-validate", {"curves": {"type": "polar", "scale": 1.0}, "nodes": [16], "match_orders": 3},
                  "match_orders must", id="polar-match-orders"),
     pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_orders": 8},
-                 "match_orders must be below match_nodes / 2 = 8, got 8 at 16 nodes", id="match-orders-unresolved"),
+                 "match_orders must be below nodes[-1] / 2 = 8, got 8 at 16 nodes", id="match-orders-unresolved"),
     pytest.param("field", {**_FIELD, "geometry": {"R": 1.0, "xi": [1.0, 0.5]}, "ranks": [1, 1],
                            "parities": ["even", "even"]}, "ranks must", id="repeated-ranks"),
     pytest.param("field", {**_FIELD, "parities": ["odd", "odd"]}, "parities must", id="repeated-parities"),
@@ -419,7 +419,7 @@ PRESET_CONFIG_HASHES = {
     "fig11-analog": "98d1b30e9b80e4ba22645ae57c2ca268e042d419eadd03c1289c891de0f934dd",
     "fig12": "959bb6c5a4b3d8bca656f3f751c1b364b9dc1e7285e1cde6c7f1a6f99ba2dd37",
     "bie-circle": "4ef1f7cb7ed6f0550f86b561865850e477558ad20c3794dbe9fee8e8cba9283e",
-    "bie-confocal": "a1bccdb69ed064810fb00f6a14adfd66fcd616fdca40362ddb8b35605548252e",
+    "bie-confocal": "92e5f75b0d74e051c20241df69ea24d0435a53ff6aa9ef21123a6bfe1acf9c96",
 }
 
 
@@ -676,6 +676,30 @@ class TestBieCommand:
         circle = json.loads((out / "bie_report.json").read_text())["payload"]["circle"]
         assert circle["radius"] == 1.3
         assert circle["eig_half_err"] < 1e-12
+
+    def test_zero_coefficients_are_a_circle(self):
+        # zero cosine coefficients build the coefficient-free curves, so the
+        # report is the same, circle section included
+        circle = {"type": "polar", "scale": 1.3}
+        reports = [runners.run_bie(runconfig.normalize("bie-validate", {"curves": curves, "nodes": [16, 32]}))
+                   for curves in (circle, {**circle, "coeffs": [0.0, 0.0]})]
+        for report in reports:
+            del report["curves"]
+        assert "circle" in reports[0]
+        assert reports[1] == reports[0]
+
+    @pytest.mark.parametrize("values,expected", [
+        ([1e-3, 1e-6, 1e-9], True),
+        ([1e-3, 2e-3], False),
+        # a plateau below the 1e-13 roundoff floor counts as converged
+        ([5e-14, 8e-14], True),
+        ([1e-12, 2e-12], False),
+        ([math.nan, 1e-9], False),
+        ([1e-3, math.nan, 1e-9], False),
+        ([1e-3, math.nan], False),
+    ])
+    def test_monotone_decreasing(self, values, expected):
+        assert runners._monotone_decreasing(values) is expected
 
     def test_non_invariant_harmonics_refused(self, tmp_path, capsys, monkeypatch):
         """Nested curves r = s (1 + 0.005 cos 2 theta) in place of the
@@ -983,8 +1007,8 @@ class TestOutputHelpers:
         assert doc == {"z": {"re": 1.0, "im": 2.0}, "arr": [1.5, 2.5], "n": 3}
 
 
-#: bie-validate configs of the work-count tests; in match-finest the
-#: containment node count is the refinement's finest (the default)
+#: bie-validate configs of the work-count tests; the mode check projects
+#: the finest K* of the refinement
 BIE_CONFIGS = {
     "bie-circle": PRESETS["bie-circle"].config,
     "bie-confocal": PRESETS["bie-confocal"].config,
@@ -1022,9 +1046,8 @@ class TestWorkCounts:
         s_calls = _count_calls(monkeypatch, bie, "assemble_block_s")
         cfg = runconfig.normalize("bie-validate", config)
         runners.run_bie(cfg)
-        # one K* and one S per node count, which the circle and mode checks
-        # reuse, plus the K* of a mode-check node count outside them
-        assert len(np_calls) == len(cfg["nodes"]) + ("match_nodes" in cfg and cfg["match_nodes"] not in cfg["nodes"])
+        # one K* and one S per node count, which the circle and mode checks reuse
+        assert len(np_calls) == len(cfg["nodes"])
         assert len(s_calls) == len(cfg["nodes"])
 
     @pytest.mark.parametrize("config", BIE_CONFIGS.values(), ids=BIE_CONFIGS.keys())
@@ -1035,15 +1058,6 @@ class TestWorkCounts:
         # the bound excess per node count, plus the circle check; the mode
         # check projects K* onto harmonics and solves no block
         assert len(calls) == len(cfg["nodes"]) + ("circle" in report)
-
-    def test_bie_containment_reuses_its_node_count(self):
-        # the finest K* of the refinement gives the mode check of a fresh assembly, bit for bit
-        reused = runners.run_bie(runconfig.normalize("bie-validate", BIE_CONFIGS["match-finest"]))
-        fresh_config = {**BIE_CONFIGS["match-finest"], "nodes": [64], "match_nodes": 128}
-        fresh = runners.run_bie(runconfig.normalize("bie-validate", fresh_config))
-        assert reused["match_nodes"] == fresh["match_nodes"] == 128
-        for key in ("mode_paired_gap", "mode_entry_error", "mode_invariance_residual"):
-            assert reused[key] == fresh[key]
 
     def test_field_maps_coordinates_once(self, monkeypatch):
         calls = _count_calls(monkeypatch, field, "cartesian_to_elliptic")
