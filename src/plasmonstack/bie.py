@@ -57,6 +57,9 @@ ROW_CHUNK = 64
 #: harmonics span an invariant subspace of K* at every node count (measured
 #: <= 1.6e-14 for every order below M / 2, M <= 512, radii up to 6)
 INVARIANCE_TOL = 1e-12
+#: node coordinates must stay below this magnitude: then differences stay
+#: below 2^510 and 2 pi |x - y|^2 below 2^1024, so the kernels stay finite
+MAX_COORDINATE = 2.0**509
 
 
 def _require_finite(M, *named):
@@ -97,6 +100,8 @@ class DiscretizedCurve:
         _require_finite(M, ("speeds", speed), ("normals", normal), ("curvatures", curv))
         if area <= 0:
             raise CurveError("parametrization must be counterclockwise (positive area)")
+        if np.abs(self.x).max() >= MAX_COORDINATE:
+            raise CurveError(f"node positions of the {M}-node curve reach 2^509, where its kernels overflow float64")
         object.__setattr__(self, "speed", speed)
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "curvature", curv)
@@ -334,15 +339,17 @@ def self_adjointness_check(Kst: BlockOperator, S: BlockOperator) -> float:
     B is formed one pair of blocks B_IJ = -w_I S[I] K*[:, J], I <= J, at a
     time, which makes the flops of one full product.
     """
-    # a power-of-two scale near 1 / max(w) changes no digit of the ratio and
-    # keeps the squared norms finite when the weights are large (near 1e86 at xi = 200)
+    # power-of-two scales change no digit of the ratio and keep the squared
+    # norms finite: one near 1 / max(w) when the weights are large (near 1e86
+    # at xi = 200), one near 1 / max|S| when S is (near 1e153 at xi = 352)
     K, w = Kst.entries, Kst.weights * 2.0 ** -np.frexp(Kst.weights.max())[1]
+    scale = 2.0 ** -np.frexp(max(S.entries.max(), -S.entries.min()))[1]
     blocks = _row_blocks(Kst)
     asym = size = 0.0
     for i, I in enumerate(blocks):
         for J in blocks[i:]:
-            B_IJ = w[I, None] * -(S.entries[I] @ K[:, J])
-            B_JI = w[J, None] * -(S.entries[J] @ K[:, I]) if J != I else B_IJ
+            B_IJ = w[I, None] * ((S.entries[I] @ K[:, J]) * -scale)
+            B_JI = w[J, None] * ((S.entries[J] @ K[:, I]) * -scale) if J != I else B_IJ
             gap = B_IJ - B_JI.T
             # a pair I < J stands for two blocks: of B - B^T, gap and -gap^T
             asym += (1 + (J != I)) * np.vdot(gap, gap)

@@ -56,10 +56,12 @@ def _merge_config(command, args, preset_cfg):
     """preset < --config file < explicit flags."""
     cfg = dict(preset_cfg or {})
     if args.config:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and an
+        # integer longer than Python's digit limit for parsing
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             kind = {list: "array", str: "string", bool: "boolean", type(None): "null"}.get(type(loaded), "number")
@@ -73,13 +75,6 @@ def _merge_config(command, args, preset_cfg):
         cfg["geometry"] = {"R": 1.0 if R is None else R, "xi" if xi else "semimajor": xi or semimajor}
     elif R is not None:
         raise ConfigError("--R applies only to radii given by --xi or --semimajor")
-    # only modes takes both radii flags and --layers, as a consistency check
-    layers = getattr(args, "layers", None)
-    if layers is not None and hasattr(args, "xi"):
-        geometry = cfg.get("geometry")
-        radii = geometry.get("xi", geometry.get("semimajor")) if isinstance(geometry, dict) else None
-        if isinstance(radii, list) and len(radii) != layers:
-            raise ConfigError(f"--layers {layers} contradicts the {len(radii)} radii of the geometry")
 
     for flag, key, _kwargs in runners.get_command(command).options:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))  # argparse's dest

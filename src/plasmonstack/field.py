@@ -261,9 +261,9 @@ class FieldGrid:
 
     ``values[i, j]`` corresponds to (x1[i], x2[j]).  For the potential
     quantity values are complex u - H samples; for the gradient quantity
-    they are real |grad(u - H)| magnitudes.  ``normalization`` records the
-    constant the values were divided by (1.0 when normalization was off or
-    the field was identically zero).
+    they are real |grad(u - H)| magnitudes, divided by ``normalization``,
+    the grid's max |Re(u - H)| or max magnitude (1.0 for a zero field);
+    ``values * normalization`` are the raw samples.
     """
 
     x1: np.ndarray
@@ -281,16 +281,15 @@ def field_grid(
     bbox,
     resolution,
     *,
-    normalize=False,
     quantity="potential",
 ) -> list[FieldGrid]:
     """Sample u - H (or |grad(u - H)|) on one Cartesian grid for each
     (lam, H) pair in ``fields``; returns one :class:`FieldGrid` per pair.
 
     bbox = (x1_min, x1_max, x2_min, x2_max); resolution = (n_x1, n_x2) with
-    at least 2 points per axis.  Normalization divides by the max absolute
-    value of the real part (potential) or of the magnitude (gradient) over
-    the grid, unless that maximum is zero.  Grid points exactly on an
+    at least 2 points per axis.  Each grid is divided by its max absolute
+    real part (potential) or magnitude (gradient), its ``normalization``,
+    unless that maximum is zero.  Grid points exactly on an
     interface evaluate on the inner side.  The grid's elliptic coordinates,
     regions and interface curves are computed once for all pairs.
     """
@@ -306,13 +305,13 @@ def field_grid(
     interfaces = tuple(stack.interface_polyline(k) for k in range(1, stack.N + 1))
     grids = []
     for lam, H in fields:
-        values, normalization = _grid_values(stack, lam, H, XI, ETA, L, normalize, quantity)
+        values, normalization = _grid_values(stack, lam, H, XI, ETA, L, quantity)
         grids.append(FieldGrid(x1=x1, x2=x2, values=values, quantity=quantity,
                                normalization=normalization, lam=complex(lam), interfaces=interfaces))
     return grids
 
 
-def _grid_values(stack, lam, H, XI, ETA, L, normalize, quantity):
+def _grid_values(stack, lam, H, XI, ETA, L, quantity):
     """(values, normalization) of one field on the grid; the temporaries of
     one field are released before the next field is evaluated."""
     weights = _region_weights(stack, lam, H)
@@ -323,8 +322,7 @@ def _grid_values(stack, lam, H, XI, ETA, L, normalize, quantity):
         gx, gy = _gradient(stack, weights, XI, ETA, L)
         values = np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2)
         norm_source = values
-    if normalize:
-        peak = float(norm_source.max())
-        if peak > 0.0:
-            return values / peak, peak
+    peak = float(norm_source.max())
+    if peak > 0.0:
+        return values / peak, peak
     return values, 1.0

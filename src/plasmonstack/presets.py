@@ -60,7 +60,6 @@ PRESETS = {preset.name: preset for preset in (
         "n": 6,
         "delta": 1e-5,
         "quantity": "potential",
-        "normalize": True,
         "bbox": [-2.0, 2.0, -1.7, 1.7],
         "resolution": [201, 171],
         "ranks": [1, 2, 3, 4],
@@ -71,7 +70,6 @@ PRESETS = {preset.name: preset for preset in (
         "n": 6,
         "delta": 1e-5,
         "quantity": "potential",
-        "normalize": True,
         "bbox": [-3.0, 3.0, -3.0, 3.0],
         "resolution": [201, 201],
         "ranks": [1, 2, 3, 4, 5, 6, 7, 8],
@@ -82,7 +80,6 @@ PRESETS = {preset.name: preset for preset in (
         "n": 7,
         "delta": 1e-5,
         "quantity": "gradient",
-        "normalize": True,
         # even vertical count keeps the focal segment (x2 = 0) off the grid
         "bbox": [-1.05, 1.05, -0.05, 0.05],
         "resolution": [1051, 100],

@@ -19,10 +19,11 @@ from .geometry import LayerStack
 from .npcore import EVEN, ODD
 from .spectrum import TOLERANCES
 
-#: value kinds, named by what they need; a kind in a one-item list, such as
-#: [NUMBER], reads a non-empty list of such values, and a tuple of strings
-#: reads one of those strings
-INTEGER, NUMBER, BOOLEAN = "an integer", "a number", "true or false"
+#: value kinds, named by what they need: an integer or a number, either one
+#: finite in float64; a kind in a one-item list, such as [NUMBER], reads a
+#: non-empty list of such values, and a tuple of strings reads one of those
+#: strings
+INTEGER, NUMBER = "an integer", "a number"
 
 #: allowed ranges of one value: (test, what it needs)
 ANY = (lambda v: True, "")
@@ -36,16 +37,14 @@ NODE_COUNT = (lambda m: m >= MIN_NODES and m % 2 == 0, f"even and >= {MIN_NODES}
 def _typed(value, kind):
     """``value`` as a value of ``kind`` (numbers as floats), or None if it
     is not one: integers are JSON integers, a bool is never a number, and
-    a number is finite (JSON has no NaN or Infinity)."""
+    both kinds are finite in float64 (JSON has no NaN or Infinity)."""
     if isinstance(kind, tuple):
         return value if value in kind else None
-    if isinstance(value, bool):
-        return value if kind == BOOLEAN else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        return None
     if kind == INTEGER:
         return value if isinstance(value, int) else None
-    if kind == NUMBER and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
-        return float(value)
-    return None
+    return float(value)
 
 
 def _read(cfg, key, kind, default=None, allowed=ANY, where="config", empty=False):
@@ -143,7 +142,7 @@ def normalize_charpoly_config(cfg):
 def normalize_field_config(cfg):
     where = "field config"
     allowed = {
-        "geometry", "n", "delta", "quantity", "normalize",
+        "geometry", "n", "delta", "quantity",
         "bbox", "resolution", "ranks", "parities", "tolerances",
     }
     _check_keys(cfg, allowed, {"geometry", "n", "bbox", "resolution"}, where)
@@ -162,7 +161,6 @@ def normalize_field_config(cfg):
         "n": _read(cfg, "n", INTEGER, allowed=COUNT, where=where),
         "delta": _read(cfg, "delta", NUMBER, 1e-5, NON_NEGATIVE, where),
         "quantity": _read(cfg, "quantity", ("potential", "gradient"), "potential", where=where),
-        "normalize": _read(cfg, "normalize", BOOLEAN, True, where=where),
         "bbox": bbox,
         "resolution": resolution,
         "ranks": ranks,

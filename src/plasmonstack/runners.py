@@ -118,7 +118,7 @@ def run_field(cfg):
         for parity, rank in keys
     ]
     field_grids = field_mod.field_grid(
-        stack, fields, cfg["bbox"], cfg["resolution"], normalize=cfg["normalize"], quantity=cfg["quantity"]
+        stack, fields, cfg["bbox"], cfg["resolution"], quantity=cfg["quantity"]
     )
     grids = []
     entries = []
@@ -156,9 +156,9 @@ def run_field(cfg):
 
 
 def _monotone_decreasing(values, floor=1e-13):
-    """Strict decrease judged above the roundoff floor (machine-precision
-    plateaus, e.g. on a circle, count as converged rather than as drift)."""
-    ok = True
+    """Strict decrease of finite values judged above the roundoff floor
+    (machine-precision plateaus, e.g. on a circle, count as converged)."""
+    ok = bool(np.isfinite(values).all())
     for a, b in zip(values, values[1:]):
         ok = ok and (b < a or (a <= floor and b <= floor))
     return bool(ok)
@@ -340,7 +340,6 @@ COMMANDS = {
     "modes": Command(
         "compute cross-validated plasmon modes",
         (
-            ("--layers", None, {"type": int, "help": "layer count; must match the radii given"}),
             *_GEOMETRY,
             _ORDER,
             ("--sigma0", "sigma0", {"type": float, "help": "background conductivity (default 1)"}),

@@ -6,7 +6,6 @@ FIG12_CONFIG = {
     "n": 7,
     "delta": 1e-5,
     "quantity": "gradient",
-    "normalize": True,
     "bbox": [-1.05, 1.05, -0.05, 0.05],
     "resolution": [1051, 100],
     "ranks": [1, 2, 3],

@@ -270,6 +270,15 @@ class TestBlockOperators:
         assert np.isfinite(residuals[1])
         assert_allclose(residuals[1], residuals[0], rtol=1e-4)
 
+    def test_self_adjointness_of_a_large_curve(self):
+        # the form matrix's squared norms overflowed from xi = 351 on, where
+        # the residual read a false 0.0; xi = 340 stays in range
+        residuals = []
+        for xi in (340.0, 352.0):
+            curves = curves_from_spec({"type": "confocal", "R": 1.0, "xi": [xi, xi - 0.5]}, 16)
+            residuals.append(self_adjointness_check(assemble_block_np(curves), assemble_block_s(curves)))
+        assert_allclose(residuals[1], residuals[0], rtol=1e-4)
+
     def test_deflation_zeroes_constants(self):
         curves = curves_from_spec({"type": "confocal", "R": 1.0, "xi": [0.9, 0.5]}, 48)
         block = assemble_block_np(curves)

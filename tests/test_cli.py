@@ -60,7 +60,9 @@ REJECTED_CONFIGS = [
                  "sigma_prime must", id="drude-string"),
     pytest.param("modes", {**_MODES, "sigma0": None}, "sigma0 must", id="sigma0-null"),
     pytest.param("charpoly", {**_MODES, "span_points": 2.9}, "span_points must", id="span-points-float"),
-    pytest.param("field", {**_FIELD, "normalize": "false"}, "normalize must", id="normalize-string"),
+    pytest.param("field", {**_FIELD, "normalize": "false"}, "unknown keys ['normalize']", id="normalize-string"),
+    pytest.param("field", {**_FIELD, "n": 10**400}, "n must be an integer >= 1, got 1" + "0" * 400,
+                 id="n-beyond-float"),
     pytest.param("field", {**_FIELD, "parities": 5}, "parities must", id="parities-not-a-list"),
     pytest.param("modes", {**_MODES, "geometry": {"R": True, "xi": [1.0]}}, "R must", id="R-bool"),
     pytest.param("bie-validate", {"curves": _CONFOCAL, "nodes": [16], "match_orders": 1, "match_nodes": 7},
@@ -115,7 +117,7 @@ REJECTED_CONFIGS = [
 class TestModesCommand:
     def test_single_layer_flags(self, tmp_path):
         out = tmp_path / "o"
-        assert main(["modes", "--layers", "1", "--xi", "1", "--n", "1", "--out", str(out)]) == 0
+        assert main(["modes", "--xi", "1", "--n", "1", "--out", str(out)]) == 0
         meta, header, rows = read_csv(out / "modes.csv")
         assert header == ["parity", "rank", "lambda", "sigma1", "omega"]
         assert any(line.startswith("# plasmonstack") for line in meta)
@@ -171,23 +173,22 @@ class TestModesCommand:
         assert err.startswith("config error:")
         assert f"unknown keys ['{key}']" in err
 
-    def test_layers_contradiction(self, tmp_path):
+    def test_layers_contradiction(self, tmp_path, capsys):
+        """The radii are the layer count, so modes takes no --layers."""
         assert main(["modes", "--layers", "2", "--xi", "1", "--n", "1", "--out", str(tmp_path)]) == 1
+        assert "unrecognized arguments: --layers 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,key",
         [
             (["--xi", "1.0", "0.5", "--semimajor", "3", "2", "--n", "1"], "--semimajor"),
-            (["--preset", "table1", "--layers", "3"], "--layers"),
-            (["--config", "{modes}", "--layers", "3"], "--layers"),
             (["--preset", "table1", "--R", "2"], "--R"),
+            # an integer past the float64 range is refused before any computation
+            (["--xi", "1", "--n", "1" + "0" * 400], "n must be an integer >= 1"),
         ],
-        ids=["xi-and-semimajor", "preset-layers", "config-layers", "R-without-radii"],
+        ids=["xi-and-semimajor", "R-without-radii", "n-beyond-float"],
     )
     def test_flags_rejected(self, tmp_path, capsys, argv, key):
-        cfg = tmp_path / "modes.json"
-        cfg.write_text(json.dumps(_MODES))
-        argv = [a.replace("{modes}", str(cfg)) for a in argv]
         assert main(["modes", *argv, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "config error:" in err
@@ -240,6 +241,14 @@ class TestModesCommand:
 
     def test_missing_config_file(self, tmp_path, capsys):
         path = tmp_path / "missing.json"
+        assert main(["modes", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {path}: ")
+
+    @pytest.mark.parametrize("content", [b'{"n": 1' + b"0" * 5000 + b"}", b'{"n": "\xff"}', b'{"n": '],
+                             ids=["integer-past-parse-limit", "not-utf8", "truncated"])
+    def test_unparsable_config_file(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
         assert main(["modes", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"config error: cannot read config file {path}: ")
 
@@ -415,9 +424,9 @@ PRESET_CONFIG_HASHES = {
     "fig5": "6a4b1c9b4c21e515ef7257d0198d494ceeb7de98cd251870803db88440cee618",
     "fig8": "e86eb8b1ff585ca97e9d44fb5dc892979554ae7d9bf7b7a78f5bdfc71331acc0",
     "fig9": "dda462a92163bd325acb1af58dddee7fe6f857cdca3268826e772d6615eaf80b",
-    "fig10": "f3e0f890a46cf52c5a1c9f35fc67754c71e1adcc3c38e2b82656bfaa10f7bae7",
-    "fig11-analog": "98d1b30e9b80e4ba22645ae57c2ca268e042d419eadd03c1289c891de0f934dd",
-    "fig12": "959bb6c5a4b3d8bca656f3f751c1b364b9dc1e7285e1cde6c7f1a6f99ba2dd37",
+    "fig10": "cdbc4080d8a7ca51d84b2e3023cf816580523e4197bf555909e0ef9ba767f4f6",
+    "fig11-analog": "efdae050252077bbd50abcf5846de1b1f1eee93160ac33ee145565bacfcbaf19",
+    "fig12": "ae01caa15204ea1a0ad963d9af197108eddeacbbecee63468ee5de4373220b3b",
     "bie-circle": "4ef1f7cb7ed6f0550f86b561865850e477558ad20c3794dbe9fee8e8cba9283e",
     "bie-confocal": "92e5f75b0d74e051c20241df69ea24d0435a53ff6aa9ef21123a6bfe1acf9c96",
 }
@@ -697,6 +706,9 @@ class TestBieCommand:
         ([math.nan, 1e-9], False),
         ([1e-3, math.nan, 1e-9], False),
         ([1e-3, math.nan], False),
+        # one value has no pair to compare, but a NaN residual is still no convergence
+        ([math.nan], False),
+        ([1e-3], True),
     ])
     def test_monotone_decreasing(self, values, expected):
         assert runners._monotone_decreasing(values) is expected
@@ -744,6 +756,29 @@ class TestBieCommand:
         [residual] = json.loads((out / "bie_report.json").read_text())["payload"]["self_adjointness_residual"]
         assert residual < 1e-12
 
+    @pytest.mark.parametrize("xi", [[354, 353.5], [355, 354.5]])
+    def test_curve_past_coordinate_limit_refused(self, tmp_path, capsys, xi):
+        """From node coordinates of 2^509 on (xi >= 353.505 at R = 1) the
+        kernels' 2 pi |x - y|^2 overflows: K* entries would fall to 0 and the
+        residuals to NaN or a wrong finite value."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"curves": {"type": "confocal", "R": 1, "xi": xi}, "nodes": [16]}))
+        out = tmp_path / "o"
+        assert main(["bie-validate", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: node positions of the 16-node curve reach 2^509, where its kernels overflow float64\n"
+        )
+        assert not out.exists()
+
+    def test_curve_below_coordinate_limit_runs(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"curves": {"type": "confocal", "R": 1, "xi": [353.5, 353]}, "nodes": [16]}))
+        out = tmp_path / "o"
+        assert main(["bie-validate", "--config", str(path), "--out", str(out)]) == 0
+        payload = json.loads((out / "bie_report.json").read_text())["payload"]
+        for key in ("calderon_residual", "self_adjointness_residual", "spectral_bound_excess"):
+            assert all(map(math.isfinite, payload[key])), key
+
     @pytest.mark.parametrize("command,cfg,message", REJECTED_CONFIGS)
     def test_config_rejected(self, tmp_path, capsys, command, cfg, message):
         path = tmp_path / "cfg.json"
@@ -757,7 +792,7 @@ class TestBieCommand:
 class TestPayloadFormatting:
     def test_seventeen_digit_floats(self, tmp_path):
         out = tmp_path / "fmt"
-        main(["modes", "--layers", "1", "--xi", "1", "--n", "1", "--out", str(out)])
+        main(["modes", "--xi", "1", "--n", "1", "--out", str(out)])
         _, _, rows = read_csv(out / "modes.csv")
         # 0.5 * exp(-2) printed with 17 significant digits
         assert rows[0][2] == "{:.17g}".format(0.5 * math.exp(-2.0))
@@ -872,7 +907,7 @@ CSV_TEXTS = [
         ["field", "--config", "{field}"],
         "field_even_r1.csv",
         "# plasmonstack 0.1.0\n"
-        "# config-sha256: 78428fde5c37ab66c93051445583360189b88f2d5384c69fce16d636c04e490e\n"
+        "# config-sha256: 103c5a50a2a11eabb581d66b3deedd5123264205620acdcfbf308fb872655c54\n"
         "# tolerances: bound=1e-10 cross=1e-08 imag=1.0000000000000001e-09\n"
         "x1,x2,re,im\n"
         "-2,-1,0,-36466.732218283971\n"
@@ -886,7 +921,7 @@ CSV_TEXTS = [
         ["field", "--config", "{field}", "--gradient"],
         "field_even_r1.csv",
         "# plasmonstack 0.1.0\n"
-        "# config-sha256: 2479042fdedd28f69a6147c7466882729c730318262067b8824795ead07440e8\n"
+        "# config-sha256: 4a72b8bd7a70dec315c73af20ad5f34e6fd5f09506709d430f8ba4efcfbea12d\n"
         "# tolerances: bound=1e-10 cross=1e-08 imag=1.0000000000000001e-09\n"
         "x1,x2,gradmag\n"
         "-2,-1,0.45634600136272097\n"
@@ -1127,7 +1162,10 @@ class TestReadme:
         for block in blocks:
             exec(compile(block, "README.md", "exec"), namespace)
         assert np.isfinite(namespace["u"]) and np.isfinite(namespace["g"]).all()
-        assert namespace["grid"].values.shape == (201, 201)
+        grid = namespace["grid"]
+        assert grid.values.shape == (201, 201)
+        # grids come normalized, with the divisor recorded
+        assert np.abs(grid.values.real).max() == 1.0 and grid.normalization > 0
 
     def test_cli_lines_normalize(self, tmp_path):
         blocks = re.findall(r"```sh\n(.*?)```", readme_text(), flags=re.DOTALL)

@@ -246,7 +246,7 @@ class TestPerturbedGradient:
             assert_allclose(g, expected, rtol=1e-12, atol=0.0)
             if side > 0:  # gamma underflows to 0 here too: the same point in floating point
                 assert_allclose(perturbed_gradient(STACK, LAM, H, EllipticPoint(xi=1e-170, eta=0.0)), g, rtol=0.0)
-            assert_allclose(grid.values[i, 1], abs(limit), rtol=1e-12)
+            assert_allclose(grid.values[i, 1] * grid.normalization, abs(limit), rtol=1e-12)
             fd = [
                 (perturbed_potential(STACK, LAM, H, EllipticPoint(*cartesian_to_elliptic(side * R + dx, dy, R)))
                  - perturbed_potential(STACK, LAM, H, EllipticPoint(*cartesian_to_elliptic(side * R - dx, -dy, R))))
@@ -324,18 +324,18 @@ class TestTotalField:
 class TestFieldGrid:
     def test_zero_background_normalizes_to_zero(self):
         H = BackgroundField(terms=((2, 0.0, 0.0),))
-        grid = field_grid(STACK, [(LAM, H)], (-2, 2, -2, 2), (16, 16), normalize=True)[0]
+        grid = field_grid(STACK, [(LAM, H)], (-2, 2, -2, 2), (16, 16))[0]
         assert np.abs(grid.values).max() == 0.0
         assert grid.normalization == 1.0
 
     def test_normalization_constant(self):
+        """A grid is divided by its max |Re(u - H)|, which it records."""
         H = BackgroundField.single(2, EVEN, 1.0)
-        raw = field_grid(STACK, [(LAM, H)], (-2.5, 2.5, -2, 2), (41, 33), normalize=False)[0]
-        norm = field_grid(STACK, [(LAM, H)], (-2.5, 2.5, -2, 2), (41, 33), normalize=True)[0]
-        peak = np.abs(raw.values.real).max()
-        assert_allclose(norm.normalization, peak, rtol=1e-12)
-        assert np.abs(norm.values.real).max() <= 1.0 + 1e-12
-        assert_allclose(norm.values * peak, raw.values, rtol=1e-12)
+        grid = field_grid(STACK, [(LAM, H)], (-2.5, 2.5, -2, 2), (41, 33))[0]
+        assert np.abs(grid.values.real).max() == 1.0
+        i, j = np.unravel_index(np.argmax(np.abs(grid.values.real)), grid.values.shape)
+        p = EllipticPoint(*cartesian_to_elliptic(grid.x1[i], grid.x2[j], STACK.R))
+        assert_allclose(grid.normalization, abs(perturbed_potential(STACK, LAM, H, p).real), rtol=1e-12)
 
     def test_angular_structure_of_resonant_modes(self):
         # eight modes of the four-layer reference geometry show the order-6
@@ -385,8 +385,9 @@ class TestFieldGrid:
             (potential, lambda p: perturbed_potential(STACK, LAM, H, p)),
             (gradient, lambda p: np.linalg.norm(perturbed_gradient(STACK, LAM, H, p))),
         ):
-            tol = 1e-13 * np.abs(grid.values).max()
-            worst = max(abs(grid.values[i, j] - at_point(p)) for i, j, p in points)
+            raw = grid.values * grid.normalization
+            tol = 1e-13 * np.abs(raw).max()
+            worst = max(abs(raw[i, j] - at_point(p)) for i, j, p in points)
             assert worst <= tol, (grid.quantity, worst, tol)
 
     def test_gradient_grid_quantity(self):
